@@ -10,7 +10,7 @@ controlled surplus.
 
 __version__ = "0.1.0"
 
-from .curve import PolicySchedule, RegimeSegment, SolutionCurve
+from .curve import RegimeSegment, SolutionCurve
 from .exp_solver import SolveOptions, SolverAbort, extrapolate_tail, solve, third_order_check
 from .general_solver import general_solve, solve_constant_regime_near_zero
 from .model import (ExponentialClaims, GeneralClaims, ModelParams, RegimeConstants,
@@ -23,7 +23,7 @@ __all__ = [
     "__version__",
     "ModelParams", "ExponentialClaims", "GeneralClaims", "RegimeConstants",
     "validate", "regime_constants", "convex_start_condition",
-    "SolutionCurve", "RegimeSegment", "PolicySchedule",
+    "SolutionCurve", "RegimeSegment",
     "solve", "SolveOptions", "SolverAbort", "third_order_check", "extrapolate_tail",
     "general_solve", "solve_constant_regime_near_zero",
     "ConstantPolicy", "FeedbackPolicy", "SimConfig", "SimulationReport",

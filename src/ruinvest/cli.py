@@ -145,9 +145,10 @@ def cmd_policy(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     curve_csv = out / "curve.csv"
+    solved = RunManifest("solve", cfg, _options_echo(args), args.seed).hash
     switch_points = None
     try:
-        if curve_csv.exists():
+        if curve_csv.exists() and _manifest_hash(curve_csv) == solved:
             curve = SolutionCurve.from_csv(curve_csv)  # no recomputation drift
             sidecar = out / "curve.json"
             if sidecar.exists():
@@ -291,6 +292,14 @@ def cmd_compare(args) -> int:
         flag = f"  [dominated by {', '.join(dominated)}]" if dominated else ""
         print(f"  x0={x0:<6g} feedback p_hat={base['p_hat']:.5f}{flag}")
     return EXIT_OK
+
+
+def _manifest_hash(path) -> Optional[str]:
+    """Hash on an artifact's leading "# manifest: " line, or None."""
+    with open(path) as fh:
+        first = fh.readline()
+    tag = "# manifest: "
+    return first[len(tag):].strip() if first.startswith(tag) else None
 
 
 def _options_echo(args) -> dict:

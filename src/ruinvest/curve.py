@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-__all__ = ["RegimeSegment", "SolutionCurve", "PolicySchedule"]
+__all__ = ["RegimeSegment", "SolutionCurve", "segments_from_regimes"]
 
 REGIME_LONG = "A"      # maximal long fraction a
 REGIME_SHORT = "B"     # maximal short fraction -b
@@ -35,6 +35,18 @@ class RegimeSegment:
 
     def __contains__(self, x):
         return self.lo <= x <= self.hi
+
+
+def segments_from_regimes(x, regime, last_event: str) -> list[RegimeSegment]:
+    """Maximal runs of equal labels in the regime column, ended by "switch"."""
+    segments = []
+    lo = x[0]
+    for i in range(1, len(x)):
+        if regime[i] != regime[i - 1]:
+            segments.append(RegimeSegment(lo, x[i], str(regime[i - 1]), "switch"))
+            lo = x[i]
+    segments.append(RegimeSegment(lo, x[-1], str(regime[-1]), last_event))
+    return segments
 
 
 @dataclass
@@ -107,15 +119,9 @@ class SolutionCurve:
         x = np.array([float(v) for v in cols[0]])
         num = [np.array([float(v) for v in col]) for col in cols[1:7]]
         regime = np.array(cols[7])
-        segments = []
-        lo = x[0]
-        for i in range(1, len(x)):
-            if regime[i] != regime[i - 1]:
-                segments.append(RegimeSegment(lo, x[i], str(regime[i - 1]), "switch"))
-                lo = x[i]
-        segments.append(RegimeSegment(lo, x[-1], str(regime[-1]), "end"))
         return cls(x=x, V=num[0], Vp=num[1], Vpp=num[2], J=num[3], phi=num[4],
-                   theta_star=num[5], regime=regime, segments=segments,
+                   theta_star=num[5], regime=regime,
+                   segments=segments_from_regimes(x, regime, "end"),
                    V_inf=float(num[0][-1]))
 
     def sidecar(self) -> dict:
@@ -142,24 +148,3 @@ class SolutionCurve:
         with open(path, "w") as fh:
             json.dump(d, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-@dataclass
-class PolicySchedule:
-    """Feedback rule as ordered regime segments with their switching abscissas."""
-
-    segments: list[RegimeSegment]
-    thresholds: dict
-    curve: SolutionCurve
-
-    @classmethod
-    def from_curve(cls, curve: SolutionCurve, params) -> "PolicySchedule":
-        from .operators import switching_thresholds
-
-        thr = {"a": params.a, "minus_b": -params.b, "convex_split": 0.5 * (params.a - params.b)}
-        if params.mu != params.r:
-            t = switching_thresholds(params)
-            thr["interior_bound"] = t.interior_bound
-            if t.extreme_bound is not None:
-                thr["extreme_bound"] = t.extreme_bound
-        return cls(segments=curve.segments, thresholds=thr, curve=curve)

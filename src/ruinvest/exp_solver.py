@@ -9,11 +9,16 @@ ordinary (not integro-) differential equation in (V, V', J):
                                      / (sigma_bar^2 x^2)
     interior regime:        V'' = -(mu - r)^2 V'^2 / (2 sigma^2 I),
                             I = lambda (V-J) - (c + r x) V'
+    no investment (mu = r): V' = lambda (V-J) / (c + r x)
 
 The march starts from the near-zero asymptotic series of the initial regime
 (maximal long when mu > r, maximal short when mu < r), tracks the policy
 indicator phi, and switches regimes where phi crosses the case-table
 thresholds; crossings are localised by the integrator's event machinery.
+When mu = r the drift is theta-free and there is no interior regime: the
+largest-|theta| endpoint is optimal while V'' > 0 and theta = 0 (ZERO) while
+V'' < 0.  One march serves both cases; each regime's row of the event table
+says where its segment ends and which regime follows.
 
 Internally the integrated state is (V, V', V-J): the deficit V-J decays to
 zero while V and J separately approach V(inf), and differencing them at the
@@ -23,30 +28,35 @@ needed.  The public J-based contracts are unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .curve import (REGIME_INTERIOR, REGIME_LONG, REGIME_SHORT, REGIME_ZERO,
                     RegimeSegment, SolutionCurve)
 from .model import ExponentialClaims, ModelParams, regime_constants, require_valid
-from .operators import regime_for_indicator, switching_thresholds
+from .operators import (curvature, deficit, indicator, regime_for_indicator,
+                        switching_thresholds, theta_for, vertex_exclusion)
 from .series import SeriesExpansion, handoff_point, series_coefficients, series_eval
 
 __all__ = [
     "SolveOptions",
-    "AugmentedState",
-    "SwitchEvent",
-    "rhs_constant_regime",
-    "rhs_interior_regime",
+    "SolverAbort",
     "solve",
-    "detect_switch",
     "extrapolate_tail",
     "third_order_check",
 ]
+
+MAX_SWITCHES = 16     # more regime changes than this is event oscillation
+SERIES_TERMS = 40     # order of the near-zero series
+VP_FLOOR = 1e-13      # derivative underflow = completion
+MAX_STEP = 0.5        # integrator step cap
+
+_COMPLETIONS = ("derivative-floor", "cancellation-floor")
+_ABORTS = ("deficit-zero", "indicator-below-exclusion")
+_COLUMNS = ("V", "Vp", "Vpp", "J", "phi", "theta", "regime")
 
 
 @dataclass(frozen=True)
@@ -56,38 +66,10 @@ class SolveOptions:
     x_max: Optional[float] = None       # default 200 * c / lambda
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_switches: int = 16
-    series_terms: int = 40
-    vertex_exclusion: Optional[float] = None  # default min(a, b) * 1e-6
-    vp_floor: float = 1e-13             # derivative underflow = completion
-    max_step: float = 0.5
     output_nodes: int = 900             # target node count of the output grid
 
     def resolved_x_max(self, params: ModelParams) -> float:
         return self.x_max if self.x_max is not None else 200.0 * params.c / params.lam
-
-    def resolved_exclusion(self, params: ModelParams) -> float:
-        if self.vertex_exclusion is not None:
-            return self.vertex_exclusion
-        return 1e-6 * min(params.a, params.b)
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """(x, V, V', J) with J the exponential-kernel convolution state."""
-
-    x: float
-    V: float
-    Vp: float
-    J: float
-
-
-@dataclass(frozen=True)
-class SwitchEvent:
-    x: float
-    kind: str
-    from_regime: str
-    to_regime: Optional[str]
 
 
 class SolverAbort(RuntimeError):
@@ -99,192 +81,110 @@ class SolverAbort(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# regime right-hand sides (public contracts on AugmentedState)
+# regime table: right-hand side and ending events of each regime
 # ---------------------------------------------------------------------------
 
-def _vpp_constant(x, V, Vp, deficit, mu_bar, sigma_bar, params, m):
-    return 2.0 * (params.lam * deficit - (params.c + mu_bar * x) * Vp) / (sigma_bar**2 * x**2)
+def _zero_vp(params: ModelParams, x, y):
+    """V' on the ZERO branch, slaved by I = 0 to lambda (V-J) / (c + r x)."""
+    return params.lam * y[2] / (params.c + params.r * x)
 
 
-def _deficit_I(x, Vp, deficit, params):
-    return params.lam * deficit - (params.c + params.r * x) * Vp
+def _rhs_for(regime: str, params: ModelParams, m: float):
+    lam = params.lam
+    if regime == REGIME_ZERO:
+        # V' is slaved to the state, so its slot idles
+        def f(x, y):
+            vp = _zero_vp(params, x, y)
+            return (vp, 0.0, vp - y[2] / m)
+        return f
+
+    def f(x, y):
+        V, Vp, D = y
+        return (Vp, curvature(regime, params, x, Vp, lam * D), Vp - D / m)
+    return f
 
 
-def _vpp_interior(x, Vp, deficit, params):
-    I = _deficit_I(x, Vp, deficit, params)
-    return -((params.mu - params.r) ** 2) * Vp**2 / (2.0 * params.sigma**2 * I)
+def _event(g, direction, name, target=None):
+    g.terminal = True
+    g.direction = direction
+    return name, g, target
 
 
-def rhs_constant_regime(s: AugmentedState, gamma: float, params: ModelParams, m: float,
-                        x_min: float = 0.0):
-    """(V', V'', J') of the constant-gamma regime equation at the state."""
-    if s.x <= 0 or s.x < x_min:
-        raise ValueError(f"constant-regime rhs needs x above the series handoff, got x={s.x}")
-    rc = regime_constants(params, gamma)
-    vpp = _vpp_constant(s.x, s.V, s.Vp, s.V - s.J, rc.mu_bar, rc.sigma_bar, params, m)
-    return s.Vp, vpp, (s.V - s.J) / m
+def _segment_events(regime: str, params: ModelParams, m: float):
+    """(name, func, target) triples ending the given regime's segment.
 
-
-def rhs_interior_regime(s: AugmentedState, params: ModelParams, m: float):
-    """(V', V'', J') of the interior (vertex) regime equation at the state."""
-    I = _deficit_I(s.x, s.Vp, s.V - s.J, params)
-    if I <= 0:
-        raise ValueError(f"interior regime invalid at x={s.x}: I={I} <= 0")
-    return s.Vp, _vpp_interior(s.x, s.Vp, s.V - s.J, params), (s.V - s.J) / m
-
-
-# ---------------------------------------------------------------------------
-# event machinery
-# ---------------------------------------------------------------------------
-
-def _indicator(x, y, params):
-    V, Vp, deficit = y
-    return 2.0 * _deficit_I(x, Vp, deficit, params) / ((params.mu - params.r) * x * Vp)
-
-
-def _segment_events(regime: str, params: ModelParams, opts: SolveOptions):
-    """(name, func, direction) triples ending the given regime's segment."""
-    thr = switching_thresholds(params)
+    A switch event names the regime that follows, or None when the case table
+    picks it just across the crossed indicator threshold (mu != r).  The
+    events in _COMPLETIONS end the march, those in _ABORTS fail it.
+    """
+    lam = params.lam
     up, down = 1, -1
     evs = []
 
-    def ind_event(level, direction, name):
-        def g(x, y):
-            return _indicator(x, y, params) - level
-        g.terminal = True
-        g.direction = direction
-        return name, g
+    if params.mu == params.r:
+        if regime == REGIME_ZERO:
+            big = REGIME_LONG if params.a >= params.b else REGIME_SHORT
 
-    if params.mu > params.r:
-        if regime == REGIME_LONG:
-            evs.append(ind_event(thr.interior_bound, down, "indicator-interior-bound"))
-            if thr.extreme_bound is not None:
-                evs.append(ind_event(thr.extreme_bound, up, "indicator-extreme-bound"))
-        elif regime == REGIME_SHORT:
-            evs.append(ind_event(thr.extreme_bound, down, "indicator-extreme-bound"))
-        else:  # interior
-            evs.append(ind_event(thr.interior_bound, up, "indicator-interior-bound"))
-    else:
-        if regime == REGIME_SHORT:
-            evs.append(ind_event(thr.interior_bound, up, "indicator-interior-bound"))
-            if thr.extreme_bound is not None:
-                evs.append(ind_event(thr.extreme_bound, down, "indicator-extreme-bound"))
-        elif regime == REGIME_LONG:
-            evs.append(ind_event(thr.extreme_bound, up, "indicator-extreme-bound"))
+            def g_convex(x, y):
+                vp = _zero_vp(params, x, y)
+                return curvature(REGIME_ZERO, params, x, vp, lam * y[2], lam * (vp - y[2] / m))
+            evs.append(_event(g_convex, up, "curvature-positive", big))
         else:
-            evs.append(ind_event(thr.interior_bound, down, "indicator-interior-bound"))
+            def g_concave(x, y):
+                return deficit(params, x, y[1], lam * y[2])
+            evs.append(_event(g_concave, down, "curvature-negative", REGIME_ZERO))
+    else:
+        thr = switching_thresholds(params)
+
+        def ind_event(level, direction, name):
+            def g(x, y):
+                return indicator(params, x, y[1], deficit(params, x, y[1], lam * y[2])) - level
+            return _event(g, direction, name)
+
+        if params.mu > params.r:
+            if regime == REGIME_LONG:
+                evs.append(ind_event(thr.interior_bound, down, "indicator-interior-bound"))
+                if thr.extreme_bound is not None:
+                    evs.append(ind_event(thr.extreme_bound, up, "indicator-extreme-bound"))
+            elif regime == REGIME_SHORT:
+                evs.append(ind_event(thr.extreme_bound, down, "indicator-extreme-bound"))
+            else:  # interior
+                evs.append(ind_event(thr.interior_bound, up, "indicator-interior-bound"))
+        else:
+            if regime == REGIME_SHORT:
+                evs.append(ind_event(thr.interior_bound, up, "indicator-interior-bound"))
+                if thr.extreme_bound is not None:
+                    evs.append(ind_event(thr.extreme_bound, down, "indicator-extreme-bound"))
+            elif regime == REGIME_LONG:
+                evs.append(ind_event(thr.extreme_bound, up, "indicator-extreme-bound"))
+            else:
+                evs.append(ind_event(thr.interior_bound, down, "indicator-interior-bound"))
 
     if regime == REGIME_INTERIOR:
         scale = _completion_scale(params)
 
         def g_noise(x, y):
             return y[1] - scale
-        g_noise.terminal = True
-        g_noise.direction = down
-        evs.append(("cancellation-floor", g_noise))
+        evs.append(_event(g_noise, down, "cancellation-floor"))
 
         def g_I(x, y):
-            return _deficit_I(x, y[1], y[2], params)
-        g_I.terminal = True
-        g_I.direction = down
-        evs.append(("deficit-zero", g_I))
+            return deficit(params, x, y[1], lam * y[2])
+        evs.append(_event(g_I, down, "deficit-zero"))
 
-        A = opts.resolved_exclusion(params)
+        A = vertex_exclusion(params)
 
         def g_A(x, y):
-            return abs(_indicator(x, y, params)) - A
-        g_A.terminal = True
-        g_A.direction = down
-        evs.append(("indicator-below-exclusion", g_A))
+            return abs(indicator(params, x, y[1], deficit(params, x, y[1], lam * y[2]))) - A
+        evs.append(_event(g_A, down, "indicator-below-exclusion"))
 
-    def g_floor(x, y):
-        return y[1] - opts.vp_floor
-    g_floor.terminal = True
-    g_floor.direction = down
-    evs.append(("derivative-floor", g_floor))
+    if regime == REGIME_ZERO:
+        def g_floor(x, y):
+            return _zero_vp(params, x, y) - VP_FLOOR
+    else:
+        def g_floor(x, y):
+            return y[1] - VP_FLOOR
+    evs.append(_event(g_floor, down, "derivative-floor"))
     return evs
-
-
-def detect_switch(dense: Callable[[float], np.ndarray], lo: float, hi: float,
-                  regime: str, params: ModelParams, opts: Optional[SolveOptions] = None,
-                  xtol: float = 1e-10):
-    """First case-table boundary crossing of a dense segment, or None.
-
-    `dense` maps x to the state (V, V', V-J).  The crossing is bracketed on a
-    fine sample of [lo, hi] and refined by bisection to |dx| <= xtol.  This is
-    the standalone counterpart of the event handling inside `solve`.
-    """
-    opts = opts or SolveOptions()
-    events = _segment_events(regime, params, opts)
-    xs = np.linspace(lo, hi, 4097)
-    best = None
-    for name, g in events:
-        vals = np.array([g(x, dense(x)) for x in xs])
-        sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-        for i in sign_change:
-            drop = vals[i + 1] < vals[i]
-            if g.direction == -1 and not drop:
-                continue
-            if g.direction == 1 and drop:
-                continue
-            root = brentq(lambda x: g(x, dense(x)), xs[i], xs[i + 1], xtol=xtol)
-            if best is None or root < best.x:
-                best = SwitchEvent(x=root, kind=name, from_regime=regime, to_regime=None)
-            break
-    return best
-
-
-# ---------------------------------------------------------------------------
-# main march
-# ---------------------------------------------------------------------------
-
-def _rhs_for(regime: str, params: ModelParams, m: float):
-    if regime == REGIME_INTERIOR:
-        def f(x, y):
-            V, Vp, deficit = y
-            return (Vp, _vpp_interior(x, Vp, deficit, params), Vp - deficit / m)
-        return f
-    gamma = params.a if regime == REGIME_LONG else -params.b
-    rc = regime_constants(params, gamma)
-
-    def f(x, y):
-        V, Vp, deficit = y
-        vpp = _vpp_constant(x, V, Vp, deficit, rc.mu_bar, rc.sigma_bar, params, m)
-        return (Vp, vpp, Vp - deficit / m)
-    return f
-
-
-def _vpp_for(regime: str, params: ModelParams, m: float):
-    """Pointwise V'' of the active regime, vectorised over node arrays."""
-    if regime == REGIME_INTERIOR:
-        def g(x, V, Vp, deficit):
-            I = params.lam * deficit - (params.c + params.r * x) * Vp
-            return -((params.mu - params.r) ** 2) * Vp**2 / (2.0 * params.sigma**2 * I)
-        return g
-    if regime == REGIME_ZERO:
-        def g(x, V, Vp, deficit):
-            # derivative of V' = lambda (V-J) / (c + r x) along the branch
-            num = params.lam * ((Vp - deficit / m) * (params.c + params.r * x)
-                                - params.r * deficit)
-            return num / (params.c + params.r * x) ** 2
-        return g
-    gamma = params.a if regime == REGIME_LONG else -params.b
-    rc = regime_constants(params, gamma)
-
-    def g(x, V, Vp, deficit):
-        return 2.0 * (params.lam * deficit - (params.c + rc.mu_bar * x) * Vp) \
-            / (rc.sigma_bar**2 * x**2)
-    return g
-
-
-def _theta_for(regime: str, params: ModelParams, phi: np.ndarray):
-    if regime == REGIME_LONG:
-        return np.full_like(phi, params.a)
-    if regime == REGIME_SHORT:
-        return np.full_like(phi, -params.b)
-    if regime == REGIME_ZERO:
-        return np.zeros_like(phi)
-    return np.clip(phi, -params.b, params.a)
 
 
 def _completion_scale(params: ModelParams) -> float:
@@ -294,40 +194,54 @@ def _completion_scale(params: ModelParams) -> float:
     return 1e-9 * params.lam / params.c
 
 
+# ---------------------------------------------------------------------------
+# main march
+# ---------------------------------------------------------------------------
+
+def _start(params: ModelParams, m: float):
+    """(series, regime, x_eps, state (V, V', V-J)) where the march begins.
+
+    The start is the constant regime that is optimal at zero surplus: maximal
+    long when mu > r, maximal short when mu < r.  When mu = r it is the
+    largest-|theta| endpoint if V''(0+) > 0, and otherwise ZERO from x = 1e-8
+    with the x = 0 data (no series segment).
+    """
+    if params.mu != params.r:
+        gamma0 = params.a if params.mu > params.r else -params.b
+    else:
+        gamma0 = params.a if params.a >= params.b else -params.b
+    exp = series_coefficients(params, m, gamma0, K=SERIES_TERMS)
+    if params.mu == params.r and exp.D[2] <= 0:
+        return exp, REGIME_ZERO, 1e-8, np.array([1.0, params.lam / params.c, 1.0])
+    x_eps = handoff_point(exp, params, m)
+    V0, Vp0, _, J0 = series_eval(exp, x_eps, params, m)
+    regime0 = REGIME_LONG if gamma0 > 0 else REGIME_SHORT
+    return exp, regime0, x_eps, np.array([V0, Vp0, V0 - J0])
+
+
 def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None) -> SolutionCurve:
     """Solve the HJB equation for exponential claims with mean m.
 
     Returns the normalised solution (V(0) = 1) with its regime segmentation;
     survival probabilities are V(x)/V_inf.  The march ends (meta "completion")
-    at x_max ("reached-x-max"), where V' reaches opts.vp_floor
-    ("derivative-floor"), or, in the interior regime, where V' falls to the
-    cancellation level 1e-9 lambda/c ("cancellation-floor"): below it the
-    deficit I = lambda(V-J) - (c+rx)V' that sets V'' and theta* has lost its
-    digits.  Raises SolverAbort on event oscillation (more than max_switches
-    regime changes), loss of monotonicity, I reaching zero above the
-    cancellation level, or an indicator falling below the vertex-exclusion
-    cutoff.
+    at x_max ("reached-x-max"), where V' reaches VP_FLOOR ("derivative-floor"),
+    or, in the interior regime, where V' falls to the cancellation level
+    1e-9 lambda/c ("cancellation-floor"): below it the deficit
+    I = lambda(V-J) - (c+rx)V' that sets V'' and theta* has lost its digits.
+    Raises SolverAbort on event oscillation (more than MAX_SWITCHES regime
+    changes), loss of monotonicity, I reaching zero above the cancellation
+    level, or an indicator falling below the vertex-exclusion cutoff.
     """
     opts = options or SolveOptions()
-    law = ExponentialClaims(m)
-    require_valid(params, law)
-    if params.mu == params.r:
-        return _solve_equal_rates(params, m, opts)
-
+    require_valid(params, ExponentialClaims(m))
     x_max = opts.resolved_x_max(params)
-    gamma0 = params.a if params.mu > params.r else -params.b
-    regime0 = REGIME_LONG if gamma0 > 0 else REGIME_SHORT
-    exp = series_coefficients(params, m, gamma0, K=opts.series_terms)
-    x_eps = handoff_point(exp, params, m)
-    V0, Vp0, Vpp0, J0 = series_eval(exp, x_eps, params, m)
+    exp, regime, x_eps, y = _start(params, m)
 
-    y = np.array([V0, Vp0, V0 - J0])
     x = x_eps
-    regime = regime0
     segments: list[RegimeSegment] = []
-    events_log: list[SwitchEvent] = []
+    events_log: list[dict] = []
     xs_all: list[np.ndarray] = []
-    cols: dict[str, list[np.ndarray]] = {k: [] for k in ("V", "Vp", "Vpp", "J", "phi", "theta", "regime")}
+    cols: dict[str, list[np.ndarray]] = {k: [] for k in _COLUMNS}
     out_dx = (x_max - x_eps) / opts.output_nodes
 
     n_switch = 0
@@ -336,44 +250,44 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
         if regime == REGIME_INTERIOR and y[1] <= _completion_scale(params):
             completion = "cancellation-floor"
             break
-        rhs = _rhs_for(regime, params, m)
-        events = _segment_events(regime, params, opts)
-        sol = solve_ivp(rhs, (x, x_max), y, method="RK45", rtol=opts.rtol,
-                        atol=[opts.atol, opts.atol * 1e-2, opts.atol * 1e-2],
-                        events=[g for _, g in events], dense_output=True,
-                        max_step=opts.max_step)
+        events = _segment_events(regime, params, m)
+        sol = solve_ivp(_rhs_for(regime, params, m), (x, x_max), y, method="RK45",
+                        rtol=opts.rtol, atol=[opts.atol, opts.atol * 1e-2, opts.atol * 1e-2],
+                        events=[g for _, g, _ in events], dense_output=True,
+                        max_step=MAX_STEP)
         if sol.status == -1:
             raise SolverAbort(f"integration failed in regime {regime} at x={sol.t[-1]}: {sol.message}",
                               {"x": sol.t[-1], "y": sol.y[:, -1]})
 
-        x_end = sol.t[-1]
-        ev_peek = None
+        ev_name, g, target = "reached-x-max", None, None
         if sol.status == 1:
             fired = [i for i, te in enumerate(sol.t_events) if len(te)]
-            ev_peek = events[min(fired, key=lambda i: sol.t_events[i][0])][0]
-        nodes = _segment_nodes(sol, x, x_end, out_dx, hug_lo=n_switch > 0,
-                               hug_hi=ev_peek is not None and ev_peek.startswith("indicator"))
+            i0 = min(fired, key=lambda i: sol.t_events[i][0])
+            ev_name, g, target = events[i0]
+        switch = sol.status == 1 and ev_name not in _COMPLETIONS + _ABORTS
+        nodes = _segment_nodes(sol, x, sol.t[-1], out_dx, hug_lo=n_switch > 0, hug_hi=switch)
         states = sol.sol(nodes)
+        if regime == REGIME_ZERO:
+            states[1] = _zero_vp(params, nodes, states)
         if np.any(states[1] <= 0):
-            raise SolverAbort(f"V' lost positivity in regime {regime} near x={x_end}",
+            raise SolverAbort(f"V' lost positivity in regime {regime} near x={sol.t[-1]}",
                               {"x": nodes[states[1] <= 0][0]})
         _append_segment(nodes, states, regime, params, m, xs_all, cols)
 
-        ev_name = None
         if sol.status == 1:
-            idx = [i for i, te in enumerate(sol.t_events) if len(te)]
-            i0 = min(idx, key=lambda i: sol.t_events[i][0])
-            ev_name = events[i0][0]
             x_end = float(sol.t_events[i0][0])
             y = sol.sol(x_end)
         else:
+            x_end = sol.t[-1]
             y = sol.y[:, -1]
-        segments.append(RegimeSegment(x, x_end, regime, ev_name or "reached-x-max"))
+        if regime == REGIME_ZERO:
+            y[1] = _zero_vp(params, x_end, y)
+        segments.append(RegimeSegment(x, x_end, regime, ev_name))
         x = x_end
 
         if sol.status == 0:
             break
-        if ev_name in ("derivative-floor", "cancellation-floor"):
+        if ev_name in _COMPLETIONS:
             completion = ev_name
             break
         if ev_name == "deficit-zero":
@@ -386,24 +300,23 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
                 f"indicator magnitude fell below the vertex-exclusion cutoff at x={x:.6g}",
                 {"x": x})
 
-        # re-enter by the case table just across the crossed threshold
-        phi_here = _indicator(x, y, params)
-        direction = dict(events)[ev_name].direction
-        nudge = direction * 1e-9 * (1.0 + abs(phi_here))
-        new_regime = regime_for_indicator(phi_here + nudge, params)
-        events_log.append(SwitchEvent(x=x, kind=ev_name, from_regime=regime, to_regime=new_regime))
-        if new_regime == regime:
+        phi_here = indicator(params, x, y[1], deficit(params, x, y[1], params.lam * y[2]))
+        if target is None:
+            # re-enter by the case table just across the crossed threshold
+            nudge = g.direction * 1e-9 * (1.0 + abs(phi_here))
+            target = regime_for_indicator(phi_here + nudge, params)
+        events_log.append({"x": x, "kind": ev_name, "from": regime, "to": target})
+        if target == regime:
             raise SolverAbort(f"event {ev_name} at x={x:.6g} did not change the regime",
                               {"x": x, "phi": phi_here})
-        regime = new_regime
+        regime = target
         n_switch += 1
-        if n_switch > opts.max_switches:
-            raise SolverAbort(f"regime oscillation: more than {opts.max_switches} switches",
-                              {"switches": [(e.x, e.kind) for e in events_log]})
+        if n_switch > MAX_SWITCHES:
+            raise SolverAbort(f"regime oscillation: more than {MAX_SWITCHES} switches",
+                              {"switches": [(e["x"], e["kind"]) for e in events_log]})
 
-    curve = _assemble(params, m, exp, x_eps, xs_all, cols, segments, events_log,
-                      completion, opts)
-    return curve
+    return _assemble(params, m, exp, x_eps, xs_all, cols, segments, events_log,
+                     completion, opts)
 
 
 def _segment_nodes(sol, lo, hi, out_dx, hug_lo=False, hug_hi=False):
@@ -441,221 +354,63 @@ def _segment_nodes(sol, lo, hi, out_dx, hug_lo=False, hug_hi=False):
 
 
 def _append_segment(nodes, states, regime, params, m, xs_all, cols):
-    V, Vp, deficit = states
-    vppf = _vpp_for(regime, params, m)
-    vpp = vppf(nodes, V, Vp, deficit)
-    if params.mu != params.r:
-        I = params.lam * deficit - (params.c + params.r * nodes) * Vp
-        phi = 2.0 * I / ((params.mu - params.r) * nodes * Vp)
-    else:
-        phi = np.full_like(nodes, np.nan)
+    V, Vp, D = states
+    MV = params.lam * D
+    dMV = params.lam * (Vp - D / m) if regime == REGIME_ZERO else None
+    phi = indicator(params, nodes, Vp, deficit(params, nodes, Vp, MV))
     xs_all.append(nodes)
     cols["V"].append(V)
     cols["Vp"].append(Vp)
-    cols["Vpp"].append(vpp)
-    cols["J"].append(V - deficit)
+    cols["Vpp"].append(curvature(regime, params, nodes, Vp, MV, dMV))
+    cols["J"].append(V - D)
     cols["phi"].append(phi)
-    cols["theta"].append(_theta_for(regime, params, phi))
+    cols["theta"].append(theta_for(regime, params, phi))
     cols["regime"].append(np.full(nodes.shape, regime, dtype=object))
 
 
 def _series_prefix(params, m, exp: SeriesExpansion, x_eps, regime0):
-    """Nodes on [0, x_eps) taken from the series, including the x = 0 limits."""
-    xs = np.concatenate([[0.0], np.geomspace(x_eps / 64.0, x_eps, 16)[:-1]])
-    rows = {k: [] for k in ("V", "Vp", "Vpp", "J", "phi", "theta", "regime")}
-    gamma0 = exp.gamma
-    for x in xs:
-        if x == 0.0:
-            V, Vp = 1.0, params.lam / params.c
-            Vpp = params.lam / params.c * exp.D[2]  # D1 * D2
-            J = 0.0
-            phi = 2.0 * gamma0 if params.mu != params.r else np.nan
-        else:
-            V, Vp, Vpp, J = series_eval(exp, x, params, m)
-            if params.mu != params.r:
-                I = params.lam * (V - J) - (params.c + params.r * x) * Vp
-                phi = 2.0 * I / ((params.mu - params.r) * x * Vp)
-            else:
-                phi = np.nan
-        rows["V"].append(V)
-        rows["Vp"].append(Vp)
-        rows["Vpp"].append(Vpp)
-        rows["J"].append(J)
-        rows["phi"].append(phi)
-        rows["theta"].append(gamma0)
-        rows["regime"].append(regime0)
-    return xs, rows
+    """Rows on [0, x_eps) from the series, including the x = 0 limits.
+
+    A ZERO start has the x = 0 row only.
+    """
+    xs = np.array([0.0])
+    if regime0 != REGIME_ZERO:
+        xs = np.concatenate([xs, np.geomspace(x_eps / 64.0, x_eps, 16)[:-1]])
+    D1 = params.lam / params.c
+    rows = [(1.0, D1, D1 * exp.D[2], 0.0)] + [series_eval(exp, x, params, m) for x in xs[1:]]
+    V, Vp, Vpp, J = np.array(rows).T
+    phi = np.empty_like(xs)
+    phi[0] = 2.0 * exp.gamma if params.mu != params.r else math.nan
+    x1, Vp1 = xs[1:], Vp[1:]
+    phi[1:] = indicator(params, x1, Vp1, deficit(params, x1, Vp1, params.lam * (V[1:] - J[1:])))
+    return xs, {"V": V, "Vp": Vp, "Vpp": Vpp, "J": J, "phi": phi,
+                "theta": theta_for(regime0, params, phi),
+                "regime": np.full(xs.shape, regime0, dtype=object)}
 
 
 def _assemble(params, m, exp, x_eps, xs_all, cols, segments, events_log, completion, opts):
-    regime0 = segments[0].regime
-    xs0, rows0 = _series_prefix(params, m, exp, x_eps, regime0)
+    xs0, rows0 = _series_prefix(params, m, exp, x_eps, segments[0].regime)
     x = np.concatenate([xs0] + xs_all)
-    data = {}
-    for k in cols:
-        data[k] = np.concatenate([np.asarray(rows0[k]), *cols[k]])
+    data = {k: np.concatenate([rows0[k], *cols[k]]) for k in cols}
     keep = np.concatenate([[True], np.diff(x) > 0])
     x = x[keep]
     for k in data:
         data[k] = data[k][keep]
 
     segments = [replace(segments[0], lo=0.0)] + segments[1:]
-    V_end = data["V"][-1]
-    terminal = segments[-1].regime
-    V_inf, tail = extrapolate_tail(x, data["Vp"], V_end, terminal, params,
-                                   completion=completion, vp_floor=opts.vp_floor, m=m)
+    V_inf, tail = extrapolate_tail(x, data["Vp"], data["V"][-1], segments[-1].regime, params,
+                                   completion=completion, m=m)
     meta = {
         "x_eps": x_eps,
         "series_terms": exp.K,
         "completion": completion,
-        "events": [{"x": e.x, "kind": e.kind, "from": e.from_regime, "to": e.to_regime}
-                   for e in events_log],
+        "events": events_log,
         "tail": tail,
         "options": {"x_max": opts.resolved_x_max(params), "rtol": opts.rtol,
-                    "atol": opts.atol, "vertex_exclusion": opts.resolved_exclusion(params)},
+                    "atol": opts.atol, "vertex_exclusion": vertex_exclusion(params)},
     }
     return SolutionCurve(x=x, V=data["V"], Vp=data["Vp"], Vpp=data["Vpp"], J=data["J"],
-                         phi=data["phi"], theta_star=data["theta"],
-                         regime=np.asarray(data["regime"], dtype=object),
-                         segments=segments, V_inf=V_inf, params=params, meta=meta)
-
-
-# ---------------------------------------------------------------------------
-# mu = r: no interior regime; the optimum is 0 or the largest-|theta| endpoint
-# ---------------------------------------------------------------------------
-
-def _solve_equal_rates(params: ModelParams, m: float, opts: SolveOptions) -> SolutionCurve:
-    """March for mu = r, alternating max-volatility and no-investment branches.
-
-    With mu = r the generator's drift term is theta-free, so the supremum is
-    taken over the diffusion term alone: theta = argmax |theta| while V'' > 0
-    and theta = 0 while V'' < 0.  On the no-investment branch V' is slaved to
-    the state by (c + r x) V' = lambda (V - J).
-    """
-    x_max = opts.resolved_x_max(params)
-    gamma_big = params.a if params.a >= params.b else -params.b
-    regime_big = REGIME_LONG if gamma_big > 0 else REGIME_SHORT
-    rc = regime_constants(params, gamma_big)
-    vpp0 = (params.lam / params.c) * (params.lam / params.c - 1.0 / m - params.r / params.c)
-
-    segments: list[RegimeSegment] = []
-    xs_all: list[np.ndarray] = []
-    cols: dict[str, list[np.ndarray]] = {k: [] for k in ("V", "Vp", "Vpp", "J", "phi", "theta", "regime")}
-
-    if vpp0 > 0:
-        regime = regime_big
-        exp = series_coefficients(params, m, gamma_big, K=opts.series_terms)
-        x_eps = handoff_point(exp, params, m)
-        V0, Vp0, _, J0 = series_eval(exp, x_eps, params, m)
-        y = np.array([V0, Vp0, V0 - J0])
-    else:
-        regime = REGIME_ZERO
-        exp = series_coefficients(params, m, gamma_big, K=opts.series_terms)
-        x_eps = 1e-8
-        y = np.array([1.0, params.lam / params.c, 1.0])
-
-    x = x_eps
-    out_dx = (x_max - x_eps) / opts.output_nodes
-    completion = "reached-x-max"
-    n_switch = 0
-    while True:
-        if regime == REGIME_ZERO:
-            # reduced state (V, deficit); V' derived
-            def rhs0(xx, yy):
-                V, deficit = yy
-                vp = params.lam * deficit / (params.c + params.r * xx)
-                return (vp, vp - deficit / m)
-
-            def g_convex(xx, yy):
-                V, deficit = yy
-                vp = params.lam * deficit / (params.c + params.r * xx)
-                return (vp - deficit / m) * (params.c + params.r * xx) - params.r * deficit
-            g_convex.terminal = True
-            g_convex.direction = 1
-
-            def g_floor(xx, yy):
-                return params.lam * yy[1] / (params.c + params.r * xx) - opts.vp_floor
-            g_floor.terminal = True
-            g_floor.direction = -1
-
-            sol = solve_ivp(rhs0, (x, x_max), [y[0], y[2]], method="RK45", rtol=opts.rtol,
-                            atol=opts.atol * 1e-2, events=[g_convex, g_floor],
-                            dense_output=True, max_step=opts.max_step)
-            ev_hug = sol.status == 1 and len(sol.t_events[0]) > 0
-            nodes = _segment_nodes(sol, x, sol.t[-1], out_dx, hug_lo=n_switch > 0,
-                                   hug_hi=ev_hug)
-            V, deficit = sol.sol(nodes)
-            Vp = params.lam * deficit / (params.c + params.r * nodes)
-            states = np.vstack([V, Vp, deficit])
-            ev_name = None
-            if sol.status == 1:
-                ev_name = "curvature-positive" if len(sol.t_events[0]) else "derivative-floor"
-            _append_segment(nodes, states, REGIME_ZERO, params, m, xs_all, cols)
-            x_end = sol.t[-1]
-            yf = sol.sol(x_end)
-            vp_end = params.lam * yf[1] / (params.c + params.r * x_end)
-            y = np.array([yf[0], vp_end, yf[1]])
-        else:
-            rhs = _rhs_for(regime, params, m)
-
-            def g_concave(xx, yy):
-                return params.lam * yy[2] - (params.c + params.r * xx) * yy[1]
-            g_concave.terminal = True
-            g_concave.direction = -1
-
-            def g_floor(xx, yy):
-                return yy[1] - opts.vp_floor
-            g_floor.terminal = True
-            g_floor.direction = -1
-
-            sol = solve_ivp(rhs, (x, x_max), y, method="RK45", rtol=opts.rtol,
-                            atol=[opts.atol, opts.atol * 1e-2, opts.atol * 1e-2],
-                            events=[g_concave, g_floor], dense_output=True,
-                            max_step=opts.max_step)
-            ev_hug = sol.status == 1 and len(sol.t_events[0]) > 0
-            nodes = _segment_nodes(sol, x, sol.t[-1], out_dx, hug_lo=n_switch > 0,
-                                   hug_hi=ev_hug)
-            states = sol.sol(nodes)
-            ev_name = None
-            if sol.status == 1:
-                ev_name = "curvature-negative" if len(sol.t_events[0]) else "derivative-floor"
-            _append_segment(nodes, states, regime, params, m, xs_all, cols)
-            x_end = sol.t[-1]
-            y = sol.sol(x_end)
-
-        segments.append(RegimeSegment(x, x_end, regime, ev_name or "reached-x-max"))
-        x = x_end
-        if sol.status == 0:
-            break
-        if ev_name == "derivative-floor":
-            completion = "derivative-floor"
-            break
-        regime = REGIME_ZERO if regime == regime_big else regime_big
-        n_switch += 1
-        if n_switch > opts.max_switches:
-            raise SolverAbort(f"regime oscillation: more than {opts.max_switches} switches", {})
-
-    if vpp0 > 0:
-        xs0, rows0 = _series_prefix(params, m, exp, x_eps, segments[0].regime)
-    else:
-        xs0 = np.array([0.0])
-        rows0 = {"V": [1.0], "Vp": [params.lam / params.c], "Vpp": [vpp0], "J": [0.0],
-                 "phi": [np.nan], "theta": [0.0], "regime": [REGIME_ZERO]}
-    x_nodes = np.concatenate([xs0] + xs_all)
-    data = {k: np.concatenate([np.asarray(rows0[k]), *cols[k]]) for k in cols}
-    keep = np.concatenate([[True], np.diff(x_nodes) > 0])
-    x_nodes = x_nodes[keep]
-    for k in data:
-        data[k] = data[k][keep]
-    segments = [replace(segments[0], lo=0.0)] + segments[1:]
-    V_inf, tail = extrapolate_tail(x_nodes, data["Vp"], data["V"][-1],
-                                   segments[-1].regime, params,
-                                   completion=completion, vp_floor=opts.vp_floor)
-    meta = {"x_eps": x_eps, "completion": completion, "events": [], "tail": tail,
-            "options": {"x_max": x_max, "rtol": opts.rtol, "atol": opts.atol}}
-    return SolutionCurve(x=x_nodes, V=data["V"], Vp=data["Vp"], Vpp=data["Vpp"],
-                         J=data["J"], phi=data["phi"], theta_star=data["theta"],
-                         regime=np.asarray(data["regime"], dtype=object),
+                         phi=data["phi"], theta_star=data["theta"], regime=data["regime"],
                          segments=segments, V_inf=V_inf, params=params, meta=meta)
 
 
@@ -664,43 +419,43 @@ def _solve_equal_rates(params: ModelParams, m: float, opts: SolveOptions) -> Sol
 # ---------------------------------------------------------------------------
 
 def extrapolate_tail(x, Vp, V_end, terminal_regime, params: ModelParams,
-                     completion: str = "reached-x-max", vp_floor: float = 1e-13,
-                     m: Optional[float] = None):
+                     completion: str = "reached-x-max", m: Optional[float] = None):
     """(V_inf, diagnostics) from the far-field decay of V'.
 
     On a terminal constant regime V' ~ d x^(-q) with q = 2 mu_bar/sigma_bar^2
     of that regime; d is fitted over the last decade of nodes and the tail
-    integral d X_max^(1-q)/(q-1) is added.  A terminal interior (or
-    no-investment) segment uses the maximal-long constants for q.  When the
-    march already ran V' down to a floor the tail is below every tolerance,
-    V_inf = V(X_max) and "tail_mass_bound" bounds the mass left out.
+    integral d X_max^(1-q)/(q-1) is added.  A terminal no-investment segment,
+    or an interior one of general claims, uses the maximal-long constants for
+    q.  When the march already ran V' down to a floor the tail is below every
+    tolerance, V_inf = V(X_max) and "tail_mass_bound" bounds the mass left out.
 
-    After a "cancellation-floor" stop (exponential claims with mean m, interior
-    regime) the investment term has died out and V' ~ C x^k e^(-x/m) with the
-    interest-only exponent k = lambda/r - 1.  Since ln(t/x) <= t/x - 1, for
-    k >= 0 that tail integrates to at most V'_end m / (1 - k m / x_end), which
-    is the bound reported (infinite if x_end <= k m, where the form does not
-    yet decay).
+    For exponential claims with mean m a terminal interior segment (stopped at
+    the cancellation floor or at x_max) is in the interest-only far field:
+    the investment term dies out and V' ~ C x^k e^(-x/m) with k = lambda/r - 1.
+    Since ln(t/x) <= t/x - 1, for k >= 0 that tail integrates to at most
+    V'_end m / (1 - k m / x_end).  V_inf = V(x_end) and that bound is reported
+    (mode "open" with an infinite bound if x_end <= k m, where the form does
+    not yet decay).
     """
     x = np.asarray(x)
     Vp = np.asarray(Vp)
     x_end = float(x[-1])
     v_end = float(Vp[-1])
     tail: dict = {"terminal_regime": terminal_regime, "completion": completion}
-    if completion != "reached-x-max" or v_end <= 10.0 * vp_floor:
-        bound = v_end
-        if completion == "cancellation-floor":
-            rate = 1.0 / m - max(params.lam / params.r - 1.0, 0.0) / x_end
-            bound = v_end / rate if rate > 0 else math.inf
-        tail.update({"mode": "converged", "tail_mass_bound": bound})
+    if completion == "cancellation-floor" or (
+            m is not None and terminal_regime == REGIME_INTERIOR and completion == "reached-x-max"):
+        rate = 1.0 / m - max(params.lam / params.r - 1.0, 0.0) / x_end
+        if rate > 0:
+            tail.update({"mode": "converged", "tail_mass_bound": v_end / rate})
+        else:
+            tail.update({"mode": "open", "tail_mass_bound": math.inf})
+        return V_end, tail
+    if completion != "reached-x-max" or v_end <= 10.0 * VP_FLOOR:
+        tail.update({"mode": "converged", "tail_mass_bound": v_end})
         return V_end, tail
 
-    if terminal_regime == REGIME_LONG:
-        rc = regime_constants(params, params.a)
-    elif terminal_regime == REGIME_SHORT:
-        rc = regime_constants(params, -params.b)
-    else:
-        rc = regime_constants(params, params.a)
+    gamma = -params.b if terminal_regime == REGIME_SHORT else params.a
+    rc = regime_constants(params, gamma)
     q = 2.0 * rc.mu_bar / rc.sigma_bar**2
     tail["q"] = q
     if q <= 1.0:

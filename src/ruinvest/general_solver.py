@@ -20,23 +20,24 @@ required on this path.
 The march keeps the jump deficit G(x) = W(x) - int_0^x Vbar(x-s) f(s) ds
 (so M = lambda G) as a third state with G' = w - f(x) - int_0^x vbar f(x-.),
 which avoids differencing two O(V_inf) quantities at the far tail.  Stepping
-is a fixed-step 4th-order Adams-Bashforth-Moulton predictor-corrector on a
-uniform grid (right-hand sides live only on grid nodes, where the Volterra
-history is exact), bootstrapped by three Runge-Kutta steps.
+is a fixed-step semi-implicit trapezoid on a uniform grid (right-hand sides
+live only on grid nodes, where the Volterra history is exact): each step
+freezes theta at the current node's argmin, which makes the step linear in
+the new (w, G) and solvable in closed form.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .curve import (REGIME_INTERIOR, REGIME_LONG, REGIME_SHORT, RegimeSegment,
-                    SolutionCurve)
+from .curve import SolutionCurve, segments_from_regimes
 from .exp_solver import SolverAbort, extrapolate_tail
 from .model import ClaimLaw, ModelParams, regime_constants, require_valid
+from .operators import deficit, indicator, infimum, regime_for_theta, vertex_exclusion
 
 __all__ = [
     "GridFunction",
@@ -161,27 +162,6 @@ class TOperatorContext:
         return float(self.table.x[-1])
 
 
-def _infimum(ctx: TOperatorContext, x: float, w: float, M: float):
-    """(T value, argmin theta) of the closed-form infimum at one point."""
-    p = ctx.params
-    I = M - (p.c + p.r * x) * w
-    ex = (p.mu - p.r) * x * w
-    scale = 2.0 / (p.sigma**2 * x**2)
-
-    def g(theta):
-        return scale * (I - theta * ex) / theta**2
-
-    A = ctx.exclusion
-    cands = [p.a, -p.b, A, -A]
-    if I > 0 and ex != 0.0:
-        phi = 2.0 * I / ex
-        if A <= abs(phi) and -p.b <= phi <= p.a:
-            cands.append(phi)
-    vals = [g(t) for t in cands]
-    i = int(np.argmin(vals))
-    return vals[i], cands[i]
-
-
 def t_operator(ctx: TOperatorContext, w: GridFunction, x: float) -> float:
     """Reference evaluation of Tw(x) by direct quadrature of the split convolution.
 
@@ -202,8 +182,7 @@ def t_operator(ctx: TOperatorContext, w: GridFunction, x: float) -> float:
     piece1 = np.trapezoid(tab.V * law.pdf(x - tab.x), tab.x)
     piece2 = np.trapezoid(W_at * law.pdf(x - xs), xs)
     M = p.lam * (W_at[-1] - piece1 - piece2)
-    val, _ = _infimum(ctx, x, float(w(x)), M)
-    return val
+    return infimum(p, x, float(w(x)), M, ctx.exclusion)[0]
 
 
 @dataclass
@@ -278,7 +257,7 @@ def integrate_w(ctx: TOperatorContext, x_max: float, step: float = 0.0005) -> WM
         piece2 -= h * h / 12.0 * (gp_hi - gp_lo)
         return piece1 + piece2
 
-    T[0], theta[0] = _infimum(ctx, xg[0], w[0], lam * G[0])
+    T[0], theta[0] = infimum(p, xg[0], w[0], lam * G[0], ctx.exclusion)
     dG[0] = w[0] - fx[0] - (np.trapezoid(tab.Vp * law.pdf(xg[0] - tab.x), tab.x))
 
     completion = "reached-x-max"
@@ -302,7 +281,7 @@ def integrate_w(ctx: TOperatorContext, x_max: float, step: float = 0.0005) -> WM
         dG[k + 1] = w[k + 1] * cG - fx[k + 1] - Hh
         G[k + 1] = G[k] + 0.5 * h * (dG[k] + dG[k + 1])
         W[k + 1] = W[k] + 0.5 * h * (w[k] + w[k + 1])
-        T[k + 1], theta[k + 1] = _infimum(ctx, x1, w[k + 1], lam * G[k + 1])
+        T[k + 1], theta[k + 1] = infimum(p, x1, w[k + 1], lam * G[k + 1], ctx.exclusion)
 
         last = k + 1
         w_max = max(w_max, w[k + 1])
@@ -313,8 +292,7 @@ def integrate_w(ctx: TOperatorContext, x_max: float, step: float = 0.0005) -> WM
                     f"continuation lost w > 0 at x={x1:.6g} (w={w[k + 1]:.3g})")
             completion = "derivative-floor"
             break
-        I_next = lam * G[k + 1] - (p.c + p.r * x1) * w[k + 1]
-        if I_next <= 0:
+        if deficit(p, x1, w[k + 1], lam * G[k + 1]) <= 0:
             if w[k + 1] <= 1e-6 * w_max:
                 completion = "deficit-zero"
                 break
@@ -347,36 +325,17 @@ def assemble_solution(ctx: TOperatorContext, march: WMarch) -> SolutionCurve:
     J = V - M / lam
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        I = M - (p.c + p.r * x) * Vp
-        if p.mu != p.r:
-            phi = 2.0 * I / ((p.mu - p.r) * x * Vp)
-            phi[0] = 2.0 * tab.gamma
-        else:
-            phi = np.full_like(x, np.nan)
+        phi = indicator(p, x, Vp, deficit(p, x, Vp, M))
+    if p.mu != p.r:
+        phi[0] = 2.0 * tab.gamma
 
-    theta0 = np.full(x0.shape, tab.gamma)
-    theta = np.concatenate([theta0, march.theta])
-    tol = 1e-9 * (abs(p.a) + abs(p.b))
-
-    def tag(th):
-        if abs(th - p.a) <= tol:
-            return REGIME_LONG
-        if abs(th + p.b) <= tol:
-            return REGIME_SHORT
-        return REGIME_INTERIOR
-
-    regime = np.array([tag(t) for t in theta], dtype=object)
-    segments = []
-    lo = 0.0
-    for i in range(1, len(x)):
-        if regime[i] != regime[i - 1]:
-            segments.append(RegimeSegment(lo, x[i], str(regime[i - 1]), "switch"))
-            lo = x[i]
-    segments.append(RegimeSegment(lo, x[-1], str(regime[-1]), march.completion))
+    theta = np.concatenate([np.full(x0.shape, tab.gamma), march.theta])
+    regime = regime_for_theta(p, theta)
+    segments = segments_from_regimes(x, regime, march.completion)
 
     V_inf, tail = extrapolate_tail(x, Vp, float(V[-1]), str(regime[-1]), p,
                                    completion=march.completion)
-    meta = {"epsilon": ctx.epsilon, "scheme": "abm4-uniform", "tail": tail,
+    meta = {"epsilon": ctx.epsilon, "scheme": "trapezoid-frozen-theta", "tail": tail,
             "completion": march.completion}
     return SolutionCurve(x=x, V=V, Vp=Vp, Vpp=Vpp, J=J, phi=phi, theta_star=theta,
                          regime=regime, segments=segments, V_inf=V_inf, params=p,
@@ -394,6 +353,6 @@ def general_solve(params: ModelParams, law: ClaimLaw, x_max: Optional[float] = N
     gamma0 = params.a if params.mu > params.r else -params.b
     table = solve_constant_regime_near_zero(params, law, gamma0, epsilon=epsilon)
     ctx = TOperatorContext(params=params, law=law, table=table,
-                           exclusion=1e-6 * min(params.a, params.b))
+                           exclusion=vertex_exclusion(params))
     march = integrate_w(ctx, x_max, step=step)
     return assemble_solution(ctx, march)

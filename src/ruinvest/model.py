@@ -9,7 +9,6 @@ b times the surplus short.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -224,9 +223,6 @@ def validate(params: ModelParams, law: ClaimLaw, oracle_mode: bool = False) -> V
     for name in ("c", "lam", "sigma", "a", "b"):
         if getattr(params, name) <= 0:
             v.append(f"{name} must be strictly positive (got {getattr(params, name)})")
-    if params.b == 0:
-        # unreachable via the <= 0 check, kept for the explicit contract
-        v.append("b = 0 is not allowed")
     if params.r <= 0:
         if not (oracle_mode and params.r == 0):
             v.append(f"r must be strictly positive (got {params.r}); r = 0 requires oracle mode")

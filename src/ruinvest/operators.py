@@ -1,4 +1,10 @@
-"""Pointwise quantities of the HJB equation for the constrained investment problem.
+"""The HJB equation's quantities for the constrained investment problem.
+
+This module is the one home of the equation's formulas: the array kernel
+(`deficit`, `indicator`, `curvature`, `theta_for`, `infimum` and the switching
+case tables) that both solvers call, and a pointwise reference layer
+(`generator`, `optimal_fraction`, `jump_operator`) that the tests check the
+kernel and the solved curves against.
 
 For a candidate value function W the controlled generator at fraction theta is
 
@@ -33,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 
+from .curve import REGIME_INTERIOR, REGIME_LONG, REGIME_SHORT, REGIME_ZERO
 from .model import ClaimLaw, ModelParams
 
 __all__ = [
@@ -43,11 +50,13 @@ __all__ = [
     "vertex_fraction",
     "optimal_fraction",
     "optimal_fraction_by_comparison",
-    "policy_indicator",
-    "implied_curvature",
-    "regime_vertex_curvature",
-    "no_invest_deficit",
-    "curvature_infimum",
+    "deficit",
+    "indicator",
+    "curvature",
+    "theta_for",
+    "regime_for_theta",
+    "vertex_exclusion",
+    "infimum",
     "switching_thresholds",
     "regime_for_indicator",
 ]
@@ -191,84 +200,103 @@ def optimal_fraction_by_comparison(p: PointState, params: ModelParams,
     return MaximizerResult(cands[i][0], cands[i][1])
 
 
-def no_invest_deficit(p: PointState, params: ModelParams) -> float:
+# ---------------------------------------------------------------------------
+# array kernel: the HJB formulas shared by both solvers
+#
+# Every function takes floats or equal-shape arrays and does plain arithmetic,
+# so the same code serves the ODE right-hand sides (scalars, called tens of
+# thousands of times per solve) and the output columns (node arrays).  The
+# operation order of each expression is part of the contract: the solvers'
+# trajectories, and so their output bytes, depend on it.
+# ---------------------------------------------------------------------------
+
+def deficit(p: ModelParams, x, Vp, MV):
     """I(x) = M(V)(x) - (c + r x) V'(x), the negated no-investment generator.
 
     Positive I means the surplus cannot hold its value without investing;
     its sign controls concavity of the interior regime.
     """
-    return p.MV - (params.c + params.r * p.x) * p.Vp
+    return MV - (p.c + p.r * x) * Vp
 
 
-def policy_indicator(p: PointState, params: ModelParams) -> Optional[float]:
-    """phi(x) = 2 I(x) / ((mu - r) x V'(x)); None when mu = r."""
-    if params.mu == params.r:
-        return None
-    if p.x <= 0 or p.Vp <= 0:
-        raise ValueError("indicator requires x > 0 and Vp > 0")
-    return 2.0 * no_invest_deficit(p, params) / ((params.mu - params.r) * p.x * p.Vp)
+def indicator(p: ModelParams, x, Vp, I):
+    """phi(x) = 2 I(x) / ((mu - r) x V'(x)); nan when mu = r (no interior regime)."""
+    if p.mu == p.r:
+        return I * math.nan
+    return 2.0 * I / ((p.mu - p.r) * x * Vp)
 
 
-def implied_curvature(p: PointState, params: ModelParams) -> Optional[float]:
-    """psi(x) = -(mu - r)^2 V'^2 / (2 sigma^2 I(x)); None when I = 0.
+def curvature(regime: str, p: ModelParams, x, Vp, MV, dMV=None):
+    """V'' prescribed by the regime's equation.
 
-    Equals V'' along solutions of the interior (vertex) equation, and relates
-    to the indicator by psi = -(mu - r) V' / (sigma^2 x phi).
+    A, B (constant gamma in {a, -b}, effective mu_bar, sigma_bar as in
+    `regime_constants`):  V'' = 2 [M - (c + mu_bar x) V'] / (sigma_bar^2 x^2)
+    INT (vertex):          V'' = -(mu - r)^2 V'^2 / (2 sigma^2 I)
+    ZERO (mu = r, theta = 0, V' = M/(c + r x)):
+                           V'' = [M' (c + r x) - r M] / (c + r x)^2,
+    where ZERO needs dMV = M'(x) and ignores Vp.
     """
-    I = no_invest_deficit(p, params)
-    if I == 0.0:
-        return None
-    return -((params.mu - params.r) ** 2) * p.Vp**2 / (2.0 * params.sigma**2 * I)
+    if regime == REGIME_INTERIOR:
+        I = deficit(p, x, Vp, MV)
+        return -((p.mu - p.r) ** 2) * Vp**2 / (2.0 * p.sigma**2 * I)
+    if regime == REGIME_ZERO:
+        d = p.c + p.r * x
+        return (dMV * d - p.r * MV) / d**2
+    gamma = p.a if regime == REGIME_LONG else -p.b
+    mu_bar = p.r + gamma * (p.mu - p.r)
+    sigma_bar = abs(gamma) * p.sigma
+    return 2.0 * (MV - (p.c + mu_bar * x) * Vp) / (sigma_bar**2 * x**2)
 
 
-def regime_vertex_curvature(gamma: float, p: PointState,
-                            params: ModelParams) -> tuple[Optional[float], Optional[float]]:
-    """(vertex, curvature) implied by the constant-gamma regime equation.
-
-    xi  = -gamma^2 (mu - r) x V' / (2 [M - (c + r x + (mu - r) gamma x) V'])
-    eta = 2 [M - (c + r x + (mu - r) gamma x) V'] / (sigma^2 gamma^2 x^2)
-
-    Along a solution of L(gamma) V = 0 these equal the true vertex and V''.
-    Returns (None, eta) when the shared denominator of xi vanishes.
-    """
-    x = p.x
-    den = p.MV - (params.c + params.r * x + (params.mu - params.r) * gamma * x) * p.Vp
-    eta = 2.0 * den / (params.sigma**2 * gamma**2 * x**2)
-    if den == 0.0:
-        return None, eta
-    xi = -(gamma**2) * (params.mu - params.r) * x * p.Vp / (2.0 * den)
-    return xi, eta
+def theta_for(regime: str, p: ModelParams, phi: np.ndarray) -> np.ndarray:
+    """Optimal fraction of the regime at nodes with indicator phi."""
+    if regime == REGIME_LONG:
+        return np.full_like(phi, p.a)
+    if regime == REGIME_SHORT:
+        return np.full_like(phi, -p.b)
+    if regime == REGIME_ZERO:
+        return np.zeros_like(phi)
+    return np.clip(phi, -p.b, p.a)
 
 
-def curvature_infimum(p: PointState, params: ModelParams, exclusion: float) -> float:
-    """V'' from the infimum form, excluding the vertex-degenerate band |theta| <= A.
+def regime_for_theta(p: ModelParams, theta: np.ndarray) -> np.ndarray:
+    """Regime label of each fraction: A at a, B at -b (within 1e-9 (a + b)), else INT."""
+    tol = 1e-9 * (abs(p.a) + abs(p.b))
+    out = np.full(np.shape(theta), REGIME_INTERIOR, dtype=object)
+    out[np.abs(theta + p.b) <= tol] = REGIME_SHORT
+    out[np.abs(theta - p.a) <= tol] = REGIME_LONG
+    return out
+
+
+def vertex_exclusion(p: ModelParams) -> float:
+    """Cutoff A of the vertex-degenerate band |theta| <= A."""
+    return 1e-6 * min(p.a, p.b)
+
+
+def infimum(p: ModelParams, x: float, Vp: float, MV: float, exclusion: float):
+    """(V'', argmin theta) of the infimum form, excluding the band |theta| <= A.
 
     Minimises g(theta) = 2 [M - (c + r x + (mu-r) theta x) V'] / (sigma^2
     theta^2 x^2) over theta in [-b, -A] u [A, a].  In s = 1/theta the target
     is the quadratic (2/(sigma^2 x^2)) (I s^2 - (mu-r) x V' s), so the infimum
     is attained at an interval endpoint or at the stationary point s = 1/phi;
-    no numerical minimisation is involved.
+    no numerical minimisation is involved.  Ties go to the first of a, -b,
+    A, -A, phi.  Scalars only.
     """
-    a, b = params.a, params.b
-    if exclusion >= min(a, b):
-        raise ValueError(f"exclusion cutoff {exclusion} must be below min(a, b) = {min(a, b)}")
-    x = p.x
-    if x <= 0:
-        raise ValueError("curvature requires x > 0")
-    I = no_invest_deficit(p, params)
-    ex = (params.mu - params.r) * x * p.Vp
-    scale = 2.0 / (params.sigma**2 * x**2)
-
-    def g(theta):
-        return scale * (I - theta * ex) / theta**2
-
-    cands = [a, -b, exclusion, -exclusion]
+    if exclusion >= p.a or exclusion >= p.b:
+        raise ValueError(f"exclusion cutoff {exclusion} must be below min(a, b) = {min(p.a, p.b)}")
+    I = deficit(p, x, Vp, MV)
+    ex = (p.mu - p.r) * x * Vp
+    scale = 2.0 / (p.sigma**2 * x**2)
+    cands = [p.a, -p.b, exclusion, -exclusion]
     if I > 0 and ex != 0.0:
         # vertex of the s-quadratic maps back to theta = phi
         phi = 2.0 * I / ex
-        if exclusion <= abs(phi) and -b <= phi <= a:
+        if exclusion <= abs(phi) and -p.b <= phi <= p.a:
             cands.append(phi)
-    return min(g(t) for t in cands)
+    vals = [scale * (I - t * ex) / t**2 for t in cands]
+    i = vals.index(min(vals))
+    return vals[i], cands[i]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, regime_constants
-from .operators import regime_for_indicator
+from .operators import deficit, indicator, regime_for_indicator
 
 __all__ = ["SeriesExpansion", "series_coefficients", "series_eval", "handoff_point"]
 
@@ -127,8 +127,7 @@ def handoff_point(exp: SeriesExpansion, params: ModelParams, m: float,
         want = "A" if exp.gamma > 0 else "B"
         for xq in np.geomspace(lo, x_eps, 200):
             V, Vp, Vpp, J = series_eval(exp, xq, params, m)
-            I = params.lam * (V - J) - (params.c + params.r * xq) * Vp
-            phi = 2.0 * I / ((params.mu - params.r) * xq * Vp)
+            phi = indicator(params, xq, Vp, deficit(params, xq, Vp, params.lam * (V - J)))
             if regime_for_indicator(phi, params) != want:
                 x_eps = max(lo, xq / 2.0)
                 break

@@ -377,8 +377,6 @@ def compare_policies(x0_list: Sequence[float], policies: Sequence[Policy],
     therefore produce identical estimates).  The report is ranked per x0 but
     never hard-fails on ordering.
     """
-    if len(policies) < 2:
-        pass  # a degenerate single-policy table is permitted
     cfg = config or SimConfig()
     horizon, barrier, dt = cfg.resolved(params, list(x0_list) or [1.0])
     report = SimulationReport(config_echo={

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ruinvest import cli
 from ruinvest.cli import main, parse_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -58,15 +60,52 @@ def test_solve_deterministic_bytes(tmp_path):
     assert (d1 / "curve.csv").read_bytes() == (d2 / "curve.csv").read_bytes()
 
 
-def test_policy_roundtrip_no_drift(tmp_path):
+def test_policy_roundtrip_no_drift(tmp_path, monkeypatch):
     # cmd_policy re-reads cmd_solve's CSV: identical theta_star columns
     assert main(["solve", "--config", str(CONFIGS / "example1.cfg"),
                  "--out-dir", str(tmp_path)]) == 0
+
+    def resolve(*args):
+        raise AssertionError("policy re-solved a curve whose manifest matches")
+    monkeypatch.setattr(cli, "_solve_curve", resolve)
     assert main(["policy", "--config", str(CONFIGS / "example1.cfg"),
                  "--out-dir", str(tmp_path)]) == 0
     th_curve = _read_csv_column(tmp_path / "curve.csv", "theta_star")
     th_policy = _read_csv_column(tmp_path / "policy.csv", "theta_star")
     assert th_curve == th_policy
+
+
+def test_policy_resolves_stale_curve(tmp_path):
+    # a curve.csv solved from another config is not reused
+    assert main(["solve", "--config", str(CONFIGS / "example1.cfg"),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert main(["policy", "--config", str(CONFIGS / "example3.cfg"),
+                 "--out-dir", str(tmp_path)]) == 0
+    fresh = tmp_path / "fresh"
+    assert main(["solve", "--config", str(CONFIGS / "example3.cfg"),
+                 "--out-dir", str(fresh)]) == 0
+    th_policy = _read_csv_column(tmp_path / "policy.csv", "theta_star")
+    assert th_policy == _read_csv_column(fresh / "curve.csv", "theta_star")
+    meta = json.loads((tmp_path / "policy.json").read_text())
+    assert len(meta["switch_points"]) == 1  # example 3: B then INT
+
+
+# SHA-256 of `ruinvest solve` curve.csv with default options, measured with
+# numpy 2.4.6 and scipy 1.17.1 (identical in two separate processes); the
+# solver refactors keep these bytes
+CURVE_SHA256 = {
+    "example1": "dcd4cd682930438f24317219c3d5527a9089e71652a7187c3962b1390a85568c",
+    "example2": "070c0b20d96afcca3e07b8e90324add4d5365495fa162ca6c44fb27e718e5796",
+    "example3": "aabbc009370c36091c9c4db80bdf9bb65fbe6f944b8df365d4048407d3daecf5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_SHA256))
+def test_solve_curve_bytes_pinned(tmp_path, name):
+    assert main(["solve", "--config", str(CONFIGS / f"{name}.cfg"),
+                 "--out-dir", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "curve.csv").read_bytes()).hexdigest()
+    assert digest == CURVE_SHA256[name]
 
 
 def test_policy_thresholds_example1(tmp_path):

@@ -3,11 +3,10 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from ruinvest.curve import SolutionCurve
-from ruinvest.exp_solver import (AugmentedState, SolveOptions, SolverAbort,
-                                 detect_switch, extrapolate_tail,
-                                 rhs_constant_regime, rhs_interior_regime, solve,
-                                 third_order_check)
+from ruinvest.exp_solver import (SolveOptions, SolverAbort, _segment_events,
+                                 extrapolate_tail, solve, third_order_check)
 from ruinvest.model import ExponentialClaims, ModelParams, regime_constants
+from ruinvest.operators import curvature
 from ruinvest.series import handoff_point, series_coefficients, series_eval
 
 M = 1.0
@@ -24,18 +23,13 @@ def test_rhs_constant_matches_series_at_handoff(example1):
     se = series_coefficients(example1, M, example1.a)
     x_eps = handoff_point(se, example1, M)
     V, Vp, Vpp, J = series_eval(se, x_eps, example1, M)
-    dV, dVp, dJ = rhs_constant_regime(AugmentedState(x_eps, V, Vp, J), example1.a,
-                                      example1, M)
-    assert dV == Vp
-    assert dVp == pytest.approx(Vpp, rel=1e-8)
-    assert dJ == pytest.approx((V - J) / M)
+    vpp = curvature("A", example1, x_eps, Vp, example1.lam * (V - J))
+    assert vpp == pytest.approx(Vpp, rel=1e-8)
 
 
 def test_rhs_constant_annihilates_constants(example1):
     # V constant with J = V (stationary convolution) gives V'' = 0
-    s = AugmentedState(x=1.0, V=2.0, Vp=0.0, J=2.0)
-    dV, dVp, dJ = rhs_constant_regime(s, example1.a, example1, M)
-    assert dV == 0.0 and dVp == 0.0 and dJ == 0.0
+    assert curvature("A", example1, 1.0, 0.0, example1.lam * (2.0 - 2.0)) == 0.0
 
 
 def test_rhs_constant_third_order_consistency(example1):
@@ -47,8 +41,7 @@ def test_rhs_constant_third_order_consistency(example1):
     vpp = {}
     for xx in (x - d, x + d):
         V, Vp, Vpp, J = series_eval(se, xx, example1, M)
-        vpp[xx] = rhs_constant_regime(AugmentedState(xx, V, Vp, J), example1.a,
-                                      example1, M)[1]
+        vpp[xx] = curvature("A", example1, xx, Vp, example1.lam * (V - J))
     fd_vppp = (vpp[x + d] - vpp[x - d]) / (2 * d)
     V, Vp, Vpp, J = series_eval(se, x, example1, M)
     mb, sb2 = rc.mu_bar, rc.sigma_bar**2
@@ -58,9 +51,12 @@ def test_rhs_constant_third_order_consistency(example1):
 
 
 def test_rhs_interior_rejects_nonpositive_deficit(example1):
-    s = AugmentedState(x=5.0, V=2.0, Vp=10.0, J=1.999)  # I < 0
-    with pytest.raises(ValueError):
-        rhs_interior_regime(s, example1, M)
+    # I < 0: the interior equation turns convex, and the interior row of the
+    # event table is past its "deficit-zero" abort
+    x, V, Vp, J = 5.0, 2.0, 10.0, 1.999
+    assert curvature("INT", example1, x, Vp, example1.lam * (V - J)) > 0
+    g = dict((name, g) for name, g, _ in _segment_events("INT", example1, M))["deficit-zero"]
+    assert g(x, np.array([V, Vp, V - J])) < 0
 
 
 def test_rhs_interior_vertex_identity(example1, curve1):
@@ -166,7 +162,8 @@ def test_series_handoff_consistency(example1):
 
 
 def test_detect_switch_standalone(example1):
-    # march the starting regime without events and locate the first crossing
+    # march the starting regime with only its row of the event table and
+    # locate the first crossing
     se = series_coefficients(example1, M, example1.a)
     x_eps = handoff_point(se, example1, M)
     V0, Vp0, Vpp0, J0 = series_eval(se, x_eps, example1, M)
@@ -178,12 +175,14 @@ def test_detect_switch_standalone(example1):
             rc.sigma_bar**2 * x**2)
         return [Vp, vpp, Vp - D / M]
 
+    events = _segment_events("A", example1, M)
     sol = solve_ivp(rhs, (x_eps, 0.05), [V0, Vp0, V0 - J0], rtol=1e-12, atol=1e-14,
-                    dense_output=True)
-    ev = detect_switch(sol.sol, x_eps, 0.05, "A", example1)
-    assert ev is not None
-    assert ev.kind == "indicator-extreme-bound"
-    assert ev.x == pytest.approx(X1_FIX, rel=1e-5)
+                    events=[g for _, g, _ in events])
+    x, kind, target = min((te[0], name, target)
+                          for (name, _, target), te in zip(events, sol.t_events) if len(te))
+    assert kind == "indicator-extreme-bound"
+    assert target is None  # the case table picks the next regime
+    assert x == pytest.approx(X1_FIX, rel=1e-5)
 
 
 def test_hjb_residual_spot_check(example1, curve1):
@@ -252,6 +251,18 @@ def test_cancellation_floor_tail_bound(example1):
     assert tail["tail_mass_bound"] > 1.1 * Vp[-1] * M
 
 
+def test_interior_tail_at_x_max_is_bounded(example1, curve1):
+    # an interior march cut at x_max keeps V_inf = V(x_max) and bounds the
+    # mass left out by the interest-only tail; curve1 runs to the floor
+    for x_max in (15.0, 20.0, 25.0):
+        cur = solve(example1, M, SolveOptions(x_max=x_max))
+        assert cur.segments[-1].regime == "INT"
+        assert cur.meta["tail"]["mode"] == "converged"
+        assert cur.V_inf == cur.V[-1]
+        gap = curve1.V_inf - cur.V_inf
+        assert 0.0 <= gap <= cur.meta["tail"]["tail_mass_bound"] <= 1.1 * gap
+
+
 def test_v_inf_stable_under_x_max_doubling(example1, curve1):
     cur2 = solve(example1, M, SolveOptions(x_max=2 * 200.0 * example1.c / example1.lam))
     assert cur2.V_inf == pytest.approx(curve1.V_inf, rel=1e-6)
@@ -300,14 +311,17 @@ def test_equal_rates_runs_without_interior():
     assert set(np.unique(cur.theta_star)) <= {0.0, p.a, -p.b}
     assert np.all(np.diff(cur.V) >= 0)
     assert cur.V_inf >= cur.V[-1]
-
-
-def test_policy_schedule_from_curve(curve1, example1):
-    from ruinvest.curve import PolicySchedule
-    sched = PolicySchedule.from_curve(curve1, example1)
-    assert [s.regime for s in sched.segments] == ["A", "B", "A", "INT"]
-    assert sched.thresholds["extreme_bound"] == pytest.approx(40.0 / 19.0)
-    assert sched.thresholds["convex_split"] == pytest.approx(-9.5)
+    # the regime table's mu = r rows: B hands over to ZERO where I falls through 0
+    assert [(s.regime, s.terminal_event) for s in cur.segments] == [
+        ("B", "curvature-negative"), ("ZERO", "reached-x-max")]
+    assert cur.switch_points[0] == pytest.approx(4.613458, rel=1e-6)
+    assert cur.V_inf == pytest.approx(38.0181927, rel=1e-6)
+    # concave at zero: ZERO from the start until V' underflows
+    cur = solve(ModelParams(c=0.1, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0), M)
+    assert [(s.regime, s.terminal_event) for s in cur.segments] == [
+        ("ZERO", "derivative-floor")]
+    assert cur.x[-1] == pytest.approx(39.504467, rel=1e-6)
+    assert cur.V_inf == pytest.approx(3.2251262, rel=1e-6)
 
 
 def test_csv_roundtrip(tmp_path, curve1):
