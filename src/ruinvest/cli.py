@@ -144,18 +144,11 @@ def cmd_policy(args) -> int:
     manifest = RunManifest("policy", cfg, _options_echo(args), args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    curve_csv = out / "curve.csv"
-    solved = RunManifest("solve", cfg, _options_echo(args), args.seed).hash
-    switch_points = None
+    sidecar = _solved_sidecar(out, cfg, args)
     try:
-        if curve_csv.exists() and _manifest_hash(curve_csv) == solved:
-            curve = SolutionCurve.from_csv(curve_csv)  # no recomputation drift
-            sidecar = out / "curve.json"
-            if sidecar.exists():
-                # event-located switch points, sharper than the node grid
-                switch_points = json.loads(sidecar.read_text()).get("switch_points")
-        else:
-            curve = _solve_curve(params, law, args)
+        # a matching solve is re-read, not re-solved: no recomputation drift
+        curve = (_solve_curve(params, law, args) if sidecar is None
+                 else SolutionCurve.from_csv(out / "curve.csv"))
     except SolverAbort as exc:
         _write_abort(out, manifest, exc)
         print(f"solver abort: {exc}", file=sys.stderr)
@@ -167,8 +160,8 @@ def cmd_policy(args) -> int:
         t = switching_thresholds(params)
         if t.extreme_bound is not None:
             thresholds["extreme_bound"] = t.extreme_bound
-    if switch_points is None:
-        switch_points = curve.switch_points
+    # event-located switch points, sharper than the node grid
+    switch_points = curve.switch_points if sidecar is None else sidecar["switch_points"]
 
     with open(out / "policy.csv", "w") as fh:
         fh.write(f"# manifest: {manifest.hash}\n")
@@ -300,6 +293,20 @@ def _manifest_hash(path) -> Optional[str]:
         first = fh.readline()
     tag = "# manifest: "
     return first[len(tag):].strip() if first.startswith(tag) else None
+
+
+def _solved_sidecar(out: Path, cfg: dict, args) -> Optional[dict]:
+    """curve.json in out if curve.csv there was solved from this config, xmax,
+    tol and version, else None; the other options and the seed leave the
+    curve unchanged, so they are taken from the sidecar's own manifest."""
+    curve_csv, sidecar = out / "curve.csv", out / "curve.json"
+    if not (curve_csv.exists() and sidecar.exists()):
+        return None
+    meta = json.loads(sidecar.read_text())
+    m = meta.get("manifest", {})
+    solved = RunManifest("solve", cfg, {**m.get("options", {}), "xmax": args.xmax,
+                                        "tol": args.tol}, m.get("seed"))
+    return meta if solved.hash == m.get("hash") == _manifest_hash(curve_csv) else None
 
 
 def _options_echo(args) -> dict:

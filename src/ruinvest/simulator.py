@@ -4,9 +4,10 @@ Between claims the surplus follows dX = [c + rX + (mu-r) theta X] dt
 + sigma theta X dB with the fraction theta re-read from the policy at every
 step (Euler-Maruyama, theta frozen within a step); claim inter-arrival times
 are sampled exactly and steps are split at claim epochs, the claim being
-applied after the diffusion sub-step.  Ruin is X < 0; a path that reaches the
-upper barrier counts as certain survival and the horizon censors whatever is
-left (censoring biases survival upward and is reported).
+applied after the diffusion sub-step.  The constant-zero policy instead
+steps claim-to-claim on the exact interest flow.  Ruin is X < 0; a path that
+reaches the upper barrier counts as certain survival and the horizon censors
+whatever is left (censoring biases survival upward and is reported).
 
 Estimates validate the solved curves through the verification identity
 survival(x) = V(x)/V(inf) and rank policies under common claim streams.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -42,6 +44,10 @@ __all__ = [
 # shrinking the step; keeps Euler from overshooting X < 0 between claims,
 # which the true (continuous) paths cannot do
 VOL_STEP_FRAC = 0.1
+
+# paths per chunk; the chunk index keys the random streams, so a change here
+# re-draws every estimate
+CHUNK_PATHS = 16_384
 
 
 class Policy:
@@ -99,8 +105,7 @@ class FeedbackPolicy(Policy):
 
 
 def _digest(parts) -> int:
-    payload = repr(parts).encode() if not isinstance(parts, bytes) else parts
-    return int.from_bytes(hashlib.sha256(payload).digest()[:4], "big")
+    return int.from_bytes(hashlib.sha256(repr(parts).encode()).digest()[:4], "big")
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,6 @@ class SimConfig:
     upper_barrier: Optional[float] = None  # default 50 * max(x0)
     euler_dt: Optional[float] = None       # default (and max) 0.01 / lambda
     rng_seed: int = 20_240_901
-    chunk_size: int = 16_384
     threads: int = 1
 
     def resolved(self, params: ModelParams, x0_list: Sequence[float]):
@@ -171,47 +175,59 @@ def simulate_path(x0: float, policy: Policy, params: ModelParams, law: ClaimLaw,
             return PathOutcome("censored", t, x)
 
 
-def _claim_columns(params, horizon):
+def _claim_table(params, law, horizon, seed, x0_key, chunk_id, n):
+    """Claim epochs and sizes, (n, columns) each, for one (x0, chunk).
+
+    The stream is keyed by (seed, x0, chunk) only, never by the policy, so
+    every policy run on the table sees the same claim scenarios.
+    """
     lam_t = params.lam * horizon
-    return int(lam_t + 10.0 * math.sqrt(lam_t) + 30)
+    k_cols = int(lam_t + 10.0 * math.sqrt(lam_t) + 30)
+    rng = np.random.default_rng([seed, 17, x0_key, chunk_id])
+    epochs = rng.exponential(1.0 / params.lam, (n, k_cols))
+    np.cumsum(epochs, axis=1, out=epochs)  # inter-arrival times -> epochs
+    sizes = law.sample(rng, n * k_cols).reshape(n, k_cols)
+    return epochs, sizes
 
 
-def _run_chunk(x0, policy, params, law, horizon, barrier, dt, seed, x0_key,
-               chunk_id, n, diffusion_tag):
-    """Vectorised batch of n paths; returns outcome counts.
+def _run_chunk(x0, policy, params, horizon, barrier, dt, epochs, sizes, rng_diff):
+    """One policy's paths over a claim table; returns outcome counts
+    (ruined, survived, censored, diffusion-ruined).
 
-    Claim streams depend only on (seed, x0, chunk), never on the policy, so
-    comparisons across policies share claim randomness; diffusion streams are
-    keyed by the policy fingerprint.
+    The constant-zero policy has no diffusion and an exact drift, so it steps
+    claim-to-claim on the interest flow (also the r = 0 oracle).  Only that
+    policy may: a feedback rule that is 0 on a band must re-read theta every
+    step.  Every other policy takes volatility-capped Euler steps.
     """
     p = params
-    k_cols = _claim_columns(p, horizon)
-    rng_claims = np.random.default_rng([seed, 17, x0_key, chunk_id])
-    inter = rng_claims.exponential(1.0 / p.lam, (n, k_cols))
-    epochs = np.cumsum(inter, axis=1)
-    sizes = law.sample(rng_claims, n * k_cols).reshape(n, k_cols)
-    rng_diff = np.random.default_rng([seed, 23, diffusion_tag, x0_key, chunk_id])
-
+    n, k_cols = epochs.shape
+    exact = isinstance(policy, ConstantPolicy) and policy._theta == 0.0
     X = np.full(n, float(x0))
     t = np.zeros(n)
     ptr = np.zeros(n, dtype=np.int64)
     rows = np.arange(n)
     n_ruin = n_surv = n_cens = n_diff_ruin = 0
 
-    sqrt = np.sqrt
     while X.size:
-        th = policy.theta(X)
         t_claim = epochs[rows, ptr]
-        h = np.minimum(dt, np.minimum(t_claim - t, horizon - t))
-        nz = th != 0.0
-        if np.any(nz):
-            cap = np.full_like(h, np.inf)
-            cap[nz] = (VOL_STEP_FRAC / (p.sigma * np.abs(th[nz]))) ** 2
-            h = np.minimum(h, cap)
-        h = np.maximum(h, 1e-15)
-        vol = p.sigma * th * X
-        Z = rng_diff.standard_normal(X.size)
-        X = X + (p.c + p.r * X + (p.mu - p.r) * th * X) * h + vol * sqrt(h) * Z
+        h = np.minimum(t_claim - t, horizon - t)
+        if exact:
+            if p.r == 0.0:
+                X = X + p.c * h
+            else:
+                X = (X + p.c / p.r) * np.exp(p.r * h) - p.c / p.r
+        else:
+            th = policy.theta(X)
+            h = np.minimum(dt, h)
+            nz = th != 0.0
+            if np.any(nz):
+                cap = np.full_like(h, np.inf)
+                cap[nz] = (VOL_STEP_FRAC / (p.sigma * np.abs(th[nz]))) ** 2
+                h = np.minimum(h, cap)
+            h = np.maximum(h, 1e-15)
+            vol = p.sigma * th * X
+            Z = rng_diff.standard_normal(X.size)
+            X = X + (p.c + p.r * X + (p.mu - p.r) * th * X) * h + vol * np.sqrt(h) * Z
         t = t + h
         diff_ruin = X < 0.0
         at_claim = (t >= t_claim - 1e-12) & ~diff_ruin
@@ -231,44 +247,6 @@ def _run_chunk(x0, policy, params, law, horizon, barrier, dt, seed, x0_key,
         if not np.all(alive):
             X, t, ptr, rows = X[alive], t[alive], ptr[alive], rows[alive]
     return n_ruin, n_surv, n_cens, n_diff_ruin
-
-
-def _run_chunk_exact_zero(x0, params, law, horizon, barrier, seed, x0_key, chunk_id, n):
-    """No-investment fast path: drift is exact between claims, so the path
-    advances claim-to-claim (also covers the r = 0 oracle configuration)."""
-    p = params
-    k_cols = _claim_columns(p, horizon)
-    rng_claims = np.random.default_rng([seed, 17, x0_key, chunk_id])
-    inter = rng_claims.exponential(1.0 / p.lam, (n, k_cols))
-    epochs = np.cumsum(inter, axis=1)
-    sizes = law.sample(rng_claims, n * k_cols).reshape(n, k_cols)
-
-    X = np.full(n, float(x0))
-    t = np.zeros(n)
-    rows = np.arange(n)
-    n_ruin = n_surv = n_cens = 0
-    for k in range(k_cols):
-        tc = epochs[rows, k]
-        dt_full = np.minimum(tc, horizon) - t
-        if p.r == 0.0:
-            Xn = X + p.c * dt_full
-        else:
-            Xn = (X + p.c / p.r) * np.exp(p.r * dt_full) - p.c / p.r
-        t = t + dt_full
-        hit_claim = tc <= horizon
-        Xn[hit_claim] -= sizes[rows[hit_claim], k]
-        ruined = Xn < 0.0
-        survived = (Xn >= barrier) & ~ruined
-        censored = (t >= horizon - 1e-12) & ~ruined & ~survived
-        n_ruin += int(np.count_nonzero(ruined))
-        n_surv += int(np.count_nonzero(survived))
-        n_cens += int(np.count_nonzero(censored))
-        alive = ~(ruined | survived | censored)
-        X, t, rows = Xn[alive], t[alive], rows[alive]
-        if not X.size:
-            break
-    n_cens += int(X.size)  # anything left ran out of columns at the horizon
-    return n_ruin, n_surv, n_cens, 0
 
 
 @dataclass
@@ -312,58 +290,52 @@ class SimulationReport:
             fh.write("\n")
 
 
-def _is_exact_zero_policy(policy: Policy) -> bool:
-    if isinstance(policy, ConstantPolicy):
-        return policy._theta == 0.0
-    return False
-
-
-def _estimate_one(x0, x0_key, policy, params, law, cfg, horizon, barrier, dt,
-                  report: SimulationReport):
-    n = cfg.n_paths
+def _simulate(x0_list, policies, params, law, cfg: SimConfig, echo: dict) -> SimulationReport:
+    """Every policy at every x0; per (x0, chunk) one claim table serves all
+    policies, and each policy's diffusion stream is keyed by its fingerprint
+    (identical policies therefore produce identical estimates)."""
+    horizon, barrier, dt = cfg.resolved(params, list(x0_list) or [1.0])
+    report = SimulationReport(config_echo={
+        "n_paths": cfg.n_paths, "horizon": horizon, "upper_barrier": barrier,
+        "euler_dt": dt, "rng_seed": cfg.rng_seed, **echo,
+    })
+    n, seed = cfg.n_paths, cfg.rng_seed
     if n == 0:
-        return  # empty report: no rows
-    chunks = []
-    left, cid = n, 0
-    while left > 0:
-        take = min(cfg.chunk_size, left)
-        chunks.append((cid, take))
-        left -= take
-        cid += 1
+        return report  # empty report: no rows
+    tags = [policy.fingerprint() for policy in policies]
+    for x0_key, x0 in enumerate(map(float, x0_list)):
 
-    def work(args):
-        cid, take = args
-        if _is_exact_zero_policy(policy):
-            return _run_chunk_exact_zero(x0, params, law, horizon, barrier,
-                                         cfg.rng_seed, x0_key, cid, take)
-        return _run_chunk(x0, policy, params, law, horizon, barrier, dt,
-                          cfg.rng_seed, x0_key, cid, take, policy.fingerprint())
+        def work(cid):
+            epochs, sizes = _claim_table(params, law, horizon, seed, x0_key, cid,
+                                         min(CHUNK_PATHS, n - cid * CHUNK_PATHS))
+            return [_run_chunk(x0, policy, params, horizon, barrier, dt, epochs, sizes,
+                               np.random.default_rng([seed, 23, tag, x0_key, cid]))
+                    for policy, tag in zip(policies, tags)]
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(ch) for ch in chunks]
-    tot = np.sum(np.array(results, dtype=np.int64), axis=0)
-    report.add(x0, policy.label, n, int(tot[1]), int(tot[2]), int(tot[3]))
+        chunks = range(-(-n // CHUNK_PATHS))
+        if cfg.threads > 1:
+            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+                results = list(pool.map(work, chunks))
+        else:  # in the calling thread, where signal handlers and profilers see it
+            results = [work(cid) for cid in chunks]
+        totals = np.sum(np.array(results, dtype=np.int64), axis=0)
+        for policy, tot in zip(policies, totals):
+            report.add(x0, policy.label, n, int(tot[1]), int(tot[2]), int(tot[3]))
+            if tot[2] > 0.05 * n:  # truncation too tight
+                warnings.warn(f"x0 = {x0:g}, policy {policy.label}: {tot[2] / n:.1%} of "
+                              "paths censored, survival biased upward; lengthen the horizon",
+                              RuntimeWarning, stacklevel=3)
+    return report
 
 
 def estimate_survival(x0_list: Sequence[float], policy: Policy, params: ModelParams,
                       law: ClaimLaw, config: Optional[SimConfig] = None) -> SimulationReport:
     """Survival estimates for each starting surplus under one policy.
 
-    Warns (in the report rows) through censored_frac; a fraction above 5%
-    means the horizon or barrier truncation is too tight.
+    Emits a RuntimeWarning for each x0 whose censored_frac exceeds 5%: the
+    horizon or barrier truncation is then too tight.
     """
-    cfg = config or SimConfig()
-    horizon, barrier, dt = cfg.resolved(params, list(x0_list) or [1.0])
-    report = SimulationReport(config_echo={
-        "n_paths": cfg.n_paths, "horizon": horizon, "upper_barrier": barrier,
-        "euler_dt": dt, "rng_seed": cfg.rng_seed,
-    })
-    for i, x0 in enumerate(x0_list):
-        _estimate_one(float(x0), i, policy, params, law, cfg, horizon, barrier, dt, report)
-    return report
+    return _simulate(x0_list, [policy], params, law, config or SimConfig(), {})
 
 
 def compare_policies(x0_list: Sequence[float], policies: Sequence[Policy],
@@ -371,24 +343,13 @@ def compare_policies(x0_list: Sequence[float], policies: Sequence[Policy],
                      config: Optional[SimConfig] = None) -> SimulationReport:
     """Estimate all policies on shared claim streams.
 
-    Claim inter-arrival times and sizes are drawn from streams keyed by
-    (seed, x0, chunk) only, so every policy sees the same claim scenarios;
-    diffusion noise is keyed by the policy fingerprint (identical policies
-    therefore produce identical estimates).  The report is ranked per x0 but
-    never hard-fails on ordering.
+    Every policy runs on the same claim table per (x0, chunk); diffusion
+    noise is keyed by the policy fingerprint.  The report is ranked per x0
+    but never hard-fails on ordering; censoring warns as in
+    estimate_survival.
     """
-    cfg = config or SimConfig()
-    horizon, barrier, dt = cfg.resolved(params, list(x0_list) or [1.0])
-    report = SimulationReport(config_echo={
-        "n_paths": cfg.n_paths, "horizon": horizon, "upper_barrier": barrier,
-        "euler_dt": dt, "rng_seed": cfg.rng_seed,
-        "policies": [p.label for p in policies],
-    })
-    for i, x0 in enumerate(x0_list):
-        for policy in policies:
-            _estimate_one(float(x0), i, policy, params, law, cfg, horizon, barrier,
-                          dt, report)
-    return report
+    return _simulate(x0_list, policies, params, law, config or SimConfig(),
+                     {"policies": [p.label for p in policies]})
 
 
 def lundberg_ruin_probability(c: float, lam: float, m: float, x) -> np.ndarray:

@@ -60,10 +60,15 @@ def test_solve_deterministic_bytes(tmp_path):
     assert (d1 / "curve.csv").read_bytes() == (d2 / "curve.csv").read_bytes()
 
 
-def test_policy_roundtrip_no_drift(tmp_path, monkeypatch):
-    # cmd_policy re-reads cmd_solve's CSV: identical theta_star columns
+@pytest.mark.parametrize("solve_extra",
+                         [[], ["--n-paths", "5", "--threads", "2", "--seed", "1"]],
+                         ids=["same-options", "other-sim-options"])
+def test_policy_roundtrip_no_drift(tmp_path, monkeypatch, solve_extra):
+    # cmd_policy re-reads cmd_solve's CSV: identical theta_star columns; the
+    # simulation options and the seed do not change the curve, so a solve
+    # run with other values is reused too
     assert main(["solve", "--config", str(CONFIGS / "example1.cfg"),
-                 "--out-dir", str(tmp_path)]) == 0
+                 "--out-dir", str(tmp_path)] + solve_extra) == 0
 
     def resolve(*args):
         raise AssertionError("policy re-solved a curve whose manifest matches")

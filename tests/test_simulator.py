@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,58 @@ def test_report_csv_schema(tmp_path, example1):
     assert lines[0] == "# manifest: abc"
     assert lines[1] == "x0,policy,p_hat,ci_half,n,censored_frac"
     assert len(lines) == 4
+
+
+# survivors (n_surv + n_cens), censored and diffusion-ruined paths, measured
+# at commit 3bfc7f9 with numpy 2.4.6, before the exact theta = 0 path and the
+# Euler path were merged into one engine; the random-stream layout is
+# unchanged, so the counts are exact
+ORACLE_ZERO = {0.0: (11110, 0, 0), 1.0: (14736, 0, 0), 2.0: (16971, 0, 0),
+               5.0: (19438, 0, 0)}
+EXAMPLE1_ZERO = {1.0: (651, 0, 0), 5.0: (12050, 0, 0), 10.0: (19395, 0, 0)}
+EXAMPLE1_MIXED = {"half": (568, 460, 0), "zero": (446, 446, 0), "short": (96, 0, 0)}
+EXAMPLE1_TWO_CHUNKS = {"half": (7741, 7741, 0), "zero": (7517, 7517, 0)}
+
+
+def _counts(rep, key):
+    """Report rows as {row[key]: (survivors, censored, diffusion-ruined)}."""
+    return {row[key]: tuple(round(row[f] * row["n"]) for f in
+                            ("p_hat", "censored_frac", "diffusion_ruin_frac"))
+            for row in rep.rows}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_engine_counts_pinned(example1, threads):
+    cfg = SimConfig(n_paths=20_000, rng_seed=77, threads=threads)
+    # two chunks on the exact claim-to-claim flow, r = 0 then r > 0
+    rep = estimate_survival(list(ORACLE_ZERO), ConstantPolicy(0.0, ORACLE), ORACLE, LAW, cfg)
+    assert _counts(rep, "x0") == ORACLE_ZERO
+    rep = estimate_survival(list(EXAMPLE1_ZERO), ConstantPolicy(0.0, example1), example1,
+                            LAW, cfg)
+    assert _counts(rep, "x0") == EXAMPLE1_ZERO
+    # Euler and exact policies on one shared claim table
+    cfg = SimConfig(n_paths=3_000, rng_seed=5, horizon=200.0, upper_barrier=60.0,
+                    threads=threads)
+    policies = [ConstantPolicy(0.5, example1, "half"), ConstantPolicy(0.0, example1, "zero"),
+                ConstantPolicy(-20.0, example1, "short")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # half and zero are censored
+        rep = compare_policies([2.0], policies, example1, LAW, cfg)
+        assert _counts(rep, "policy") == EXAMPLE1_MIXED
+        # two chunks, Euler and exact
+        cfg = SimConfig(n_paths=16_484, rng_seed=3, horizon=50.0, upper_barrier=40.0,
+                        threads=threads)
+        rep = compare_policies([2.0], policies[:2], example1, LAW, cfg)
+        assert _counts(rep, "policy") == EXAMPLE1_TWO_CHUNKS
+
+
+def test_censoring_warns(example1):
+    cfg = SimConfig(n_paths=3_000, rng_seed=5, horizon=200.0, upper_barrier=60.0)
+    with pytest.warns(RuntimeWarning, match=r"x0 = 2, policy const\(0.5\): 15.3%"):
+        estimate_survival([2.0], ConstantPolicy(0.5, example1), example1, LAW, cfg)
+    # the oracle check's configuration censors no path
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = estimate_survival([0.0, 2.0], ConstantPolicy(0.0, ORACLE), ORACLE, LAW,
+                                SimConfig(n_paths=20_000, rng_seed=77))
+    assert all(row["censored_frac"] == 0.0 for row in rep.rows)
