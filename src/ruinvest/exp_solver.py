@@ -66,7 +66,9 @@ class SolveOptions:
     x_max: Optional[float] = None       # default 200 * c / lambda
     rtol: float = 1e-10
     atol: float = 1e-12
-    output_nodes: int = 900             # target node count of the output grid
+    # caps the output spacing at (x_max - x_eps) / output_nodes; every solver
+    # step is a node as well, so a curve has more rows than this
+    output_nodes: int = 900
 
     def resolved_x_max(self, params: ModelParams) -> float:
         return self.x_max if self.x_max is not None else 200.0 * params.c / params.lam

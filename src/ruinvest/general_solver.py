@@ -50,6 +50,10 @@ __all__ = [
     "general_solve",
 ]
 
+# Nodes per block of the near-zero-table quadrature; each block's temporaries
+# are NEAR_BLOCK x (table nodes) doubles, so 256 keeps them near 0.5 MB.
+NEAR_BLOCK = 256
+
 
 @dataclass
 class GridFunction:
@@ -210,7 +214,10 @@ def integrate_w(ctx: TOperatorContext, x_max: float, step: float = 0.0005) -> WM
     linear-in-w right-hand side; by the envelope property of the infimum the
     frozen-theta step retains second order even on the interior branch.  The
     jump deficit G and the antiderivative W join the same linear step, so one
-    history convolution per step is the only nonlocal work.
+    history convolution per step is the only nonlocal work.  Its w-independent
+    pieces are tabulated outside the step: the near-zero-table quadrature in
+    blocks of NEAR_BLOCK nodes as the march enters them, f' at x - eps in one
+    call; only the O(n) history sum runs per step.
 
     Aborts if w loses positivity at a node with non-negligible magnitude;
     stops with completion='derivative-floor' once w underflows the scale of
@@ -224,10 +231,18 @@ def integrate_w(ctx: TOperatorContext, x_max: float, step: float = 0.0005) -> WM
     xg = eps + h * np.arange(n + 1)
 
     fg = law.pdf(h * np.arange(n + 1))          # f on the uniform offsets
+    frev = fg[:0:-1].copy()                     # f_n, ..., f_1: history weights
     fx = law.pdf(xg)                            # f at the nodes themselves
     f0 = law.density_at_zero
     fp0 = float(law.pdf_derivative(0.0))
-    fp_at = law.pdf_derivative
+    fp_lo = law.pdf_derivative(xg - eps)        # f'(x - eps) at the nodes
+    near = np.empty(n + 1)                      # int_0^eps V_gamma' f(x - .)
+    vals = np.empty(n)
+
+    def fill_near(lo):
+        xs = xg[lo:lo + NEAR_BLOCK]
+        near[lo:lo + xs.size] = np.trapezoid(tab.Vp * law.pdf(xs[:, None] - tab.x), tab.x,
+                                             axis=-1)
 
     w = np.empty(n + 1)
     W = np.empty(n + 1)
@@ -246,19 +261,20 @@ def integrate_w(ctx: TOperatorContext, x_max: float, step: float = 0.0005) -> WM
         Everything except the u = x_{k1} trapezoid term, whose coefficient
         (h/2) f(0) multiplies the still-unknown w at the new node.  The
         Euler-Maclaurin end correction (with w' lagged one node on the right)
-        lifts the uniform-grid trapezoid to ~4th order.
+        lifts the uniform-grid trapezoid to ~4th order.  The w-independent
+        pieces (the near-zero-table quadrature and f'(x - eps)) are read from
+        tables; only the O(n) history sum is computed here.
         """
-        x = xg[k1]
-        piece1 = np.trapezoid(tab.Vp * law.pdf(x - tab.x), tab.x)
-        vals = w[:k1] * fg[k1:0:-1]
-        piece2 = h * (np.sum(vals) - 0.5 * vals[0])
-        gp_lo = T[0] * fg[k1] - w[0] * float(fp_at(x - eps))
+        v = np.multiply(w[:k1], frev[n - k1:], out=vals[:k1])
+        piece2 = h * (v.sum() - 0.5 * v[0])
+        gp_lo = T[0] * fg[k1] - w[0] * fp_lo[k1]
         gp_hi = T[k1 - 1] * f0 - w[k1 - 1] * fp0
         piece2 -= h * h / 12.0 * (gp_hi - gp_lo)
-        return piece1 + piece2
+        return near[k1] + piece2
 
+    fill_near(0)
     T[0], theta[0] = infimum(p, xg[0], w[0], lam * G[0], ctx.exclusion)
-    dG[0] = w[0] - fx[0] - (np.trapezoid(tab.Vp * law.pdf(xg[0] - tab.x), tab.x))
+    dG[0] = w[0] - fx[0] - near[0]
 
     completion = "reached-x-max"
     w_max = w[0]
@@ -266,6 +282,8 @@ def integrate_w(ctx: TOperatorContext, x_max: float, step: float = 0.0005) -> WM
     last = 0
     for k in range(n):
         x1 = xg[k + 1]
+        if (k + 1) % NEAR_BLOCK == 0:
+            fill_near(k + 1)
         th = theta[k]
         beta1 = 2.0 / (p.sigma**2 * th**2 * x1**2)
         d1 = p.c + p.r * x1 + (p.mu - p.r) * th * x1

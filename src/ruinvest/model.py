@@ -98,10 +98,11 @@ class ClaimLaw:
     def pdf_derivative(self, s):
         """d/ds of the density; numerical fallback, overridden where analytic.
 
-        One-sided near s = 0 where the density has no left extension.
+        One-sided near s = 0 where the density has no left extension.  The
+        step is per element, so a batched call agrees with scalar calls.
         """
         s = np.asarray(s, dtype=float)
-        eps = 1e-6 * max(1.0, float(np.max(s)) if s.size else 1.0)
+        eps = 1e-6 * np.maximum(1.0, s)
         central = (self.pdf(s + eps) - self.pdf(s - eps)) / (2 * eps)
         onesided = (self.pdf(s + eps) - self.pdf(s)) / eps
         return np.where(s - eps >= 0, central, onesided)

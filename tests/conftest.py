@@ -39,6 +39,16 @@ def mixture_law():
 
 
 @pytest.fixture(scope="session")
+def erlang_law():
+    """Erlang-2 with mean 1: f(0) = 0 and no analytic density derivative."""
+    return GeneralClaims(
+        pdf=lambda s: np.where(s >= 0, 4.0 * s * np.exp(-2.0 * s), 0.0),
+        cdf=lambda s: np.where(s >= 0, 1.0 - np.exp(-2.0 * s) * (1.0 + 2.0 * s), 0.0),
+        mean=1.0,
+    )
+
+
+@pytest.fixture(scope="session")
 def curve1(example1):
     from ruinvest.exp_solver import solve
     return solve(example1, 1.0)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -210,3 +212,40 @@ def test_grid_function_validation():
         GridFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3))
     with pytest.raises(ValueError):
         GridFunction(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
+
+
+def _curve_sha256(cur):
+    h = hashlib.sha256()
+    for a in (cur.x, cur.V, cur.Vp, cur.Vpp, cur.J, cur.phi, cur.theta_star, [cur.V_inf]):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    h.update("|".join(map(str, cur.regime)).encode())
+    return h.hexdigest()
+
+
+# example 1; digests recorded at commit 3c87c69, before the w-independent
+# history terms were tabulated in blocks (the change is bit-identical)
+GENERAL_SHA256 = {
+    ("exp_law", 11.0): "1b8d10738db3e82b13ec6b869f7981d3a01432fe90848d30f2fbf5d638ecf6c7",
+    ("mixture_law", 8.0): "246d34d6a021cc3c1bc6e322d1d522228f4f274fd06cba9b197f3411c78df4db",
+    ("erlang_law", 4.0): "cc0ae9da7ba697826d68602a79af64c8c8078cd05018a5730a56408ccf25980d",
+}
+
+
+@pytest.mark.parametrize("law_name, x_max", sorted(GENERAL_SHA256))
+def test_general_solve_bytes_pinned(request, example1, law_name, x_max):
+    law = request.getfixturevalue(law_name)
+    cur = general_solve(example1, law, x_max=x_max)
+    assert _curve_sha256(cur) == GENERAL_SHA256[(law_name, x_max)]
+
+
+def test_continuation_observed_order(example1, exp_law, curve1):
+    # halving the step cuts the gap to the fast path by >= 4x (second order);
+    # at step 0.0005 the gap flattens near 2.5e-6 (ratio ~2.75), the floor set
+    # by the fast path and the near-zero table, so that step is left out
+    xs = np.linspace(0.0, 6.0, 300)
+    ref = curve1.value(xs)
+    gaps = [np.max(np.abs(general_solve(example1, exp_law, x_max=6.0, step=s).value(xs) - ref)
+                   / np.abs(ref))
+            for s in (0.004, 0.002, 0.001)]
+    assert gaps[0] / gaps[1] >= 4.0
+    assert gaps[1] / gaps[2] >= 4.0

@@ -114,3 +114,12 @@ def test_mixture_law_mean(mixture_law):
     rng = np.random.default_rng(5)
     draws = mixture_law.sample(rng, 40_000)
     assert draws.mean() == pytest.approx(1.5, abs=0.05)
+
+
+def test_numerical_pdf_derivative_step_is_per_element(erlang_law):
+    # the fallback's difference step must not depend on the rest of the batch,
+    # or a tabulated f' differs from the per-node value
+    batch = erlang_law.pdf_derivative(np.array([0.5, 40.0]))
+    assert batch[0] == erlang_law.pdf_derivative(0.5)
+    assert batch[1] == erlang_law.pdf_derivative(40.0)
+    assert batch[0] == pytest.approx(4.0 * np.exp(-1.0) * (1.0 - 2.0 * 0.5), abs=1e-9)
