@@ -94,16 +94,14 @@ class SolutionCurve:
     # -- serialisation ------------------------------------------------------
 
     def to_csv(self, path, manifest_hash: str = "") -> None:
+        cols = [a.tolist() for a in (self.x, self.V, self.Vp, self.Vpp, self.J, self.phi,
+                                     self.theta_star, self.regime)]
+        row = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
         with open(path, "w") as fh:
             if manifest_hash:
                 fh.write(f"# manifest: {manifest_hash}\n")
             fh.write(CSV_HEADER + "\n")
-            for i in range(len(self.x)):
-                fh.write(
-                    "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
-                    % (self.x[i], self.V[i], self.Vp[i], self.Vpp[i], self.J[i],
-                       self.phi[i], self.theta_star[i], self.regime[i])
-                )
+            fh.write("".join([row % r for r in zip(*cols)]))
 
     @classmethod
     def from_csv(cls, path) -> "SolutionCurve":
@@ -116,13 +114,10 @@ class SolutionCurve:
                     continue
                 rows.append(line.split(","))
         cols = list(zip(*rows))
-        x = np.array([float(v) for v in cols[0]])
-        num = [np.array([float(v) for v in col]) for col in cols[1:7]]
+        x, V, Vp, Vpp, J, phi, theta = np.array(cols[:7], dtype=float)
         regime = np.array(cols[7])
-        return cls(x=x, V=num[0], Vp=num[1], Vpp=num[2], J=num[3], phi=num[4],
-                   theta_star=num[5], regime=regime,
-                   segments=segments_from_regimes(x, regime, "end"),
-                   V_inf=float(num[0][-1]))
+        return cls(x=x, V=V, Vp=Vp, Vpp=Vpp, J=J, phi=phi, theta_star=theta, regime=regime,
+                   segments=segments_from_regimes(x, regime, "end"), V_inf=float(V[-1]))
 
     def sidecar(self) -> dict:
         """JSON-serialisable metadata: limit, switch points, diagnostics."""

@@ -14,7 +14,11 @@ ordinary (not integro-) differential equation in (V, V', J):
 The march starts from the near-zero asymptotic series of the initial regime
 (maximal long when mu > r, maximal short when mu < r), tracks the policy
 indicator phi, and switches regimes where phi crosses the case-table
-thresholds; crossings are localised by the integrator's event machinery.
+thresholds.  The march owns its loop: it drives scipy's RK45 (Dormand-Prince
+5(4)) stepper directly, evaluates all of a regime's events in one fused
+function per step, and localises a crossing on the step's dense output,
+with results bit-identical to scipy's solve_ivp.
+
 When mu = r the drift is theta-free and there is no interior regime: the
 largest-|theta| endpoint is optimal while V'' > 0 and theta = 0 (ZERO) while
 V'' < 0.  One march serves both cases; each regime's row of the event table
@@ -32,12 +36,14 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy import integrate
+from scipy.integrate import RK45, OdeSolution
+from scipy.optimize import OptimizeResult, brentq
 
 from .curve import (REGIME_INTERIOR, REGIME_LONG, REGIME_SHORT, REGIME_ZERO,
                     RegimeSegment, SolutionCurve)
 from .model import ExponentialClaims, ModelParams, regime_constants, require_valid
-from .operators import (curvature, deficit, indicator, regime_for_indicator,
+from .operators import (curvature, curvature_fn, deficit, indicator, regime_for_indicator,
                         switching_thresholds, theta_for, vertex_exclusion)
 from .series import SeriesExpansion, handoff_point, series_coefficients, series_eval
 
@@ -53,6 +59,7 @@ MAX_SWITCHES = 16     # more regime changes than this is event oscillation
 SERIES_TERMS = 40     # order of the near-zero series
 VP_FLOOR = 1e-13      # derivative underflow = completion
 MAX_STEP = 0.5        # integrator step cap
+_EPS = np.finfo(float).eps
 
 _COMPLETIONS = ("derivative-floor", "cancellation-floor")
 _ABORTS = ("deficit-zero", "indicator-below-exclusion")
@@ -96,97 +103,87 @@ def _rhs_for(regime: str, params: ModelParams, m: float):
     if regime == REGIME_ZERO:
         # V' is slaved to the state, so its slot idles
         def f(x, y):
+            y = y.tolist()
             vp = _zero_vp(params, x, y)
             return (vp, 0.0, vp - y[2] / m)
         return f
 
+    vpp = curvature_fn(regime, params)
+
     def f(x, y):
-        V, Vp, D = y
-        return (Vp, curvature(regime, params, x, Vp, lam * D), Vp - D / m)
+        V, Vp, D = y.tolist()
+        return (Vp, vpp(x, Vp, lam * D), Vp - D / m)
     return f
 
 
-def _event(g, direction, name, target=None):
-    g.terminal = True
-    g.direction = direction
-    return name, g, target
-
-
 def _segment_events(regime: str, params: ModelParams, m: float):
-    """(name, func, target) triples ending the given regime's segment.
+    """(rows, g): the events ending the given regime's segment.
 
-    A switch event names the regime that follows, or None when the case table
-    picks it just across the crossed indicator threshold (mu != r).  The
-    events in _COMPLETIONS end the march, those in _ABORTS fail it.
+    rows holds one (name, direction, target) per event; g(x, y) returns all
+    their values at once, in row order, sharing one deficit and indicator
+    evaluation per call.  A switch event names the regime that follows, or
+    None when the case table picks it just across the crossed indicator
+    threshold (mu != r).  The events in _COMPLETIONS end the march, those in
+    _ABORTS fail it.
     """
     lam = params.lam
     up, down = 1, -1
-    evs = []
+    floor = ("derivative-floor", down, None)
 
     if params.mu == params.r:
         if regime == REGIME_ZERO:
             big = REGIME_LONG if params.a >= params.b else REGIME_SHORT
+            vpp = curvature_fn(REGIME_ZERO, params)
 
-            def g_convex(x, y):
-                vp = _zero_vp(params, x, y)
-                return curvature(REGIME_ZERO, params, x, vp, lam * y[2], lam * (vp - y[2] / m))
-            evs.append(_event(g_convex, up, "curvature-positive", big))
-        else:
-            def g_concave(x, y):
-                return deficit(params, x, y[1], lam * y[2])
-            evs.append(_event(g_concave, down, "curvature-negative", REGIME_ZERO))
-    else:
-        thr = switching_thresholds(params)
-
-        def ind_event(level, direction, name):
             def g(x, y):
-                return indicator(params, x, y[1], deficit(params, x, y[1], lam * y[2])) - level
-            return _event(g, direction, name)
+                y = y.tolist()
+                vp = _zero_vp(params, x, y)
+                return (vpp(x, vp, lam * y[2], lam * (vp - y[2] / m)), vp - VP_FLOOR)
+            return [("curvature-positive", up, big), floor], g
 
-        if params.mu > params.r:
-            if regime == REGIME_LONG:
-                evs.append(ind_event(thr.interior_bound, down, "indicator-interior-bound"))
-                if thr.extreme_bound is not None:
-                    evs.append(ind_event(thr.extreme_bound, up, "indicator-extreme-bound"))
-            elif regime == REGIME_SHORT:
-                evs.append(ind_event(thr.extreme_bound, down, "indicator-extreme-bound"))
-            else:  # interior
-                evs.append(ind_event(thr.interior_bound, up, "indicator-interior-bound"))
-        else:
-            if regime == REGIME_SHORT:
-                evs.append(ind_event(thr.interior_bound, up, "indicator-interior-bound"))
-                if thr.extreme_bound is not None:
-                    evs.append(ind_event(thr.extreme_bound, down, "indicator-extreme-bound"))
-            elif regime == REGIME_LONG:
-                evs.append(ind_event(thr.extreme_bound, up, "indicator-extreme-bound"))
-            else:
-                evs.append(ind_event(thr.interior_bound, down, "indicator-interior-bound"))
+        def g(x, y):
+            V, Vp, D = y.tolist()
+            return (deficit(params, x, Vp, lam * D), Vp - VP_FLOOR)
+        return [("curvature-negative", down, REGIME_ZERO), floor], g
+
+    thr = switching_thresholds(params)
+    inner = ("indicator-interior-bound", thr.interior_bound)
+    outer = ("indicator-extreme-bound", thr.extreme_bound)
+    # (name, level, direction) of the indicator thresholds; the constant
+    # regime at the interior bound is A for mu > r and B for mu < r, and the
+    # directions flip with the sign of mu - r
+    sign = 1 if params.mu > params.r else -1
+    near = REGIME_LONG if sign > 0 else REGIME_SHORT
+    if regime == REGIME_INTERIOR:
+        crossings = [(*inner, sign * up)]
+    elif regime == near:
+        crossings = [(*inner, sign * down)]
+        if thr.extreme_bound is not None:
+            crossings.append((*outer, sign * up))
+    else:
+        crossings = [(*outer, sign * down)]
+    rows = [(name, direction, None) for name, _, direction in crossings]
+    levels = [level for _, level, _ in crossings]
 
     if regime == REGIME_INTERIOR:
+        (level,) = levels
         scale = _completion_scale(params)
-
-        def g_noise(x, y):
-            return y[1] - scale
-        evs.append(_event(g_noise, down, "cancellation-floor"))
-
-        def g_I(x, y):
-            return deficit(params, x, y[1], lam * y[2])
-        evs.append(_event(g_I, down, "deficit-zero"))
-
         A = vertex_exclusion(params)
+        rows += [("cancellation-floor", down, None), ("deficit-zero", down, None),
+                 ("indicator-below-exclusion", down, None), floor]
 
-        def g_A(x, y):
-            return abs(indicator(params, x, y[1], deficit(params, x, y[1], lam * y[2]))) - A
-        evs.append(_event(g_A, down, "indicator-below-exclusion"))
+        def g(x, y):
+            V, Vp, D = y.tolist()
+            I = deficit(params, x, Vp, lam * D)
+            phi = indicator(params, x, Vp, I)
+            return (phi - level, Vp - scale, I, abs(phi) - A, Vp - VP_FLOOR)
+        return rows, g
 
-    if regime == REGIME_ZERO:
-        def g_floor(x, y):
-            return _zero_vp(params, x, y) - VP_FLOOR
-    else:
-        def g_floor(x, y):
-            return y[1] - VP_FLOOR
-    evs.append(_event(g_floor, down, "derivative-floor"))
-    return evs
+    def g(x, y):
+        V, Vp, D = y.tolist()
+        phi = indicator(params, x, Vp, deficit(params, x, Vp, lam * D))
+        return (*[phi - level for level in levels], Vp - VP_FLOOR)
+    return rows + [floor], g
 
 
 def _completion_scale(params: ModelParams) -> float:
@@ -194,6 +191,60 @@ def _completion_scale(params: ModelParams) -> float:
     # about 1e-3 of its terms in the far field, is cancellation noise; the
     # interior march ends here
     return 1e-9 * params.lam / params.c
+
+
+def _rk45_march(fun, t_span, y0, events, directions, **options):
+    """solve_ivp(fun, t_span, y0, "RK45", dense_output=True) with terminal events.
+
+    Returns what scipy's solve_ivp returns, bit for bit (t, y, sol, t_events,
+    nfev, status, message), but drives the RK45 stepper itself.  `events(t, y)`
+    gives all event values at once and `directions[i]` is +1 (rising) or -1
+    (falling).  Sign changes follow solve_ivp's rule (a zero at either end
+    counts); each fired event's root is found by brentq on the step's dense
+    output, and the earliest root ends the march.
+    """
+    t0, tf = map(float, t_span)
+    solver = RK45(fun, t0, y0, tf, **options)
+    ts, ys, interpolants = [t0], [y0], []
+    t_events = [[] for _ in directions]
+    g = events(t0, y0)
+    status = None
+    while status is None:
+        message = solver.step()
+        if solver.status == "failed":
+            status = -1
+            break
+        status = 0 if solver.status == "finished" else None
+        t, y = solver.t, solver.y
+        sol = solver.dense_output()
+        interpolants.append(sol)
+        g_new = events(t, y)
+        fired = [i for i, d in enumerate(directions)
+                 if (g[i] <= 0 <= g_new[i] if d > 0 else g[i] >= 0 >= g_new[i])]
+        if fired:
+            roots = [brentq(lambda s, i=i: events(s, sol(s))[i], solver.t_old, t,
+                            xtol=4 * _EPS, rtol=4 * _EPS) for i in fired]
+            k = roots.index(min(roots))
+            t = roots[k]
+            y = sol(t)
+            t_events[fired[k]].append(t)
+            status = 1
+        g = g_new
+        if len(ts) > 1 and ts[-1] == t:  # a root on the previous step's end
+            interpolants.pop()
+        else:
+            ts.append(t)
+            ys.append(y)
+    ts = np.array(ts)
+    return OptimizeResult(t=ts, y=np.vstack(ys).T, sol=OdeSolution(ts, interpolants),
+                          t_events=[np.asarray(te) for te in t_events], nfev=solver.nfev,
+                          status=status, message=message, success=status >= 0)
+
+
+# `solve` reaches the march through this module attribute, where the
+# benchmark's tracer (perfbench/tracing.py) wraps it to count steps, RHS
+# evaluations and events from the result's t, nfev and status
+solve_ivp = _rk45_march
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +293,7 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
     x = x_eps
     segments: list[RegimeSegment] = []
     events_log: list[dict] = []
+    march: list[dict] = []
     xs_all: list[np.ndarray] = []
     cols: dict[str, list[np.ndarray]] = {k: [] for k in _COLUMNS}
     out_dx = (x_max - x_eps) / opts.output_nodes
@@ -252,20 +304,20 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
         if regime == REGIME_INTERIOR and y[1] <= _completion_scale(params):
             completion = "cancellation-floor"
             break
-        events = _segment_events(regime, params, m)
-        sol = solve_ivp(_rhs_for(regime, params, m), (x, x_max), y, method="RK45",
+        rows, g = _segment_events(regime, params, m)
+        sol = solve_ivp(_rhs_for(regime, params, m), (x, x_max), y, g,
+                        [direction for _, direction, _ in rows],
                         rtol=opts.rtol, atol=[opts.atol, opts.atol * 1e-2, opts.atol * 1e-2],
-                        events=[g for _, g, _ in events], dense_output=True,
                         max_step=MAX_STEP)
         if sol.status == -1:
             raise SolverAbort(f"integration failed in regime {regime} at x={sol.t[-1]}: {sol.message}",
                               {"x": sol.t[-1], "y": sol.y[:, -1]})
+        march.append({"regime": regime, "steps": len(sol.t) - 1, "rhs_evals": int(sol.nfev)})
 
-        ev_name, g, target = "reached-x-max", None, None
+        ev_name, direction, target = "reached-x-max", None, None
         if sol.status == 1:
-            fired = [i for i, te in enumerate(sol.t_events) if len(te)]
-            i0 = min(fired, key=lambda i: sol.t_events[i][0])
-            ev_name, g, target = events[i0]
+            i0 = next(i for i, te in enumerate(sol.t_events) if len(te))
+            ev_name, direction, target = rows[i0]
         switch = sol.status == 1 and ev_name not in _COMPLETIONS + _ABORTS
         nodes = _segment_nodes(sol, x, sol.t[-1], out_dx, hug_lo=n_switch > 0, hug_hi=switch)
         states = sol.sol(nodes)
@@ -305,7 +357,7 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
         phi_here = indicator(params, x, y[1], deficit(params, x, y[1], params.lam * y[2]))
         if target is None:
             # re-enter by the case table just across the crossed threshold
-            nudge = g.direction * 1e-9 * (1.0 + abs(phi_here))
+            nudge = direction * 1e-9 * (1.0 + abs(phi_here))
             target = regime_for_indicator(phi_here + nudge, params)
         events_log.append({"x": x, "kind": ev_name, "from": regime, "to": target})
         if target == regime:
@@ -317,7 +369,7 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
             raise SolverAbort(f"regime oscillation: more than {MAX_SWITCHES} switches",
                               {"switches": [(e["x"], e["kind"]) for e in events_log]})
 
-    return _assemble(params, m, exp, x_eps, xs_all, cols, segments, events_log,
+    return _assemble(params, m, exp, x_eps, xs_all, cols, segments, events_log, march,
                      completion, opts)
 
 
@@ -390,7 +442,8 @@ def _series_prefix(params, m, exp: SeriesExpansion, x_eps, regime0):
                 "regime": np.full(xs.shape, regime0, dtype=object)}
 
 
-def _assemble(params, m, exp, x_eps, xs_all, cols, segments, events_log, completion, opts):
+def _assemble(params, m, exp, x_eps, xs_all, cols, segments, events_log, march, completion,
+              opts):
     xs0, rows0 = _series_prefix(params, m, exp, x_eps, segments[0].regime)
     x = np.concatenate([xs0] + xs_all)
     data = {k: np.concatenate([rows0[k], *cols[k]]) for k in cols}
@@ -407,6 +460,7 @@ def _assemble(params, m, exp, x_eps, xs_all, cols, segments, events_log, complet
         "series_terms": exp.K,
         "completion": completion,
         "events": events_log,
+        "march": march,
         "tail": tail,
         "options": {"x_max": opts.resolved_x_max(params), "rtol": opts.rtol,
                     "atol": opts.atol, "vertex_exclusion": vertex_exclusion(params)},
@@ -507,8 +561,8 @@ def third_order_check(curve: SolutionCurve, segment: RegimeSegment,
         return 0.0
     i0 = np.nonzero(inside)[0][0]
     y0 = [curve.V[i0], curve.Vp[i0], curve.Vpp[i0]]
-    sol = solve_ivp(rhs, (xs[0], xs[-1]), y0, method="RK45", rtol=1e-12, atol=1e-14,
-                    t_eval=xs, max_step=0.5)
+    sol = integrate.solve_ivp(rhs, (xs[0], xs[-1]), y0, method="RK45", rtol=1e-12,
+                              atol=1e-14, t_eval=xs, max_step=0.5)
     if not sol.success:
         raise SolverAbort(f"third-order cross-check integration failed: {sol.message}")
     relV = np.max(np.abs(sol.y[0] - curve.V[inside]) / np.abs(curve.V[inside]))

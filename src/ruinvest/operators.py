@@ -53,6 +53,7 @@ __all__ = [
     "deficit",
     "indicator",
     "curvature",
+    "curvature_fn",
     "theta_for",
     "regime_for_theta",
     "vertex_exclusion",
@@ -236,16 +237,21 @@ def curvature(regime: str, p: ModelParams, x, Vp, MV, dMV=None):
                            V'' = [M' (c + r x) - r M] / (c + r x)^2,
     where ZERO needs dMV = M'(x) and ignores Vp.
     """
+    return curvature_fn(regime, p)(x, Vp, MV, dMV)
+
+
+def curvature_fn(regime: str, p: ModelParams):
+    """`curvature` of one regime as f(x, Vp, MV, dMV=None), its constants bound once."""
+    c, r = p.c, p.r
     if regime == REGIME_INTERIOR:
-        I = deficit(p, x, Vp, MV)
-        return -((p.mu - p.r) ** 2) * Vp**2 / (2.0 * p.sigma**2 * I)
+        num, den = -((p.mu - p.r) ** 2), 2.0 * p.sigma**2
+        return lambda x, Vp, MV, dMV=None: num * Vp**2 / (den * deficit(p, x, Vp, MV))
     if regime == REGIME_ZERO:
-        d = p.c + p.r * x
-        return (dMV * d - p.r * MV) / d**2
+        return lambda x, Vp, MV, dMV=None: (dMV * (c + r * x) - r * MV) / (c + r * x)**2
     gamma = p.a if regime == REGIME_LONG else -p.b
     mu_bar = p.r + gamma * (p.mu - p.r)
-    sigma_bar = abs(gamma) * p.sigma
-    return 2.0 * (MV - (p.c + mu_bar * x) * Vp) / (sigma_bar**2 * x**2)
+    sigma_bar2 = (abs(gamma) * p.sigma) ** 2
+    return lambda x, Vp, MV, dMV=None: 2.0 * (MV - (c + mu_bar * x) * Vp) / (sigma_bar2 * x**2)
 
 
 def theta_for(regime: str, p: ModelParams, phi: np.ndarray) -> np.ndarray:

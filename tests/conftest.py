@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,15 @@ def curve2(example2):
 def curve3(example3):
     from ruinvest.exp_solver import solve
     return solve(example3, 1.0)
+
+
+@pytest.fixture(scope="session")
+def curve_sha256():
+    """SHA-256 of a curve's columns, V_inf and regime labels, bit for bit."""
+    def digest(cur):
+        h = hashlib.sha256()
+        for a in (cur.x, cur.V, cur.Vp, cur.Vpp, cur.J, cur.phi, cur.theta_star, [cur.V_inf]):
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        h.update("|".join(map(str, cur.regime)).encode())
+        return h.hexdigest()
+    return digest

@@ -249,6 +249,7 @@ def comparison_report(example1, curve1, exp_law):
     return compare_policies([1.0, 5.0, 10.0], policies, example1, exp_law, cfg)
 
 
+@pytest.mark.slow
 def test_criterion_8_verification_theorem(example1, curve1, comparison_report):
     rep = comparison_report
     worst_z = 0.0

@@ -180,6 +180,7 @@ def test_verify_example1_small_sample(tmp_path):
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "5", "10"]
 
 
+@pytest.mark.slow
 def test_compare_emits_all_policies(tmp_path):
     rc = main(["compare", "--config", str(CONFIGS / "example1.cfg"),
                "--out-dir", str(tmp_path), "--n-paths", "1000", "--seed", "7"])

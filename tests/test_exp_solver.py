@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from ruinvest.curve import SolutionCurve
-from ruinvest.exp_solver import (SolveOptions, SolverAbort, _segment_events,
+from ruinvest.exp_solver import (SolveOptions, SolverAbort, _rk45_march, _segment_events,
                                  extrapolate_tail, solve, third_order_check)
 from ruinvest.model import ExponentialClaims, ModelParams, regime_constants
 from ruinvest.operators import curvature
@@ -13,6 +13,17 @@ M = 1.0
 
 # switch abscissas of Example 1, frozen after the first verified run
 X1_FIX, X2_FIX, X3_FIX = 0.021941989, 3.207494533, 4.131445767
+
+
+def _scalar_events(g, directions):
+    """A fused event function split into solve_ivp's terminal scalar events."""
+    out = []
+    for i, direction in enumerate(directions):
+        def e(x, y, i=i):
+            return g(x, y)[i]
+        e.terminal, e.direction = True, direction
+        out.append(e)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +66,9 @@ def test_rhs_interior_rejects_nonpositive_deficit(example1):
     # event table is past its "deficit-zero" abort
     x, V, Vp, J = 5.0, 2.0, 10.0, 1.999
     assert curvature("INT", example1, x, Vp, example1.lam * (V - J)) > 0
-    g = dict((name, g) for name, g, _ in _segment_events("INT", example1, M))["deficit-zero"]
-    assert g(x, np.array([V, Vp, V - J])) < 0
+    rows, g = _segment_events("INT", example1, M)
+    i = [name for name, _, _ in rows].index("deficit-zero")
+    assert g(x, np.array([V, Vp, V - J]))[i] < 0
 
 
 def test_rhs_interior_vertex_identity(example1, curve1):
@@ -175,14 +187,66 @@ def test_detect_switch_standalone(example1):
             rc.sigma_bar**2 * x**2)
         return [Vp, vpp, Vp - D / M]
 
-    events = _segment_events("A", example1, M)
-    sol = solve_ivp(rhs, (x_eps, 0.05), [V0, Vp0, V0 - J0], rtol=1e-12, atol=1e-14,
-                    events=[g for _, g, _ in events])
+    rows, g = _segment_events("A", example1, M)
+    sol = solve_ivp(rhs, (x_eps, 0.05), np.array([V0, Vp0, V0 - J0]), rtol=1e-12, atol=1e-14,
+                    events=_scalar_events(g, [direction for _, direction, _ in rows]))
     x, kind, target = min((te[0], name, target)
-                          for (name, _, target), te in zip(events, sol.t_events) if len(te))
+                          for (name, _, target), te in zip(rows, sol.t_events) if len(te))
     assert kind == "indicator-extreme-bound"
     assert target is None  # the case table picks the next regime
     assert x == pytest.approx(X1_FIX, rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# the RK45 march loop against scipy's solve_ivp
+# ---------------------------------------------------------------------------
+
+def _oscillator(t, y):
+    return (y[1], -y[0])  # y = (sin t, cos t) from (0, 1)
+
+
+# (name, event levels (value y[0] - level, or y[1] - level when tagged "cos"),
+#  directions, t_bound, fired event or None)
+MARCH_CASES = [
+    ("up", [("sin", 0.5), ("cos", -0.9)], [1, -1], 6.0, 0),
+    ("down", [("sin", 2.0), ("cos", 0.2)], [1, -1], 6.0, 1),
+    ("first-step", [("sin", 1e-3), ("cos", -0.5)], [1, -1], 6.0, 0),
+    ("two-in-one-step", [("sin", 0.5000001), ("sin", 0.5)], [1, 1], 6.0, 1),
+    ("t-bound", [("sin", 2.0), ("cos", -2.0)], [1, -1], 3.0, None),
+]
+
+
+@pytest.mark.parametrize("name, levels, directions, t_bound, fired", MARCH_CASES,
+                         ids=[c[0] for c in MARCH_CASES])
+def test_rk45_march_matches_solve_ivp(name, levels, directions, t_bound, fired):
+    slot = {"sin": 0, "cos": 1}
+
+    def g(t, y):
+        y = y.tolist()
+        return tuple(y[slot[k]] - level for k, level in levels)
+
+    y0 = np.array([0.0, 1.0])
+    options = dict(rtol=1e-8, atol=[1e-10, 1e-12], max_step=0.5)
+    ref = solve_ivp(_oscillator, (0.0, t_bound), y0, method="RK45", dense_output=True,
+                    events=_scalar_events(g, directions), **options)
+    got = _rk45_march(_oscillator, (0.0, t_bound), y0, g, directions, **options)
+
+    assert np.array_equal(got.t, ref.t)
+    assert np.array_equal(got.y, ref.y)
+    assert (got.nfev, got.status) == (ref.nfev, ref.status)
+    assert all(np.array_equal(a, b) for a, b in zip(got.t_events, ref.t_events))
+    grid = np.linspace(0.0, got.t[-1], 97)
+    assert np.array_equal(got.sol(grid), ref.sol(grid))
+
+    assert got.status == (0 if fired is None else 1)
+    assert [len(te) for te in got.t_events] == [int(i == fired) for i in range(len(levels))]
+    if name == "first-step":
+        assert len(got.t) == 2
+    if name == "two-in-one-step":
+        # the later level alone ends the march in the same step: both fired there
+        alone = _rk45_march(_oscillator, (0.0, t_bound), y0, lambda t, y: (y[0] - levels[0][1],),
+                            [1], **options)
+        assert alone.t[-2] == got.t[-2] < got.t[-1] < alone.t[-1]
 
 
 def test_hjb_residual_spot_check(example1, curve1):
@@ -331,3 +395,64 @@ def test_csv_roundtrip(tmp_path, curve1):
     assert np.array_equal(back.theta_star, curve1.theta_star)
     assert np.array_equal(back.x, curve1.x)
     assert np.array_equal(back.regime, curve1.regime)
+    for col in ("V", "Vp", "Vpp", "J", "phi"):
+        assert np.array_equal(getattr(back, col), getattr(curve1, col))
+
+
+# ---------------------------------------------------------------------------
+# pinned march branches and work counts
+# ---------------------------------------------------------------------------
+
+EXAMPLE1 = dict(c=0.02, lam=0.09, mu=0.02, r=0.015, sigma=0.1, a=1.0, b=20.0)
+# the pos-altb-convex-open anchor of perfbench/workloads.py: A, B, A, INT, and
+# INT reaches x_max
+ANCHOR_POS_ALTB = dict(c=0.01551, lam=0.1095, r=0.02674, mu=0.03099, sigma=0.2952,
+                       a=1.626, b=13.37)
+
+# SHA-256 of every column, V_inf and the regimes, recorded at commit 2250894,
+# before the march drove scipy's RK45 stepper itself (the change is
+# bit-identical); (params, x_max, segments as (regime, terminal event))
+BRANCH_SHA256 = {
+    "mu=r-B-ZERO": (
+        dict(c=0.02, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0), None,
+        [("B", "curvature-negative"), ("ZERO", "reached-x-max")],
+        "90762861401ac456aa0448e178155c0ea40647a5df7617daadb3b31741b6e90c"),
+    "mu=r-ZERO": (
+        dict(c=0.1, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0), None,
+        [("ZERO", "derivative-floor")],
+        "54bac7030b48bc56c22eb9d0dc856fc3417e797062393e999bebf19f1f05438f"),
+    "example1-x3": (
+        EXAMPLE1, 3.0, [("A", "indicator-extreme-bound"), ("B", "reached-x-max")],
+        "686f20a6f37e089375b7f30a20fa2dbb0d70340a2a3f0565c1e5b605b7911f97"),
+    "example1-x4": (
+        EXAMPLE1, 4.0,
+        [("A", "indicator-extreme-bound"), ("B", "indicator-extreme-bound"),
+         ("A", "reached-x-max")],
+        "ae9e0faf7b2823cdf064a3aa60a9efa096a564f0754d19182cbe450b304f15d9"),
+    "example1-x15": (
+        EXAMPLE1, 15.0,
+        [("A", "indicator-extreme-bound"), ("B", "indicator-extreme-bound"),
+         ("A", "indicator-interior-bound"), ("INT", "reached-x-max")],
+        "638479805cb0f17ab4a6f349368fd495f6df0373b7207c3adffe945aefd09dc9"),
+    "anchor-pos-altb-convex-open": (
+        ANCHOR_POS_ALTB, None,
+        [("A", "indicator-extreme-bound"), ("B", "indicator-extreme-bound"),
+         ("A", "indicator-interior-bound"), ("INT", "reached-x-max")],
+        "0066949ad788c0d5e523414c6626bb34707d9fce7d7d9b27566215f7970003d5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRANCH_SHA256))
+def test_march_branch_bytes_pinned(curve_sha256, case):
+    params, x_max, segments, digest = BRANCH_SHA256[case]
+    cur = solve(ModelParams(**params), M, SolveOptions(x_max=x_max))
+    assert [(s.regime, s.terminal_event) for s in cur.segments] == segments
+    assert curve_sha256(cur) == digest
+
+
+def test_march_work_counts_in_sidecar(curve1):
+    # one record per integrated segment; totals measured at commit 2250894
+    march = curve1.sidecar()["march"]
+    assert [seg["regime"] for seg in march] == [s.regime for s in curve1.segments]
+    assert sum(seg["steps"] for seg in march) == 5701
+    assert sum(seg["rhs_evals"] for seg in march) == 34256

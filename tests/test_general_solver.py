@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -214,14 +212,6 @@ def test_grid_function_validation():
         GridFunction(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
 
 
-def _curve_sha256(cur):
-    h = hashlib.sha256()
-    for a in (cur.x, cur.V, cur.Vp, cur.Vpp, cur.J, cur.phi, cur.theta_star, [cur.V_inf]):
-        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-    h.update("|".join(map(str, cur.regime)).encode())
-    return h.hexdigest()
-
-
 # example 1; digests recorded at commit 3c87c69, before the w-independent
 # history terms were tabulated in blocks (the change is bit-identical)
 GENERAL_SHA256 = {
@@ -232,10 +222,10 @@ GENERAL_SHA256 = {
 
 
 @pytest.mark.parametrize("law_name, x_max", sorted(GENERAL_SHA256))
-def test_general_solve_bytes_pinned(request, example1, law_name, x_max):
+def test_general_solve_bytes_pinned(request, example1, curve_sha256, law_name, x_max):
     law = request.getfixturevalue(law_name)
     cur = general_solve(example1, law, x_max=x_max)
-    assert _curve_sha256(cur) == GENERAL_SHA256[(law_name, x_max)]
+    assert curve_sha256(cur) == GENERAL_SHA256[(law_name, x_max)]
 
 
 def test_continuation_observed_order(example1, exp_law, curve1):

@@ -29,6 +29,7 @@ def test_oracle_survival_matches_lundberg_quick():
         assert abs(row["p_hat"] - ref) <= 2.0 * row["ci_half"]
 
 
+@pytest.mark.slow
 def test_determinism_bit_identical():
     cfg = SimConfig(n_paths=4_000, rng_seed=123)
     pol = ConstantPolicy(0.5, ORACLE)
@@ -120,6 +121,7 @@ def test_scalar_and_vector_engines_agree_statistically(example1):
     assert abs(row["p_hat"] - p_scalar) <= 2.0 * width
 
 
+@pytest.mark.slow
 def test_halving_euler_dt_stable(example1, curve1):
     pol = FeedbackPolicy(curve1, example1)
     law = ExponentialClaims(1.0)
