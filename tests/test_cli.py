@@ -19,6 +19,19 @@ def _read_csv_column(path, name):
     return [row.split(",")[i] for row in lines[1:]]
 
 
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# SHA-256 of the Monte Carlo artifacts of the tests below, measured at commit
+# e2e3582 with numpy 2.4.6 and scipy 1.17.1; engine speedups keep these bytes
+MC_SHA256 = {
+    "oracle-verify": "ba00f140eb23b3ab42edb7f3530dbc9f4df0ed332d4717eea46b805a2db82f5e",
+    "example1-verify": "2942562eb097b198b0b62ab78b0ca9969f99a918e5e410c248648b75d173bf78",
+    "example1-compare": "4b73e55988f150cdb2154fa98fd6a9871e845960304dc5d5b489c2ac974d3924",
+}
+
+
 def test_parse_config_example1():
     cfg = parse_config(CONFIGS / "example1.cfg")
     assert cfg["c"] == "0.02"
@@ -155,6 +168,7 @@ def test_oracle_mode_verify(tmp_path):
              if l and not l.startswith("#")]
     assert lines[0] == "x0,expected,p_hat,ci_half,pass"
     assert all(row.split(",")[-1] == "1" for row in lines[1:])
+    assert _sha256(tmp_path / "verify.csv") == MC_SHA256["oracle-verify"]
 
 
 def test_oracle_mode_noisy_gate_scales(tmp_path):
@@ -178,6 +192,7 @@ def test_verify_example1_small_sample(tmp_path):
     lines = [l for l in (tmp_path / "verify.csv").read_text().splitlines()
              if l and not l.startswith("#")]
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "5", "10"]
+    assert _sha256(tmp_path / "verify.csv") == MC_SHA256["example1-verify"]
 
 
 @pytest.mark.slow
@@ -188,3 +203,11 @@ def test_compare_emits_all_policies(tmp_path):
     policies = set(_read_csv_column(tmp_path / "compare.csv", "policy"))
     assert {"feedback-optimal", "const(a)", "const(-b)", "const(0)",
             "noshort-clamped", "noshort-resolved"} <= policies
+
+
+@pytest.mark.slow
+def test_compare_bytes_pinned(tmp_path):
+    rc = main(["compare", "--config", str(CONFIGS / "example1.cfg"),
+               "--out-dir", str(tmp_path), "--n-paths", "512", "--seed", "5"])
+    assert rc == 0
+    assert _sha256(tmp_path / "compare.csv") == MC_SHA256["example1-compare"]

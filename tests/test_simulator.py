@@ -1,10 +1,11 @@
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from ruinvest.model import ExponentialClaims, ModelParams
-from ruinvest.simulator import (ConstantPolicy, FeedbackPolicy, SimConfig,
+from ruinvest.simulator import (ConstantPolicy, FeedbackPolicy, Policy, SimConfig,
                                 compare_policies, estimate_survival,
                                 lundberg_ruin_probability, simulate_path)
 
@@ -199,6 +200,64 @@ def test_engine_counts_pinned(example1, threads):
                         threads=threads)
         rep = compare_policies([2.0], policies[:2], example1, LAW, cfg)
         assert _counts(rep, "policy") == EXAMPLE1_TWO_CHUNKS
+
+
+class _CountingPolicy(Policy):
+    """Delegating policy: one theta call is one engine iteration, and each
+    surplus it is given is one path-step."""
+
+    def __init__(self, inner):
+        self._inner, self.label = inner, inner.label
+        self.iterations = self.path_steps = 0
+        self._lock = threading.Lock()  # chunks may run on worker threads
+
+    def theta(self, x):
+        with self._lock:
+            self.iterations += 1
+            self.path_steps += x.size
+        return self._inner.theta(x)
+
+    def fingerprint(self):
+        return self._inner.fingerprint()
+
+
+# the optimal feedback policy of example 1 and its clamp=(0, 1) variant:
+# per x0 (survivors, censored, diffusion-ruined), then the engine iterations
+# and path-steps summed over x0 and chunks; measured at commit e2e3582 with
+# numpy 2.4.6
+FEEDBACK_ONE_CHUNK = {  # 1,000 paths, horizon 200, barrier 100, seed 77
+    None: ({1.0: (152, 152, 0), 5.0: (691, 668, 0), 10.0: (977, 305, 0)}, 35_055, 5_721_552),
+    (0.0, 1.0): ({1.0: (43, 43, 0), 5.0: (639, 614, 0), 10.0: (974, 301, 0)}, 5_451, 3_394_645),
+}
+FEEDBACK_TWO_CHUNKS = {  # 16,484 paths, horizon 50, barrier 100, seed 77
+    None: ({1.0: (3262, 3262, 0), 5.0: (13420, 13420, 0), 10.0: (16338, 16338, 0)},
+           38_672, 50_985_723),
+    (0.0, 1.0): ({1.0: (4156, 4156, 0), 5.0: (14286, 14286, 0), 10.0: (16382, 16382, 0)},
+                 2_741, 18_343_419),
+}
+
+
+def _check_feedback_pins(example1, curve1, pins, n_paths, horizon, threads):
+    cfg = SimConfig(n_paths=n_paths, rng_seed=77, horizon=horizon, upper_barrier=100.0,
+                    threads=threads)
+    for clamp, (counts, iterations, path_steps) in pins.items():
+        pol = _CountingPolicy(FeedbackPolicy(curve1, example1, clamp=clamp))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the short horizon censors
+            rep = estimate_survival(list(counts), pol, example1, LAW, cfg)
+        assert _counts(rep, "x0") == counts
+        assert (pol.iterations, pol.path_steps) == (iterations, path_steps)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_feedback_counts_pinned(example1, curve1, threads):
+    _check_feedback_pins(example1, curve1, FEEDBACK_ONE_CHUNK, 1_000, 200.0, threads)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("threads", [1, 2])
+def test_feedback_counts_pinned_two_chunks(example1, curve1, threads):
+    _check_feedback_pins(example1, curve1, FEEDBACK_TWO_CHUNKS, 16_484, 50.0, threads)
 
 
 def test_censoring_warns(example1):
