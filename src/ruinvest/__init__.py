@@ -16,8 +16,7 @@ from .general_solver import general_solve, solve_constant_regime_near_zero
 from .model import (ExponentialClaims, GeneralClaims, ModelParams, RegimeConstants,
                     convex_start_condition, regime_constants, validate)
 from .simulator import (ConstantPolicy, FeedbackPolicy, SimConfig, SimulationReport,
-                        compare_policies, estimate_survival, lundberg_ruin_probability,
-                        simulate_path)
+                        compare_policies, estimate_survival, lundberg_ruin_probability)
 
 __all__ = [
     "__version__",
@@ -27,6 +26,6 @@ __all__ = [
     "solve", "SolveOptions", "SolverAbort", "third_order_check", "extrapolate_tail",
     "general_solve", "solve_constant_regime_near_zero",
     "ConstantPolicy", "FeedbackPolicy", "SimConfig", "SimulationReport",
-    "simulate_path", "estimate_survival", "compare_policies",
+    "estimate_survival", "compare_policies",
     "lundberg_ruin_probability",
 ]

@@ -9,6 +9,14 @@ steps claim-to-claim on the exact interest flow.  Ruin is X < 0; a path that
 reaches the upper barrier counts as certain survival and the horizon censors
 whatever is left (censoring biases survival upward and is reported).
 
+The engine carries, per live path, the surplus X, the time t, the index of
+the next claim and that claim's epoch, and compacts them only in iterations
+where some path ended.  FeedbackPolicy looks large batches up in sorted
+order: np.interp brackets each point by the same node and evaluates the same
+expression whatever the input order, so the result is bit-identical to the
+unsorted call and only the search gets faster.  Each report row also carries
+the engine's work: loop iterations and path-steps, summed over chunks.
+
 Estimates validate the solved curves through the verification identity
 survival(x) = V(x)/V(inf) and rank policies under common claim streams.
 """
@@ -32,9 +40,7 @@ __all__ = [
     "ConstantPolicy",
     "FeedbackPolicy",
     "SimConfig",
-    "PathOutcome",
     "SimulationReport",
-    "simulate_path",
     "estimate_survival",
     "compare_policies",
     "lundberg_ruin_probability",
@@ -48,6 +54,10 @@ VOL_STEP_FRAC = 0.1
 # paths per chunk; the chunk index keys the random streams, so a change here
 # re-draws every estimate
 CHUNK_PATHS = 16_384
+
+# from this many surpluses on, FeedbackPolicy looks them up in sorted order:
+# np.interp's guessed search then hits, which outweighs the sort
+SORTED_LOOKUP_MIN = 300
 
 
 class Policy:
@@ -94,7 +104,13 @@ class FeedbackPolicy(Policy):
         self.label = label
 
     def theta(self, x):
-        th = np.interp(np.asarray(x, dtype=float), self._x, self._th)
+        x = np.asarray(x, dtype=float)
+        if x.size >= SORTED_LOOKUP_MIN:  # same bits as the unsorted call
+            order = x.argsort()
+            th = np.empty_like(x)
+            th[order] = np.interp(x[order], self._x, self._th)
+        else:
+            th = np.interp(x, self._x, self._th)
         if self._clamp is not None:
             th = np.clip(th, self._clamp[0], self._clamp[1])
         return th
@@ -132,49 +148,6 @@ class SimConfig:
         return horizon, barrier, dt
 
 
-@dataclass(frozen=True)
-class PathOutcome:
-    kind: str          # "ruin" | "survive" | "censored"
-    time: float
-    x_final: float
-    diffusion_ruin: bool = False
-
-
-def simulate_path(x0: float, policy: Policy, params: ModelParams, law: ClaimLaw,
-                  config: SimConfig, rng: np.random.Generator) -> PathOutcome:
-    """Scalar reference simulation of one path.
-
-    The vectorised estimator reproduces this scheme; this form exists for
-    auditability and direct tests of the stepping rules.
-    """
-    if x0 < 0:
-        raise ValueError("initial surplus must be non-negative")
-    horizon, barrier, dt = config.resolved(params, [x0])
-    p = params
-    x, t = float(x0), 0.0
-    t_claim = t + float(rng.exponential(1.0 / p.lam))
-    while True:
-        th = float(policy.theta(np.array([x]))[0])
-        h = min(dt, t_claim - t, horizon - t)
-        if th != 0.0:
-            h = min(h, (VOL_STEP_FRAC / (p.sigma * abs(th))) ** 2)
-        drift = p.c + p.r * x + (p.mu - p.r) * th * x
-        x = x + drift * h + p.sigma * th * x * math.sqrt(h) * float(rng.standard_normal())
-        t += h
-        at_claim = t >= t_claim - 1e-12
-        if x < 0:
-            return PathOutcome("ruin", t, x, diffusion_ruin=True)
-        if at_claim:
-            x -= float(law.sample(rng, 1)[0])
-            t_claim = t + float(rng.exponential(1.0 / p.lam))
-            if x < 0:
-                return PathOutcome("ruin", t, x)
-        if x >= barrier:
-            return PathOutcome("survive", t, x)
-        if t >= horizon - 1e-12:
-            return PathOutcome("censored", t, x)
-
-
 def _claim_table(params, law, horizon, seed, x0_key, chunk_id, n):
     """Claim epochs and sizes, (n, columns) each, for one (x0, chunk).
 
@@ -192,7 +165,8 @@ def _claim_table(params, law, horizon, seed, x0_key, chunk_id, n):
 
 def _run_chunk(x0, policy, params, horizon, barrier, dt, epochs, sizes, rng_diff):
     """One policy's paths over a claim table; returns outcome counts
-    (ruined, survived, censored, diffusion-ruined).
+    (ruined, survived, censored, diffusion-ruined) and the work done
+    (loop iterations, path-steps).
 
     The constant-zero policy has no diffusion and an exact drift, so it steps
     claim-to-claim on the interest flow (also the r = 0 oracle).  Only that
@@ -206,11 +180,15 @@ def _run_chunk(x0, policy, params, horizon, barrier, dt, epochs, sizes, rng_diff
     t = np.zeros(n)
     ptr = np.zeros(n, dtype=np.int64)
     rows = np.arange(n)
-    n_ruin = n_surv = n_cens = n_diff_ruin = 0
+    t_claim = epochs[:, 0].copy()  # epochs[rows, ptr], refreshed as claims land
+    t_end = horizon - 1e-12
+    n_ruin = n_surv = n_cens = n_diff_ruin = iterations = path_steps = 0
 
     while X.size:
-        t_claim = epochs[rows, ptr]
-        h = np.minimum(t_claim - t, horizon - t)
+        iterations += 1
+        path_steps += X.size
+        h = np.minimum(t_claim, horizon)
+        h -= t  # min(t_claim - t, horizon - t): a - t rounds monotonically in a
         if exact:
             if p.r == 0.0:
                 X = X + p.c * h
@@ -218,35 +196,52 @@ def _run_chunk(x0, policy, params, horizon, barrier, dt, epochs, sizes, rng_diff
                 X = (X + p.c / p.r) * np.exp(p.r * h) - p.c / p.r
         else:
             th = policy.theta(X)
-            h = np.minimum(dt, h)
-            nz = th != 0.0
-            if np.any(nz):
-                cap = np.full_like(h, np.inf)
-                cap[nz] = (VOL_STEP_FRAC / (p.sigma * np.abs(th[nz]))) ** 2
-                h = np.minimum(h, cap)
-            h = np.maximum(h, 1e-15)
-            vol = p.sigma * th * X
+            np.minimum(h, dt, out=h)
+            with np.errstate(divide="ignore"):  # theta = 0 gives an infinite cap
+                cap = (VOL_STEP_FRAC / (p.sigma * np.abs(th))) ** 2
+            np.minimum(h, cap, out=h)
+            np.maximum(h, 1e-15, out=h)
             Z = rng_diff.standard_normal(X.size)
-            X = X + (p.c + p.r * X + (p.mu - p.r) * th * X) * h + vol * np.sqrt(h) * Z
-        t = t + h
-        diff_ruin = X < 0.0
-        at_claim = (t >= t_claim - 1e-12) & ~diff_ruin
-        if np.any(at_claim):
-            X[at_claim] -= sizes[rows[at_claim], ptr[at_claim]]
-            ptr[at_claim] += 1
-            if np.any(ptr >= k_cols):
+            # X + (c + rX + (mu-r) th X) h + sigma th X sqrt(h) Z, in that order
+            vol = p.sigma * th
+            vol *= X
+            vol *= np.sqrt(h)
+            vol *= Z
+            drift = p.r * X
+            drift += p.c
+            mu_th = (p.mu - p.r) * th
+            mu_th *= X
+            drift += mu_th
+            drift *= h
+            X += drift
+            X += vol
+        t += h
+        at_claim = t >= t_claim - 1e-12
+        diff_ruin = None
+        if not X.min() >= 0.0:  # diffusion-ruined paths take no claim
+            diff_ruin = X < 0.0
+            at_claim &= ~diff_ruin
+        idx = at_claim.nonzero()[0]
+        if idx.size:
+            r, k = rows[idx], ptr[idx]
+            X[idx] -= sizes[r, k]
+            k += 1
+            if k.max() >= k_cols:
                 raise RuntimeError("claim columns exhausted; horizon too long for table")
-        ruined = X < 0.0
-        survived = (X >= barrier) & ~ruined
-        censored = (t >= horizon - 1e-12) & ~ruined & ~survived
-        n_diff_ruin += int(np.count_nonzero(diff_ruin))
-        n_ruin += int(np.count_nonzero(ruined))
-        n_surv += int(np.count_nonzero(survived))
-        n_cens += int(np.count_nonzero(censored))
-        alive = ~(ruined | survived | censored)
-        if not np.all(alive):
-            X, t, ptr, rows = X[alive], t[alive], ptr[alive], rows[alive]
-    return n_ruin, n_surv, n_cens, n_diff_ruin
+            ptr[idx] = k
+            t_claim[idx] = epochs[r, k]
+        if X.min() < 0.0 or not X.max() < barrier or t.max() >= t_end:  # some path ended
+            ruined = X < 0.0
+            survived = (X >= barrier) & ~ruined
+            censored = (t >= t_end) & ~ruined & ~survived
+            if diff_ruin is not None:  # a diffusion-ruined path is ruined
+                n_diff_ruin += int(np.count_nonzero(diff_ruin))
+            n_ruin += int(np.count_nonzero(ruined))
+            n_surv += int(np.count_nonzero(survived))
+            n_cens += int(np.count_nonzero(censored))
+            alive = ~(ruined | survived | censored)
+            X, t, ptr, rows, t_claim = X[alive], t[alive], ptr[alive], rows[alive], t_claim[alive]
+    return n_ruin, n_surv, n_cens, n_diff_ruin, iterations, path_steps
 
 
 @dataclass
@@ -321,6 +316,7 @@ def _simulate(x0_list, policies, params, law, cfg: SimConfig, echo: dict) -> Sim
         totals = np.sum(np.array(results, dtype=np.int64), axis=0)
         for policy, tot in zip(policies, totals):
             report.add(x0, policy.label, n, int(tot[1]), int(tot[2]), int(tot[3]))
+            report.rows[-1].update(iterations=int(tot[4]), path_steps=int(tot[5]))
             if tot[2] > 0.05 * n:  # truncation too tight
                 warnings.warn(f"x0 = {x0:g}, policy {policy.label}: {tot[2] / n:.1%} of "
                               "paths censored, survival biased upward; lengthen the horizon",

@@ -193,6 +193,8 @@ def test_verify_example1_small_sample(tmp_path):
              if l and not l.startswith("#")]
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "5", "10"]
     assert _sha256(tmp_path / "verify.csv") == MC_SHA256["example1-verify"]
+    rows = json.loads((tmp_path / "verify.json").read_text())["rows"]
+    assert all(r["path_steps"] > r["iterations"] > 0 for r in rows)
 
 
 @pytest.mark.slow

@@ -1,16 +1,57 @@
+import math
 import threading
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from ruinvest.model import ExponentialClaims, ModelParams
-from ruinvest.simulator import (ConstantPolicy, FeedbackPolicy, Policy, SimConfig,
-                                compare_policies, estimate_survival,
-                                lundberg_ruin_probability, simulate_path)
+from ruinvest.simulator import (CHUNK_PATHS, SORTED_LOOKUP_MIN, VOL_STEP_FRAC, ConstantPolicy, FeedbackPolicy, Policy,
+                                SimConfig, compare_policies, estimate_survival,
+                                lundberg_ruin_probability)
 
 ORACLE = ModelParams(c=0.2, lam=0.09, mu=0.0, r=0.0, sigma=0.1, a=1.0, b=1.0)
 LAW = ExponentialClaims(1.0)
+
+
+@dataclass(frozen=True)
+class PathOutcome:
+    kind: str          # "ruin" | "survive" | "censored"
+    time: float
+    x_final: float
+    diffusion_ruin: bool = False
+
+
+def simulate_path(x0, policy, params, law, config, rng):
+    """Scalar reference simulation of one path, for auditing the engine's
+    stepping rules: volatility-capped Euler steps split at claim epochs."""
+    if x0 < 0:
+        raise ValueError("initial surplus must be non-negative")
+    horizon, barrier, dt = config.resolved(params, [x0])
+    p = params
+    x, t = float(x0), 0.0
+    t_claim = t + float(rng.exponential(1.0 / p.lam))
+    while True:
+        th = float(policy.theta(np.array([x]))[0])
+        h = min(dt, t_claim - t, horizon - t)
+        if th != 0.0:
+            h = min(h, (VOL_STEP_FRAC / (p.sigma * abs(th))) ** 2)
+        drift = p.c + p.r * x + (p.mu - p.r) * th * x
+        x = x + drift * h + p.sigma * th * x * math.sqrt(h) * float(rng.standard_normal())
+        t += h
+        at_claim = t >= t_claim - 1e-12
+        if x < 0:
+            return PathOutcome("ruin", t, x, diffusion_ruin=True)
+        if at_claim:
+            x -= float(law.sample(rng, 1)[0])
+            t_claim = t + float(rng.exponential(1.0 / p.lam))
+            if x < 0:
+                return PathOutcome("ruin", t, x)
+        if x >= barrier:
+            return PathOutcome("survive", t, x)
+        if t >= horizon - 1e-12:
+            return PathOutcome("censored", t, x)
 
 
 def test_lundberg_formula_values():
@@ -80,6 +121,36 @@ def test_clamped_feedback_window(example1, curve1):
     x = np.linspace(0.0, 50.0, 400)
     th = pol.theta(x)
     assert th.min() >= 0.0 and th.max() <= 1.0
+
+
+def test_feedback_lookup_bitwise(example1, curve1):
+    # the sorted lookup returns np.interp's bits on the unsorted input, on
+    # both sides of the size threshold
+    xs, th_star = curve1.x, np.clip(curve1.theta_star, -example1.b, example1.a)
+    first = np.flatnonzero(curve1.regime[1:] != curve1.regime[:-1]) + 1  # node after a switch
+    assert len(first) == 3  # A | B | A | INT
+    straddle = np.concatenate([np.linspace(xs[i - 2], xs[i + 1], 61) for i in first]
+                              + [np.nextafter(xs[first], 0.0), np.nextafter(xs[first - 1], np.inf)])
+    special = np.concatenate([xs, straddle, [0.0, -0.0, xs[-1], np.nextafter(xs[-1], np.inf),
+                                             1.5 * xs[-1], 500.0]])
+    rng = np.random.default_rng(11)
+    for n in (SORTED_LOOKUP_MIN - 1, SORTED_LOOKUP_MIN, 4096):
+        random = rng.uniform(0.0, 1.5 * xs[-1], n)
+        inputs = {"random": random,
+                  "special": rng.choice(special, n),
+                  "duplicates": rng.choice(random[:max(n // 20, 1)], n),
+                  "straddle": rng.choice(straddle, n)}
+        for clamp in (None, (0.0, 1.0)):
+            pol = FeedbackPolicy(curve1, example1, clamp=clamp)
+            for name, x in inputs.items():
+                ref = np.interp(x, xs, th_star)
+                if clamp is not None:
+                    ref = np.clip(ref, *clamp)
+                assert pol.theta(x).tobytes() == ref.tobytes(), (n, clamp, name)
+    # every node at once, shuffled
+    x = rng.permutation(xs)
+    assert FeedbackPolicy(curve1, example1).theta(x).tobytes() == np.interp(
+        x, xs, th_star).tobytes()
 
 
 def test_constant_policy_rejects_inadmissible(example1):
@@ -258,6 +329,22 @@ def test_feedback_counts_pinned(example1, curve1, threads):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_feedback_counts_pinned_two_chunks(example1, curve1, threads):
     _check_feedback_pins(example1, curve1, FEEDBACK_TWO_CHUNKS, 16_484, 50.0, threads)
+
+
+def test_report_work_counters(example1):
+    # each row's iterations and path-steps are the engine's, summed over chunks
+    cfg = SimConfig(n_paths=CHUNK_PATHS + 100, rng_seed=8, horizon=20.0, upper_barrier=40.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the short horizon censors
+        for x0 in (2.0, 3.0):
+            pol = _CountingPolicy(ConstantPolicy(0.5, example1))
+            row = estimate_survival([x0], pol, example1, LAW, cfg).rows[0]
+            assert (row["iterations"], row["path_steps"]) == (pol.iterations, pol.path_steps)
+            assert pol.path_steps > pol.iterations > 0
+        # the exact theta = 0 flow counts its claim-to-claim steps
+        row = estimate_survival([2.0], ConstantPolicy(0.0, example1), example1, LAW,
+                                cfg).rows[0]
+    assert row["path_steps"] >= row["n"] and row["iterations"] >= 2
 
 
 def test_censoring_warns(example1):
