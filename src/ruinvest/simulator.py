@@ -196,14 +196,14 @@ def _run_chunk(x0, policy, params, horizon, barrier, dt, epochs, sizes, rng_diff
                 X = (X + p.c / p.r) * np.exp(p.r * h) - p.c / p.r
         else:
             th = policy.theta(X)
+            vol = p.sigma * th  # |sigma th| is sigma |th| to the bit
             np.minimum(h, dt, out=h)
             with np.errstate(divide="ignore"):  # theta = 0 gives an infinite cap
-                cap = (VOL_STEP_FRAC / (p.sigma * np.abs(th))) ** 2
+                cap = (VOL_STEP_FRAC / np.abs(vol)) ** 2
             np.minimum(h, cap, out=h)
             np.maximum(h, 1e-15, out=h)
             Z = rng_diff.standard_normal(X.size)
             # X + (c + rX + (mu-r) th X) h + sigma th X sqrt(h) Z, in that order
-            vol = p.sigma * th
             vol *= X
             vol *= np.sqrt(h)
             vol *= Z
