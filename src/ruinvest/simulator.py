@@ -218,7 +218,7 @@ def _run_chunk(x0, policy, params, horizon, barrier, dt, epochs, sizes, rng_diff
         t += h
         at_claim = t >= t_claim - 1e-12
         diff_ruin = None
-        if not X.min() >= 0.0:  # diffusion-ruined paths take no claim
+        if not X.min() >= 0.0:  # diffusion-ruined paths take no claim; a nan lands here too
             diff_ruin = X < 0.0
             at_claim &= ~diff_ruin
         idx = at_claim.nonzero()[0]
@@ -230,7 +230,8 @@ def _run_chunk(x0, policy, params, horizon, barrier, dt, epochs, sizes, rng_diff
                 raise RuntimeError("claim columns exhausted; horizon too long for table")
             ptr[idx] = k
             t_claim[idx] = epochs[r, k]
-        if X.min() < 0.0 or not X.max() < barrier or t.max() >= t_end:  # some path ended
+        # some path ended, or X holds a nan and the masks must decide
+        if X.min() < 0.0 or not X.max() < barrier or t.max() >= t_end:
             ruined = X < 0.0
             survived = (X >= barrier) & ~ruined
             censored = (t >= t_end) & ~ruined & ~survived

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from ruinvest.model import ExponentialClaims, ModelParams
-from ruinvest.simulator import (CHUNK_PATHS, SORTED_LOOKUP_MIN, VOL_STEP_FRAC, ConstantPolicy, FeedbackPolicy, Policy,
-                                SimConfig, compare_policies, estimate_survival,
-                                lundberg_ruin_probability)
+from ruinvest.simulator import (CHUNK_PATHS, SORTED_LOOKUP_MIN, VOL_STEP_FRAC, ConstantPolicy,
+                                FeedbackPolicy, Policy, SimConfig, compare_policies,
+                                estimate_survival, lundberg_ruin_probability)
 
 ORACLE = ModelParams(c=0.2, lam=0.09, mu=0.0, r=0.0, sigma=0.1, a=1.0, b=1.0)
 LAW = ExponentialClaims(1.0)
@@ -130,7 +130,8 @@ def test_feedback_lookup_bitwise(example1, curve1):
     first = np.flatnonzero(curve1.regime[1:] != curve1.regime[:-1]) + 1  # node after a switch
     assert len(first) == 3  # A | B | A | INT
     straddle = np.concatenate([np.linspace(xs[i - 2], xs[i + 1], 61) for i in first]
-                              + [np.nextafter(xs[first], 0.0), np.nextafter(xs[first - 1], np.inf)])
+                              + [np.nextafter(xs[first], 0.0),
+                                 np.nextafter(xs[first - 1], np.inf)])
     special = np.concatenate([xs, straddle, [0.0, -0.0, xs[-1], np.nextafter(xs[-1], np.inf),
                                              1.5 * xs[-1], 500.0]])
     rng = np.random.default_rng(11)
