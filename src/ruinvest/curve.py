@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -22,6 +23,8 @@ REGIME_INTERIOR = "INT"
 REGIME_ZERO = "ZERO"   # no investment; only occurs when mu = r
 
 CSV_HEADER = "x,V,Vp,Vpp,J,phi,theta_star,regime"
+MANIFEST_TAG = "# manifest: "
+CSV_BLOCK = 4096      # rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -39,14 +42,11 @@ class RegimeSegment:
 
 def segments_from_regimes(x, regime, last_event: str) -> list[RegimeSegment]:
     """Maximal runs of equal labels in the regime column, ended by "switch"."""
-    segments = []
-    lo = x[0]
-    for i in range(1, len(x)):
-        if regime[i] != regime[i - 1]:
-            segments.append(RegimeSegment(lo, x[i], str(regime[i - 1]), "switch"))
-            lo = x[i]
-    segments.append(RegimeSegment(lo, x[-1], str(regime[-1]), last_event))
-    return segments
+    regime = np.asarray(regime)
+    cut = np.flatnonzero(regime[1:] != regime[:-1]) + 1
+    lo, hi = [0, *cut], [*cut, len(x) - 1]
+    events = ["switch"] * len(cut) + [last_event]
+    return [RegimeSegment(x[i], x[j], str(regime[i]), e) for i, j, e in zip(lo, hi, events)]
 
 
 @dataclass
@@ -68,12 +68,11 @@ class SolutionCurve:
 
     def __post_init__(self):
         self._V_interp = PchipInterpolator(self.x, self.V, extrapolate=False)
-        self._theta_interp = None
 
     # -- evaluation ---------------------------------------------------------
 
     def value(self, xq):
-        """V at xq (pchip between nodes, V_inf beyond the grid)."""
+        """V at xq (pchip between nodes, V at the last node beyond the grid)."""
         xq = np.asarray(xq, dtype=float)
         out = self._V_interp(np.clip(xq, self.x[0], self.x[-1]))
         return np.where(xq > self.x[-1], self.V[-1], out)
@@ -94,30 +93,41 @@ class SolutionCurve:
     # -- serialisation ------------------------------------------------------
 
     def to_csv(self, path, manifest_hash: str = "") -> None:
-        cols = [a.tolist() for a in (self.x, self.V, self.Vp, self.Vpp, self.J, self.phi,
-                                     self.theta_star, self.regime)]
         row = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
         with open(path, "w") as fh:
             if manifest_hash:
-                fh.write(f"# manifest: {manifest_hash}\n")
+                fh.write(f"{MANIFEST_TAG}{manifest_hash}\n")
             fh.write(CSV_HEADER + "\n")
-            fh.write("".join([row % r for r in zip(*cols)]))
+            for lo in range(0, len(self.x), CSV_BLOCK):
+                cols = [a[lo:lo + CSV_BLOCK].tolist()
+                        for a in (self.x, self.V, self.Vp, self.Vpp, self.J, self.phi,
+                                  self.theta_star, self.regime)]
+                fh.write("".join([row % r for r in zip(*cols)]))
 
     @classmethod
     def from_csv(cls, path) -> "SolutionCurve":
-        """Re-read a curve table; segments are reconstructed from the regime column."""
-        rows = []
+        """Re-read a curve table; segments are rebuilt from the regime column.
+
+        V_inf is read from the sidecar beside it (curve.json for curve.csv) if
+        that carries the table's manifest hash, else it is V at the last node.
+        """
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("x,"):
-                    continue
-                rows.append(line.split(","))
-        cols = list(zip(*rows))
-        x, V, Vp, Vpp, J, phi, theta = np.array(cols[:7], dtype=float)
-        regime = np.array(cols[7])
+            line = fh.readline()
+            tag = line[len(MANIFEST_TAG):].strip() if line.startswith(MANIFEST_TAG) else None
+            while line.startswith("#"):
+                line = fh.readline()  # ends on the column header
+            start = fh.tell()
+            x, V, Vp, Vpp, J, phi, theta = np.loadtxt(fh, delimiter=",", usecols=range(7),
+                                                       ndmin=2, unpack=True)
+            fh.seek(start)
+            regime = np.loadtxt(fh, dtype=str, delimiter=",", usecols=7, ndmin=1)
+        sidecar = Path(path).with_suffix(".json")
+        meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+        if meta.get("manifest", {}).get("hash") != tag:
+            meta = {}  # the sidecar of another solve
         return cls(x=x, V=V, Vp=Vp, Vpp=Vpp, J=J, phi=phi, theta_star=theta, regime=regime,
-                   segments=segments_from_regimes(x, regime, "end"), V_inf=float(V[-1]))
+                   segments=segments_from_regimes(x, regime, "end"),
+                   V_inf=float(meta.get("V_inf", V[-1])))
 
     def sidecar(self) -> dict:
         """JSON-serialisable metadata: limit, switch points, diagnostics."""

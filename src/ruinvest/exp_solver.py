@@ -14,10 +14,12 @@ ordinary (not integro-) differential equation in (V, V', J):
 The march starts from the near-zero asymptotic series of the initial regime
 (maximal long when mu > r, maximal short when mu < r), tracks the policy
 indicator phi, and switches regimes where phi crosses the case-table
-thresholds.  The march owns its loop: it drives scipy's RK45 (Dormand-Prince
-5(4)) stepper directly, evaluates all of a regime's events in one fused
-function per step, and localises a crossing on the step's dense output,
-with results bit-identical to scipy's solve_ivp.
+thresholds.  The march owns its Dormand-Prince 5(4) step loop: scipy's RK45
+only validates the tolerances and picks the first step, and the loop copies
+scipy 1.17's step control (the oracle tests against solve_ivp catch a
+drifted scipy).  It evaluates all of a regime's events in one fused function
+per step, localises a crossing on the step's interpolant, and evaluates the
+output nodes in blocks of steps, bit-identical to scipy's solve_ivp.
 
 When mu = r the drift is theta-free and there is no interior regime: the
 largest-|theta| endpoint is optimal while V'' > 0 and theta = 0 (ZERO) while
@@ -37,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import integrate
-from scipy.integrate import RK45, OdeSolution
+from scipy.integrate import RK45
 from scipy.optimize import OptimizeResult, brentq
 
 from .curve import (REGIME_INTERIOR, REGIME_LONG, REGIME_SHORT, REGIME_ZERO,
@@ -193,52 +195,151 @@ def _completion_scale(params: ModelParams) -> float:
     return 1e-9 * params.lam / params.c
 
 
+# scipy's RK45 tableau (Dormand & Prince 5(4)) and scipy 1.17's step control
+_A = [RK45.A[s, :s] for s in range(1, RK45.n_stages)]
+_C = RK45.C[1:].tolist()
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+_ERR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
+_BLOCK = 1024  # accepted steps per dense-output block
+
+
 def _rk45_march(fun, t_span, y0, events, directions, **options):
     """solve_ivp(fun, t_span, y0, "RK45", dense_output=True) with terminal events.
 
-    Returns what scipy's solve_ivp returns, bit for bit (t, y, sol, t_events,
-    nfev, status, message), but drives the RK45 stepper itself.  `events(t, y)`
-    gives all event values at once and `directions[i]` is +1 (rising) or -1
-    (falling).  Sign changes follow solve_ivp's rule (a zero at either end
-    counts); each fired event's root is found by brentq on the step's dense
-    output, and the earliest root ends the march.
+    Returns solve_ivp's t, y, sol, t_events, nfev and status bit for bit, its
+    message on failure, and `rejected`, the rejected step attempts.  scipy's
+    RK45 only validates the options and picks the first step; the steps copy
+    scipy 1.17's RungeKutta._step_impl and rk_step, same numpy calls on the
+    same shapes (the test_rk45_march_* oracles catch a drifted scipy).
+    `events(t, y)` gives all event values at once, `directions[i]` is +1
+    (rising) or -1 (falling).  A sign change counts as in solve_ivp (a zero at
+    either end counts); brentq roots each fired event on the step's
+    interpolant, and the earliest root ends the march.
     """
     t0, tf = map(float, t_span)
-    solver = RK45(fun, t0, y0, tf, **options)
-    ts, ys, interpolants = [t0], [y0], []
+    init = RK45(fun, t0, y0, tf, **options)
+    rtol, atol, max_step, nfev = init.rtol, init.atol, init.max_step, init.nfev
+    direction, h_abs, t, y = float(init.direction), init.h_abs, t0, init.y
+    K = np.empty((RK45.n_stages + 1, y.size))
+    K[0] = init.f
+    KT = [K[:s].T for s in range(1, RK45.n_stages + 2)]
+    steps = _DenseSteps(y.size)
     t_events = [[] for _ in directions]
-    g = events(t0, y0)
-    status = None
+    g = events(t, y)
+    status, rejected = None, 0
     while status is None:
-        message = solver.step()
-        if solver.status == "failed":
+        min_step = 10 * abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        step_rejected = False
+        while h_abs >= min_step:
+            t_new = t + h_abs * direction
+            if direction * (t_new - tf) > 0:
+                t_new = tf
+            h = t_new - t
+            h_abs = abs(h)
+            for s, (a, c) in enumerate(zip(_A, _C)):
+                K[s + 1] = fun(t + c * h, y + np.dot(KT[s], a) * h)
+            y_new = y + h * np.dot(KT[-2], RK45.B)
+            K[-1] = fun(t + h, y_new)
+            nfev += RK45.n_stages
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = np.dot(KT[-1], RK45.E) * h / scale
+            error_norm = math.sqrt(err.dot(err)) / err.size**0.5
+            if error_norm < 1:
+                factor = (MAX_FACTOR if error_norm == 0
+                          else min(MAX_FACTOR, SAFETY * error_norm**_ERR_EXPONENT))
+                h_abs *= min(1, factor) if step_rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm**_ERR_EXPONENT)
+            step_rejected = True
+            rejected += 1
+        else:
             status = -1
             break
-        status = 0 if solver.status == "finished" else None
-        t, y = solver.t, solver.y
-        sol = solver.dense_output()
-        interpolants.append(sol)
+        t_old, y_old, t, y = t, y, t_new, y_new
+        status = 0 if direction * (t - tf) >= 0 else None
         g_new = events(t, y)
         fired = [i for i, d in enumerate(directions)
                  if (g[i] <= 0 <= g_new[i] if d > 0 else g[i] >= 0 >= g_new[i])]
         if fired:
-            roots = [brentq(lambda s, i=i: events(s, sol(s))[i], solver.t_old, t,
+            Q = KT[-1].dot(RK45.P)
+
+            def sol(s):  # RkDenseOutput of this step at a scalar s
+                return h * np.dot(Q, np.cumprod(np.tile((s - t_old) / h, 4))) + y_old
+            roots = [brentq(lambda s, i=i: events(s, sol(s))[i], t_old, t,
                             xtol=4 * _EPS, rtol=4 * _EPS) for i in fired]
             k = roots.index(min(roots))
-            t = roots[k]
-            y = sol(t)
+            t, y, status = roots[k], sol(roots[k]), 1
             t_events[fired[k]].append(t)
-            status = 1
         g = g_new
-        if len(ts) > 1 and ts[-1] == t:  # a root on the previous step's end
-            interpolants.pop()
+        if t == t_old and steps.n:  # a root on the previous step's end
+            y = y_old
         else:
-            ts.append(t)
-            ys.append(y)
-    ts = np.array(ts)
-    return OptimizeResult(t=ts, y=np.vstack(ys).T, sol=OdeSolution(ts, interpolants),
-                          t_events=[np.asarray(te) for te in t_events], nfev=solver.nfev,
-                          status=status, message=message, success=status >= 0)
+            steps.add(t_old, h, y_old, K)
+        K[0] = K[-1]
+    steps.finish(t, y)
+    return OptimizeResult(t=steps.t, y=steps.y.T, sol=steps, nfev=nfev, rejected=rejected,
+                          t_events=[np.asarray(te) for te in t_events],
+                          status=status, success=status >= 0,
+                          message=RK45.TOO_SMALL_STEP if status == -1 else None)
+
+
+class _DenseSteps:
+    """scipy's OdeSolution over a march's accepted steps, kept in blocks.
+
+    Step i starts at t[i] from y[i] and spans h[i]; its interpolant is
+    RkDenseOutput's h Q p + y[i], p the powers of (t - t[i])/h[i], Q = K^T P.
+    A block of _BLOCK steps gets its Q from one stacked matmul, and is
+    evaluated by one matmul per group of steps holding equally many points (a
+    stacked matmul gives np.dot(Q, p)'s bits only for p of the same shape).
+    """
+
+    def __init__(self, n):
+        self.n, self._rows, self._Q = 0, [], []
+        self._K = np.empty((_BLOCK, RK45.n_stages + 1, n))
+
+    def add(self, t_old, h, y_old, K):
+        i = self.n % _BLOCK
+        if i == 0:
+            self._rows.append(np.empty((_BLOCK, 2 + y_old.size)))  # t_old, h, y_old
+        row = self._rows[-1][i]
+        row[0], row[1], row[2:] = t_old, h, y_old
+        self._K[i] = K
+        self.n += 1
+        if i == _BLOCK - 1:
+            self._Q.append(np.matmul(self._K.transpose(0, 2, 1), RK45.P))
+
+    def finish(self, t_end, y_end):
+        """Close the last block; t and y gain the march's end point."""
+        if self.n % _BLOCK:
+            self._Q.append(np.matmul(self._K[:self.n % _BLOCK].transpose(0, 2, 1), RK45.P))
+        rows = np.concatenate([np.empty((0, 2 + y_end.size)), *self._rows])[:self.n]
+        del self._K, self._rows
+        self.t, self.h = np.append(rows[:, 0], t_end), rows[:, 1]
+        self.y = np.vstack([rows[:, 2:], y_end])
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            return self(t[None])[:, 0]
+        order = np.argsort(t)
+        t = t[order]
+        step = np.clip(np.searchsorted(self.t, t, side="left") - 1, 0, self.n - 1)
+        x = (t - self.t[step]) / self.h[step]
+        out = np.empty((self.y.shape[1], len(t)))
+        for b, Q in enumerate(self._Q):
+            lo, hi = np.searchsorted(step, [b * _BLOCK, (b + 1) * _BLOCK])
+            counts = np.bincount(step[lo:hi] - b * _BLOCK, minlength=len(Q))
+            first = lo + np.cumsum(counts) - counts
+            for k in np.unique(counts[counts > 0]):
+                js = np.flatnonzero(counts == k)
+                idx = first[js, None] + np.arange(k)
+                p = np.cumprod(np.repeat(x[idx][:, None, :], Q.shape[2], axis=1), axis=1)
+                i = b * _BLOCK + js
+                y = self.h[i, None, None] * np.matmul(Q[js], p)
+                y += self.y[i, :, None]
+                out[:, order[idx]] = y.transpose(1, 0, 2)
+        return out
 
 
 # `solve` reaches the march through this module attribute, where the
@@ -312,14 +413,15 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
         if sol.status == -1:
             raise SolverAbort(f"integration failed in regime {regime} at x={sol.t[-1]}: {sol.message}",
                               {"x": sol.t[-1], "y": sol.y[:, -1]})
-        march.append({"regime": regime, "steps": len(sol.t) - 1, "rhs_evals": int(sol.nfev)})
+        march.append({"regime": regime, "steps": len(sol.t) - 1, "rhs_evals": int(sol.nfev),
+                      "rejected": sol.rejected})
 
         ev_name, direction, target = "reached-x-max", None, None
         if sol.status == 1:
             i0 = next(i for i, te in enumerate(sol.t_events) if len(te))
             ev_name, direction, target = rows[i0]
         switch = sol.status == 1 and ev_name not in _COMPLETIONS + _ABORTS
-        nodes = _segment_nodes(sol, x, sol.t[-1], out_dx, hug_lo=n_switch > 0, hug_hi=switch)
+        nodes = _segment_nodes(sol.t, x, sol.t[-1], out_dx, hug_lo=n_switch > 0, hug_hi=switch)
         states = sol.sol(nodes)
         if regime == REGIME_ZERO:
             states[1] = _zero_vp(params, nodes, states)
@@ -373,27 +475,26 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
                      completion, opts)
 
 
-def _segment_nodes(sol, lo, hi, out_dx, hug_lo=False, hug_hi=False):
-    """Solver steps refined so that output spacing stays below out_dx.
+def _segment_nodes(t, lo, hi, out_dx, hug_lo=False, hug_hi=False):
+    """Solver steps t refined so that output spacing stays below out_dx.
 
     A few nodes hug an endpoint that is a regime switch, so one-sided
     difference quotients there read the integrator's dense output rather than
     interpolation between widely spaced nodes.
     """
-    t = sol.t[(sol.t >= lo) & (sol.t <= hi)]
+    t = t[(t >= lo) & (t <= hi)]
     if t[0] != lo:
         t = np.concatenate([[lo], t])
     if t[-1] != hi:
         t = np.concatenate([t, [hi]])
-    out = [t[:1]]
-    for i in range(len(t) - 1):
-        gap = t[i + 1] - t[i]
-        if gap > out_dx:
-            extra = np.linspace(t[i], t[i + 1], int(np.ceil(gap / out_dx)) + 1)[1:]
-            out.append(extra)
-        else:
-            out.append(t[i + 1:i + 2])
-    nodes = np.concatenate(out)
+    gap = np.diff(t)  # a gap wider than out_dx gets np.linspace's points, bit for bit
+    count = np.where(gap > out_dx, np.ceil(gap / out_dx), 1.0).astype(int)
+    gap_of = np.repeat(np.arange(len(gap)), count)
+    ends = np.cumsum(count)
+    j = np.arange(1, ends[-1] + 1) - (ends - count)[gap_of]
+    nodes = j * (gap / count)[gap_of] + t[gap_of]
+    nodes[ends - 1] = t[1:]
+    nodes = np.concatenate([t[:1], nodes])
     hug = np.array([1e-7, 2e-7, 1e-6])
     extra = []
     if hug_lo:

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
 from ruinvest.curve import SolutionCurve
-from ruinvest.exp_solver import (SolveOptions, SolverAbort, _rk45_march, _segment_events,
-                                 extrapolate_tail, solve, third_order_check)
+from ruinvest.exp_solver import (SolveOptions, SolverAbort, _rhs_for, _rk45_march,
+                                 _segment_events, _segment_nodes, extrapolate_tail, solve,
+                                 third_order_check)
 from ruinvest.model import ExponentialClaims, ModelParams, regime_constants
 from ruinvest.operators import curvature
 from ruinvest.series import handoff_point, series_coefficients, series_eval
@@ -249,6 +252,135 @@ def test_rk45_march_matches_solve_ivp(name, levels, directions, t_bound, fired):
         assert alone.t[-2] == got.t[-2] < got.t[-1] < alone.t[-1]
 
 
+def _van_der_pol(t, y):
+    return (y[1], 8.0 * (1.0 - y[0] ** 2) * y[1] - y[0])
+
+
+def _assert_same_march(got, ref):
+    assert np.array_equal(got.t, ref.t)
+    assert np.array_equal(got.y, ref.y)
+    assert (got.nfev, got.status) == (ref.nfev, ref.status)
+    assert got.message == (ref.message if ref.status == -1 else None)
+    assert all(np.array_equal(a, b) for a, b in zip(got.t_events, ref.t_events))
+
+
+def test_rk45_march_rejected_steps_match_solve_ivp():
+    # a stiff stretch of the van der Pol cycle makes the step control reject
+    def g(t, y):
+        return (y[0] - 5.0,)  # never reached
+
+    y0 = np.array([2.0, 0.0])
+    options = dict(rtol=1e-6, atol=1e-9, max_step=0.5)
+    ref = solve_ivp(_van_der_pol, (0.0, 12.0), y0, method="RK45", dense_output=True,
+                    events=_scalar_events(g, [1]), **options)
+    got = _rk45_march(_van_der_pol, (0.0, 12.0), y0, g, [1], **options)
+    _assert_same_march(got, ref)
+    assert got.rejected > 0
+    assert got.nfev == 2 + 6 * (len(got.t) - 1 + got.rejected)
+    grid = np.linspace(0.0, 12.0, 301)
+    assert np.array_equal(got.sol(grid), ref.sol(grid))
+
+
+def test_rk45_march_failure_matches_solve_ivp():
+    # the right-hand side turns NaN beyond x = 2: every step reaching past it
+    # is rejected until the step falls below scipy's minimum
+    def nan_beyond_two(t, y):
+        return _oscillator(t, y) if t < 2.0 else (np.nan, np.nan)
+
+    def g(t, y):
+        return (y[0] - 2.0,)  # never reached
+
+    y0 = np.array([0.0, 1.0])
+    options = dict(rtol=1e-8, atol=[1e-10, 1e-12], max_step=0.5)
+    ref = solve_ivp(nan_beyond_two, (0.0, 6.0), y0, method="RK45", dense_output=True,
+                    events=_scalar_events(g, [1]), **options)
+    got = _rk45_march(nan_beyond_two, (0.0, 6.0), y0, g, [1], **options)
+    assert ref.status == -1
+    _assert_same_march(got, ref)
+    assert 1.9 < got.t[-1] < 2.0
+    assert got.rejected > 0
+
+
+def test_rk45_march_dense_output_bits():
+    # long steps on a growing and a decaying mode: each step's increment h Q p
+    # dwarfs its start value, so a change in how Q p is summed shows in the bits
+    def grow(t, y):
+        return (y[1], y[0] + 0.5 * y[1], -2.0 * y[2])
+
+    def g(t, y):
+        return (y[0] - 1e300,)  # never reached
+
+    y0 = np.array([1.0, 0.0, 1.0])
+    options = dict(rtol=1e-3, atol=1e-6, max_step=2.0)
+    ref = solve_ivp(grow, (0.0, 30.0), y0, method="RK45", dense_output=True,
+                    events=_scalar_events(g, [1]), **options)
+    got = _rk45_march(grow, (0.0, 30.0), y0, g, [1], **options)
+    _assert_same_march(got, ref)
+    rng = np.random.default_rng(3)
+    t = got.t
+    grid = np.concatenate([t, *[t[i] + (t[i + 1] - t[i]) * rng.random(i % 4)
+                                for i in range(len(t) - 1)]])
+    assert np.array_equal(got.sol(grid), ref.sol(grid))
+    for s in grid[::7]:
+        assert np.array_equal(got.sol(s), ref.sol(s))
+
+
+def _hjb_step_grid(t, rng):
+    """0, 1, 2 and many points inside steps, plus every step end."""
+    inner = [t[i] + (t[i + 1] - t[i]) * rng.random(i % 3) for i in range(len(t) - 1)]
+    inner.append(t[3] + (t[4] - t[3]) * np.linspace(0.0, 1.0, 40))
+    return np.concatenate([t, *inner])
+
+
+def test_rk45_march_hjb_segments_match_solve_ivp(example1, curve1):
+    # example 1's first A segment (ended by its switch event) and a short
+    # stretch of the interior regime, each with the production event table
+    rng = np.random.default_rng(8)
+    x_eps = curve1.meta["x_eps"]
+    lo = next(s.lo for s in curve1.segments if s.regime == "INT")
+    i = int(np.searchsorted(curve1.x, lo))
+    starts = [("A", x_eps, 44.0, series_eval(series_coefficients(example1, M, example1.a),
+                                              x_eps, example1, M)),
+              ("INT", lo, lo + 0.3, (curve1.V[i], curve1.Vp[i], None, curve1.J[i]))]
+    options = dict(rtol=1e-10, atol=[1e-12, 1e-14, 1e-14], max_step=0.5)
+    for regime, x0, x1, (V, Vp, _, J) in starts:
+        y0 = np.array([V, Vp, V - J])
+        rows, g = _segment_events(regime, example1, M)
+        directions = [direction for _, direction, _ in rows]
+        rhs = _rhs_for(regime, example1, M)
+        ref = solve_ivp(rhs, (x0, x1), y0, method="RK45", dense_output=True,
+                        events=_scalar_events(g, directions), **options)
+        got = _rk45_march(rhs, (x0, x1), y0, g, directions, **options)
+        _assert_same_march(got, ref)
+        assert got.status == (1 if regime == "A" else 0)
+        grid = _hjb_step_grid(got.t, rng)
+        assert np.array_equal(got.sol(grid), ref.sol(grid))
+        shuffled = rng.permutation(grid)
+        assert np.array_equal(got.sol(shuffled), ref.sol(shuffled))
+        for s in [*got.t[[0, 1, 2, -2, -1]], *grid[-40::13]]:
+            assert np.array_equal(got.sol(s), ref.sol(s))
+
+
+def test_segment_nodes_match_linspace_loop():
+    # the vectorised refinement against the per-gap np.linspace it replaces
+    rng = np.random.default_rng(4)
+    out_dx = 0.05
+    t = np.cumsum(np.concatenate([[0.3], rng.exponential(0.04, 300), [out_dx, 0.5]]))
+    lo, hi = t[0] + 1e-3, t[-1]
+    ref = [[lo]]
+    steps = np.concatenate([[lo], t[(t > lo) & (t <= hi)]])
+    for a, b in zip(steps[:-1], steps[1:]):
+        gap = b - a
+        ref.append(np.linspace(a, b, int(np.ceil(gap / out_dx)) + 1)[1:] if gap > out_dx
+                   else [b])
+    got = _segment_nodes(t, lo, hi, out_dx)
+    assert np.array_equal(got, np.concatenate(ref))
+    hugged = _segment_nodes(t, lo, hi, out_dx, hug_lo=True, hug_hi=True)
+    assert np.array_equal(np.setdiff1d(hugged, got),
+                          np.sort(np.concatenate([lo + np.array([1e-7, 2e-7, 1e-6]),
+                                                  hi - np.array([1e-6, 2e-7, 1e-7]) * hi])))
+
+
 def test_hjb_residual_spot_check(example1, curve1):
     # supremum property at a sample of nodes and fractions
     thetas = np.linspace(-example1.b, example1.a, 64)
@@ -390,13 +522,38 @@ def test_equal_rates_runs_without_interior():
 
 def test_csv_roundtrip(tmp_path, curve1):
     path = tmp_path / "curve.csv"
-    curve1.to_csv(path, manifest_hash="deadbeef")
+    Vpp = curve1.Vpp.copy()
+    Vpp[-1] = -np.inf  # the deficit-zero node of an aborting march reads -inf
+    cur = replace(curve1, Vpp=Vpp, phi=np.where(curve1.x < 1.0, np.nan, curve1.phi),
+                  V_inf=curve1.V_inf * (1.0 + 1e-3))
+    cur.to_csv(path, manifest_hash="deadbeef")
     back = SolutionCurve.from_csv(path)
-    assert np.array_equal(back.theta_star, curve1.theta_star)
-    assert np.array_equal(back.x, curve1.x)
-    assert np.array_equal(back.regime, curve1.regime)
+    assert np.array_equal(back.theta_star, cur.theta_star)
+    assert np.array_equal(back.x, cur.x)
+    assert np.array_equal(back.regime, cur.regime)
     for col in ("V", "Vp", "Vpp", "J", "phi"):
-        assert np.array_equal(getattr(back, col), getattr(curve1, col))
+        assert np.array_equal(getattr(back, col), getattr(cur, col), equal_nan=True)
+    # segments rebuilt from the regime column, against a per-node scan
+    runs, lo = [], 0
+    for i in range(1, len(cur.x)):
+        if cur.regime[i] != cur.regime[i - 1]:
+            runs.append((cur.x[lo], cur.x[i], cur.regime[lo]))
+            lo = i
+    runs.append((cur.x[lo], cur.x[-1], cur.regime[-1]))
+    assert [(s.lo, s.hi, s.regime) for s in back.segments] == runs
+    assert [s.terminal_event for s in back.segments] == ["switch"] * (len(runs) - 1) + ["end"]
+    # without a matching sidecar V_inf is V at the last node
+    assert back.V_inf == cur.V[-1] != cur.V_inf
+    cur.to_json(tmp_path / "curve.json", manifest={"hash": "other"})
+    assert SolutionCurve.from_csv(path).V_inf == cur.V[-1]
+    cur.to_json(tmp_path / "curve.json", manifest={"hash": "deadbeef"})
+    assert SolutionCurve.from_csv(path).V_inf == cur.V_inf
+    # the table is written in row blocks; the bytes do not depend on them
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2 + len(cur.x)
+    assert lines[2 + 4096] == "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s" % tuple(
+        a[4096] for a in (cur.x, cur.V, cur.Vp, cur.Vpp, cur.J, cur.phi, cur.theta_star,
+                          cur.regime))
 
 
 # ---------------------------------------------------------------------------
@@ -456,3 +613,7 @@ def test_march_work_counts_in_sidecar(curve1):
     assert [seg["regime"] for seg in march] == [s.regime for s in curve1.segments]
     assert sum(seg["steps"] for seg in march) == 5701
     assert sum(seg["rhs_evals"] for seg in march) == 34256
+    # 2 RHS evaluations start each segment, 6 go into every step attempt
+    assert [seg["rejected"] for seg in march] == [3, 0, 2, 2]
+    for seg in march:
+        assert seg["rhs_evals"] == 2 + 6 * (seg["steps"] + seg["rejected"])
