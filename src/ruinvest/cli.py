@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .curve import SolutionCurve
 from .exp_solver import SolveOptions, SolverAbort, solve
-from .general_solver import general_solve
 from .model import ExponentialClaims, ModelParams, validate
 from .operators import switching_thresholds
 from .simulator import (ConstantPolicy, FeedbackPolicy, SimConfig,
@@ -101,31 +100,38 @@ class RunManifest:
 
 
 def _solve_curve(params, law, args) -> SolutionCurve:
-    if isinstance(law, ExponentialClaims):
-        opts = SolveOptions(x_max=args.xmax, rtol=args.tol, atol=args.tol * 1e-2)
-        return solve(params, law.mean, opts)
-    return general_solve(params, law, x_max=args.xmax)
+    opts = SolveOptions(x_max=args.xmax, rtol=args.tol, atol=args.tol * 1e-2)
+    return solve(params, law.mean, opts)
 
 
-def cmd_solve(args) -> int:
+def _prologue(args):
+    """Parse, build and validate the config, then make the output directory.
+
+    Returns (cfg, params, law, manifest, out), or None once the refusal is on
+    stderr.  Oracle mode's r = 0 passes validation for verify, which runs the
+    simulator alone, and for solve, which then refuses it; policy and compare
+    validate without it.
+    """
     cfg = parse_config(args.config)
     params, law = build_model(cfg)
-    rep = validate(params, law, oracle_mode=args.oracle_mode)
+    rep = validate(params, law, oracle_mode=args.oracle_mode and args.cmd in ("solve", "verify"))
     if not rep.ok:
         print("validation failed:", "; ".join(rep.violations), file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.oracle_mode:
+        return None
+    if args.cmd == "solve" and args.oracle_mode:
         print("oracle mode is a simulator feature; solve requires r > 0", file=sys.stderr)
-        return EXIT_VALIDATION
-    manifest = RunManifest("solve", cfg, _options_echo(args), args.seed)
+        return None
+    manifest = RunManifest(args.cmd, cfg, _options_echo(args), args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return cfg, params, law, manifest, out
+
+
+def cmd_solve(args, cfg, params, law, manifest, out) -> int:
     try:
         curve = _solve_curve(params, law, args)
     except SolverAbort as exc:
-        _write_abort(out, manifest, exc)
-        print(f"solver abort: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _abort(out, manifest, exc)
     curve.to_csv(out / "curve.csv", manifest.hash)
     curve.to_json(out / "curve.json", manifest.sidecar())
     print(f"wrote {out/'curve.csv'} ({len(curve.x)} nodes), V_inf = {curve.V_inf:.8g}")
@@ -134,25 +140,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_policy(args) -> int:
-    cfg = parse_config(args.config)
-    params, law = build_model(cfg)
-    rep = validate(params, law)
-    if not rep.ok:
-        print("validation failed:", "; ".join(rep.violations), file=sys.stderr)
-        return EXIT_VALIDATION
-    manifest = RunManifest("policy", cfg, _options_echo(args), args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_policy(args, cfg, params, law, manifest, out) -> int:
     sidecar = _solved_sidecar(out, cfg, args)
     try:
         # a matching solve is re-read, not re-solved: no recomputation drift
         curve = (_solve_curve(params, law, args) if sidecar is None
                  else SolutionCurve.from_csv(out / "curve.csv"))
     except SolverAbort as exc:
-        _write_abort(out, manifest, exc)
-        print(f"solver abort: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _abort(out, manifest, exc)
 
     thresholds = {"a": params.a, "minus_b": -params.b,
                   "convex_split": 0.5 * (params.a - params.b)}
@@ -182,16 +177,7 @@ def cmd_policy(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = parse_config(args.config)
-    params, law = build_model(cfg)
-    rep = validate(params, law, oracle_mode=args.oracle_mode)
-    if not rep.ok:
-        print("validation failed:", "; ".join(rep.violations), file=sys.stderr)
-        return EXIT_VALIDATION
-    manifest = RunManifest("verify", cfg, _options_echo(args), args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_verify(args, cfg, params, law, manifest, out) -> int:
     sim_cfg = SimConfig(n_paths=args.n_paths, rng_seed=args.seed, threads=args.threads)
 
     if args.oracle_mode:
@@ -206,9 +192,7 @@ def cmd_verify(args) -> int:
         try:
             curve = _solve_curve(params, law, args)
         except SolverAbort as exc:
-            _write_abort(out, manifest, exc)
-            print(f"solver abort: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
+            return _abort(out, manifest, exc)
         x0s = [1.0, 5.0, 10.0]
         policy = FeedbackPolicy(curve, params)
         report = estimate_survival(x0s, policy, params, law, sim_cfg)
@@ -231,22 +215,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
-def cmd_compare(args) -> int:
-    cfg = parse_config(args.config)
-    params, law = build_model(cfg)
-    rep = validate(params, law)
-    if not rep.ok:
-        print("validation failed:", "; ".join(rep.violations), file=sys.stderr)
-        return EXIT_VALIDATION
-    manifest = RunManifest("compare", cfg, _options_echo(args), args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_compare(args, cfg, params, law, manifest, out) -> int:
     try:
         curve = _solve_curve(params, law, args)
     except SolverAbort as exc:
-        _write_abort(out, manifest, exc)
-        print(f"solver abort: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _abort(out, manifest, exc)
 
     policies = [
         FeedbackPolicy(curve, params, label="feedback-optimal"),
@@ -264,9 +237,7 @@ def cmd_compare(args) -> int:
         try:
             p_ns = ModelParams(c=params.c, lam=params.lam, mu=params.mu, r=params.r,
                                sigma=params.sigma, a=hi, b=1e-9)
-            curve_ns = solve(p_ns, law.mean, SolveOptions(x_max=args.xmax,
-                                                          rtol=args.tol,
-                                                          atol=args.tol * 1e-2))
+            curve_ns = _solve_curve(p_ns, law, args)
             policies.append(FeedbackPolicy(curve_ns, p_ns, label="noshort-resolved"))
         except SolverAbort:
             print("note: tight-constraint re-solve aborted; emitting clamped variant only",
@@ -314,13 +285,15 @@ def _options_echo(args) -> dict:
             "oracle_mode": args.oracle_mode, "threads": args.threads}
 
 
-def _write_abort(out: Path, manifest: RunManifest, exc: SolverAbort) -> None:
+def _abort(out: Path, manifest: RunManifest, exc: SolverAbort) -> int:
+    """Write abort.json with the abort's diagnostics, report it, return EXIT_SOLVER."""
     with open(out / "abort.json", "w") as fh:
         json.dump({"error": str(exc),
-                   "diagnostics": {k: _jsonable(v) for k, v in
-                                   getattr(exc, "diagnostics", {}).items()},
+                   "diagnostics": {k: _jsonable(v) for k, v in exc.diagnostics.items()},
                    "manifest": manifest.sidecar()}, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    print(f"solver abort: {exc}", file=sys.stderr)
+    return EXIT_SOLVER
 
 
 def _jsonable(v):
@@ -352,7 +325,8 @@ def main(argv: Optional[list] = None) -> int:
         sp.set_defaults(fn=fn)
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        run = _prologue(args)
+        return EXIT_VALIDATION if run is None else args.fn(args, *run)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -382,7 +382,8 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
     or, in the interior regime, where V' falls to the cancellation level
     1e-9 lambda/c ("cancellation-floor"): below it the deficit
     I = lambda(V-J) - (c+rx)V' that sets V'' and theta* has lost its digits.
-    Raises SolverAbort on event oscillation (more than MAX_SWITCHES regime
+    Raises SolverAbort when x_max does not lie beyond the series handoff
+    point x_eps, on event oscillation (more than MAX_SWITCHES regime
     changes), loss of monotonicity, I reaching zero above the cancellation
     level, or an indicator falling below the vertex-exclusion cutoff.
     """
@@ -390,6 +391,9 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
     require_valid(params, ExponentialClaims(m))
     x_max = opts.resolved_x_max(params)
     exp, regime, x_eps, y = _start(params, m)
+    if x_max <= x_eps:
+        raise SolverAbort(f"x_max={x_max:.6g} is not beyond the handoff point x_eps={x_eps:.6g}",
+                          {"x_max": x_max, "x_eps": float(x_eps)})
 
     x = x_eps
     segments: list[RegimeSegment] = []

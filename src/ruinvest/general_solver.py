@@ -24,6 +24,9 @@ is a fixed-step semi-implicit trapezoid on a uniform grid (right-hand sides
 live only on grid nodes, where the Volterra history is exact): each step
 freezes theta at the current node's argmin, which makes the step linear in
 the new (w, G) and solvable in closed form.
+
+The march is the only evaluation of T (the tests check it against a direct
+quadrature); its step is the one setting, the near-zero table is fixed.
 """
 from __future__ import annotations
 
@@ -32,7 +35,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .curve import SolutionCurve, segments_from_regimes
 from .exp_solver import SolverAbort, extrapolate_tail
@@ -40,11 +42,9 @@ from .model import ClaimLaw, ModelParams, regime_constants, require_valid
 from .operators import deficit, indicator, infimum, regime_for_theta, vertex_exclusion
 
 __all__ = [
-    "GridFunction",
     "NearZeroTable",
     "TOperatorContext",
     "solve_constant_regime_near_zero",
-    "t_operator",
     "integrate_w",
     "assemble_solution",
     "general_solve",
@@ -53,24 +53,11 @@ __all__ = [
 # Nodes per block of the near-zero-table quadrature; each block's temporaries
 # are NEAR_BLOCK x (table nodes) doubles, so 256 keeps them near 0.5 MB.
 NEAR_BLOCK = 256
-
-
-@dataclass
-class GridFunction:
-    """Tabulated function with strictly increasing abscissas (pchip between)."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.x) <= 0):
-            raise ValueError("abscissas must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid values must be finite")
-        self._interp = PchipInterpolator(self.x, self.values, extrapolate=False)
-
-    def __call__(self, xq):
-        return self._interp(xq)
+# The near-zero table: NEAR_NODES uniform nodes on [0, NEAR_EPSILON], the
+# interval halved at most NEAR_RETRIES times if V' loses positivity on it.
+NEAR_EPSILON = 1e-3
+NEAR_NODES = 257
+NEAR_RETRIES = 8
 
 
 @dataclass
@@ -85,9 +72,8 @@ class NearZeroTable:
     M: np.ndarray  # jump operator along the table
 
 
-def solve_constant_regime_near_zero(params: ModelParams, law: ClaimLaw, gamma: float,
-                                    epsilon: float = 1e-3, n_nodes: int = 257,
-                                    max_retries: int = 8) -> NearZeroTable:
+def solve_constant_regime_near_zero(params: ModelParams, law: ClaimLaw,
+                                    gamma: float) -> NearZeroTable:
     """Solve L(gamma) V = 0 on [0, eps] as a Volterra integro-differential march.
 
     Initial data V(0) = 1, V'(0+) = lambda/c and
@@ -110,7 +96,8 @@ def solve_constant_regime_near_zero(params: ModelParams, law: ClaimLaw, gamma: f
     f0 = law.density_at_zero
     vpp0 = (lam / c) * (lam / c - f0 - mb / c)
 
-    for _ in range(max_retries + 1):
+    epsilon, n_nodes = NEAR_EPSILON, NEAR_NODES
+    for _ in range(NEAR_RETRIES + 1):
         h = epsilon / (n_nodes - 1)
         x = np.linspace(0.0, epsilon, n_nodes)
         fg = law.pdf(x)
@@ -166,29 +153,6 @@ class TOperatorContext:
         return float(self.table.x[-1])
 
 
-def t_operator(ctx: TOperatorContext, w: GridFunction, x: float) -> float:
-    """Reference evaluation of Tw(x) by direct quadrature of the split convolution.
-
-    W is recovered by integrating w from eps; both convolution pieces are
-    composite trapezoid on fine resamplings.  This is the specification-facing
-    route; the march in `integrate_w` tracks the same quantities through the
-    deficit state and agrees to quadrature tolerance.
-    """
-    p, law, tab = ctx.params, ctx.law, ctx.table
-    eps = ctx.epsilon
-    if x < eps:
-        raise ValueError("t_operator domain starts at eps")
-    # W(x) = V_gamma(eps) + int_eps^x w
-    n = max(33, int((x - eps) / 2e-4) + 1)
-    xs = np.linspace(eps, x, n)
-    ws = w(xs)
-    W_at = tab.V[-1] + np.concatenate([[0.0], np.cumsum(0.5 * np.diff(xs) * (ws[1:] + ws[:-1]))])
-    piece1 = np.trapezoid(tab.V * law.pdf(x - tab.x), tab.x)
-    piece2 = np.trapezoid(W_at * law.pdf(x - xs), xs)
-    M = p.lam * (W_at[-1] - piece1 - piece2)
-    return infimum(p, x, float(w(x)), M, ctx.exclusion)[0]
-
-
 @dataclass
 class WMarch:
     """Accepted-grid history of the continuation march."""
@@ -200,9 +164,6 @@ class WMarch:
     T: np.ndarray           # w' = Tw at nodes
     theta: np.ndarray       # argmin fraction of the infimum
     completion: str
-
-    def grid_function(self) -> GridFunction:
-        return GridFunction(self.x, self.w)
 
 
 def integrate_w(ctx: TOperatorContext, x_max: float, step: float = 0.0005) -> WMarch:
@@ -361,16 +322,21 @@ def assemble_solution(ctx: TOperatorContext, march: WMarch) -> SolutionCurve:
 
 
 def general_solve(params: ModelParams, law: ClaimLaw, x_max: Optional[float] = None,
-                  epsilon: float = 1e-3, step: float = 0.0005) -> SolutionCurve:
-    """Full general-claims pipeline: near-zero solve, continuation, assembly."""
+                  step: float = 0.0005) -> SolutionCurve:
+    """Full general-claims pipeline: near-zero solve, continuation, assembly.
+
+    Raises SolverAbort unless x_max lies beyond eps, where the march starts."""
     require_valid(params, law)
     if params.mu == params.r:
         raise SolverAbort("the continuation path requires mu != r; "
                           "use the exponential-claims solver for mu = r")
     x_max = x_max if x_max is not None else 200.0 * params.c / params.lam
     gamma0 = params.a if params.mu > params.r else -params.b
-    table = solve_constant_regime_near_zero(params, law, gamma0, epsilon=epsilon)
+    table = solve_constant_regime_near_zero(params, law, gamma0)
     ctx = TOperatorContext(params=params, law=law, table=table,
                            exclusion=vertex_exclusion(params))
+    if x_max <= ctx.epsilon:
+        raise SolverAbort(f"x_max={x_max:.6g} is not beyond the table's end eps={ctx.epsilon:.6g}",
+                          {"x_max": x_max, "epsilon": ctx.epsilon})
     march = integrate_w(ctx, x_max, step=step)
     return assemble_solution(ctx, march)

@@ -53,11 +53,6 @@ class ModelParams:
     a: float
     b: float
 
-    @property
-    def excess(self) -> float:
-        """Excess drift mu - r of the risky asset over the risk-free rate."""
-        return self.mu - self.r
-
 
 @dataclass(frozen=True)
 class RegimeConstants:

@@ -2,9 +2,9 @@
 
 This module is the one home of the equation's formulas: the array kernel
 (`deficit`, `indicator`, `curvature`, `theta_for`, `infimum` and the switching
-case tables) that both solvers call, and a pointwise reference layer
-(`generator`, `optimal_fraction`, `jump_operator`) that the tests check the
-kernel and the solved curves against.
+case tables) that both solvers call.  There is no second, pointwise copy of
+the case table; the tests check this one against a dense argmax of the
+generator below.
 
 For a candidate value function W the controlled generator at fraction theta is
 
@@ -40,16 +40,9 @@ from typing import Optional
 import numpy as np
 
 from .curve import REGIME_INTERIOR, REGIME_LONG, REGIME_SHORT, REGIME_ZERO
-from .model import ClaimLaw, ModelParams
+from .model import ModelParams
 
 __all__ = [
-    "PointState",
-    "MaximizerResult",
-    "jump_operator",
-    "generator",
-    "vertex_fraction",
-    "optimal_fraction",
-    "optimal_fraction_by_comparison",
     "deficit",
     "indicator",
     "curvature",
@@ -61,144 +54,6 @@ __all__ = [
     "switching_thresholds",
     "regime_for_indicator",
 ]
-
-# |Vpp| below this (scaled) band counts as an inflection point; the maximiser
-# case table branches on the exact sign of W'' and floating point needs a band.
-CURVATURE_ZERO_BAND = 1e-12
-
-
-@dataclass(frozen=True)
-class PointState:
-    """Value function data at a single surplus level.
-
-    Vpp may be omitted (None) for first-order quantities; MV is the jump
-    operator value M(V)(x) at the point.
-    """
-
-    x: float
-    V: float
-    Vp: float
-    MV: float
-    Vpp: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class MaximizerResult:
-    """Maximising fraction of the generator and the case-table branch taken."""
-
-    theta_star: float
-    branch: str  # vertex | cap-at-a | cap-at-b | convex-split | inflection
-
-
-def jump_operator(values, abscissas, law: ClaimLaw, x: float, lam: float,
-                  refine: int = 8) -> float:
-    """M(V)(x) = lambda * (V(x) - int_0^x V(x-s) f(s) ds) by quadrature.
-
-    `values`/`abscissas` tabulate V on [0, x] (abscissas increasing, first 0,
-    last >= x); the convolution integrand is resampled on the grid induced by
-    the table with `refine`-fold subdivision near s = 0 where the claim
-    density may peak.  Positive whenever V is increasing.
-    """
-    if x < 0:
-        raise ValueError("jump operator requires x >= 0")
-    abscissas = np.asarray(abscissas, dtype=float)
-    values = np.asarray(values, dtype=float)
-    Vx = float(np.interp(x, abscissas, values))
-    if x == 0.0:
-        return lam * Vx * (1.0 - 0.0)
-    # s-grid: table nodes reflected to claim sizes, refined near s = 0
-    s_nodes = x - abscissas[abscissas <= x][::-1]
-    s_nodes = np.unique(np.concatenate([
-        s_nodes,
-        np.linspace(0.0, min(x, s_nodes[min(len(s_nodes) - 1, 1)] if len(s_nodes) > 1 else x),
-                    refine + 1),
-        [x],
-    ]))
-    # one round of global halving for a cheap error estimate
-    s_fine = np.unique(np.concatenate([s_nodes, 0.5 * (s_nodes[1:] + s_nodes[:-1])]))
-
-    def trap(s):
-        g = np.interp(x - s, abscissas, values) * law.pdf(s)
-        return float(np.trapezoid(g, s))
-
-    i1, i2 = trap(s_nodes), trap(s_fine)
-    integral = i2 + (i2 - i1) / 3.0  # Richardson on the halved grid
-    return lam * (Vx - integral)
-
-
-def generator(theta: float, p: PointState, params: ModelParams) -> float:
-    """L(theta) V at the point: diffusion + drift + jump terms."""
-    if p.Vpp is None:
-        raise ValueError("generator requires Vpp")
-    x = p.x
-    diff = 0.5 * params.sigma**2 * x**2 * theta**2 * p.Vpp
-    drift = (params.c + params.r * x + (params.mu - params.r) * theta * x) * p.Vp
-    return diff + drift - p.MV
-
-
-def vertex_fraction(p: PointState, params: ModelParams) -> Optional[float]:
-    """Vertex of the theta-quadratic: -(mu-r) V' / (sigma^2 x V'').
-
-    Returns None (undefined marker) when V'' sits in the zero band.
-    """
-    if p.Vpp is None:
-        raise ValueError("vertex requires Vpp")
-    if p.x <= 0:
-        raise ValueError("vertex requires x > 0")
-    if _curvature_is_zero(p):
-        return None
-    return -(params.mu - params.r) * p.Vp / (params.sigma**2 * p.x * p.Vpp)
-
-
-def _curvature_is_zero(p: PointState) -> bool:
-    scale = 1.0 + abs(p.Vp) / p.x if p.x > 0 else 1.0
-    return abs(p.Vpp) <= CURVATURE_ZERO_BAND * scale
-
-
-def optimal_fraction(p: PointState, params: ModelParams) -> MaximizerResult:
-    """Case table for the maximiser of L(theta) V over theta in [-b, a].
-
-    Concave (V''<0): vertex clamped to [-b, a].  Convex (V''>0): whichever of
-    a, -b is farther from the vertex, i.e. a iff vertex <= (a-b)/2 (ties
-    resolved by the sign of mu - r).  Inflection (V''=0): a if mu >= r
-    else -b.
-    """
-    a, b = params.a, params.b
-    if _curvature_is_zero(p):
-        theta = a if params.mu >= params.r else -b
-        return MaximizerResult(theta, "inflection")
-    al = vertex_fraction(p, params)
-    if p.Vpp < 0:
-        if al > a:
-            return MaximizerResult(a, "cap-at-a")
-        if al < -b:
-            return MaximizerResult(-b, "cap-at-b")
-        return MaximizerResult(al, "vertex")
-    split = 0.5 * (a - b)
-    if al == split:
-        theta = a if params.mu > params.r else -b
-        return MaximizerResult(theta, "convex-split")
-    return MaximizerResult(a if al < split else -b, "convex-split")
-
-
-def optimal_fraction_by_comparison(p: PointState, params: ModelParams,
-                                   include_zero: bool = False) -> MaximizerResult:
-    """Direct argmax of the generator over the candidate fractions.
-
-    Candidates are the endpoints -b, a and the (feasible) vertex; theta = 0
-    is added for the degenerate case mu = r where the optimum is 0, a or -b.
-    A cross-check for the case table, not the hot path.
-    """
-    cands = [(-params.b, "cap-at-b"), (params.a, "cap-at-a")]
-    if not _curvature_is_zero(p):
-        al = vertex_fraction(p, params)
-        if -params.b <= al <= params.a:
-            cands.append((al, "vertex"))
-    if include_zero or params.mu == params.r:
-        cands.append((0.0, "no-invest"))
-    vals = [generator(t, p, params) for t, _ in cands]
-    i = int(np.argmax(vals))
-    return MaximizerResult(cands[i][0], cands[i][1])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def test_criterion_1_boundary_values(example1, example2, example3,
         assert cur.V[0] == 1.0
         assert abs(cur.Vp[0] - lam / c) <= 1e-8
         assert lam / c == pytest.approx(4.5)
-        vpp_formula = (lam / c) * (lam / c - 1.0 / M - (p.r + gamma0 * p.excess) / c)
+        vpp_formula = (lam / c) * (lam / c - 1.0 / M - (p.r + gamma0 * (p.mu - p.r)) / c)
         assert abs(cur.Vpp[0] - vpp_formula) <= 1e-8
     assert curve1.Vpp[0] == pytest.approx(11.25, abs=1e-8)
     cond_value = M * (example1.a * example1.mu + (1 - example1.a) * example1.r
@@ -59,7 +59,7 @@ def test_criterion_2_switching_structure(curve1):
 def _far_field_error(p, cur, i):
     """Relative gap of theta*(x_i) to the asymptote m(mu-r)/(sigma^2 (x - k m))."""
     k = p.lam / p.r - 1.0
-    limit = M * p.excess / p.sigma**2
+    limit = M * (p.mu - p.r) / p.sigma**2
     return abs(cur.theta_star[i] * (cur.x[i] - k * M) / limit - 1.0)
 
 
@@ -93,7 +93,7 @@ def test_criterion_3_far_field_limit(example1, example2, example3,
       * the last node's theta* does not change as X_max doubles.
     """
     rc = regime_constants(example1, example1.a)
-    limit = example1.excess * rc.sigma_bar**2 / (2.0 * rc.mu_bar * example1.sigma**2)
+    limit = (example1.mu - example1.r) * rc.sigma_bar**2 / (2.0 * rc.mu_bar * example1.sigma**2)
     assert limit == pytest.approx(0.125)
 
     # the constant-regime continuation does exhibit 0.125: continue the
@@ -110,7 +110,7 @@ def test_criterion_3_far_field_limit(example1, example2, example3,
     sol = solve_ivp(rhs, (curve1.x[i0], 4000.0), y0, rtol=1e-11, atol=1e-14)
     V, v, D = sol.y[:, -1]
     vpp = rhs(sol.t[-1], sol.y[:, -1])[1]
-    vertex_linear = -(example1.excess) * v / (example1.sigma**2 * sol.t[-1] * vpp)
+    vertex_linear = -(example1.mu - example1.r) * v / (example1.sigma**2 * sol.t[-1] * vpp)
     assert vertex_linear == pytest.approx(limit, rel=0.05)
 
     # the solution's own far field
@@ -143,12 +143,12 @@ def _hjb_residual_max(p, cur):
     # broadcast nodes x fractions
     diff = 0.5 * p.sigma**2 * (x**2 * cur.Vpp)[:, None] * thetas[None, :] ** 2
     drift = ((p.c + p.r * x) [:, None]
-             + p.excess * x[:, None] * thetas[None, :]) * cur.Vp[:, None]
+             + (p.mu - p.r) * x[:, None] * thetas[None, :]) * cur.Vp[:, None]
     gen = diff + drift - MV[:, None]
     tol = 1e-6 * p.lam * cur.V
     worst_sweep = float(np.max(gen.max(axis=1) - tol))
     g_star = (0.5 * p.sigma**2 * x**2 * cur.theta_star**2 * cur.Vpp
-              + (p.c + p.r * x + p.excess * cur.theta_star * x) * cur.Vp - MV)
+              + (p.c + p.r * x + (p.mu - p.r) * cur.theta_star * x) * cur.Vp - MV)
     worst_star = float(np.max(np.abs(g_star) - tol))
     return worst_sweep, worst_star
 

@@ -159,6 +159,20 @@ def test_validation_exit_code(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
 
 
+def test_solver_abort_exit_code_and_artifact(tmp_path, capsys):
+    # x_max below the series handoff point: exit 2 with abort.json, no curve
+    rc = main(["solve", "--config", str(CONFIGS / "example1.cfg"),
+               "--out-dir", str(tmp_path), "--xmax", "1e-5"])
+    assert rc == 2
+    assert not (tmp_path / "curve.csv").exists()
+    abort = json.loads((tmp_path / "abort.json").read_text())
+    assert abort["diagnostics"]["x_max"] == 1e-5
+    assert 0.0 < abort["diagnostics"]["x_eps"] < 0.1
+    assert abort["manifest"]["subcommand"] == "solve"
+    assert abort["manifest"]["options"]["xmax"] == 1e-5
+    assert capsys.readouterr().err.startswith("solver abort: x_max=1e-05")
+
+
 def test_oracle_mode_verify(tmp_path):
     rc = main(["verify", "--config", str(CONFIGS / "oracle.cfg"),
                "--out-dir", str(tmp_path), "--oracle-mode",

@@ -385,18 +385,19 @@ def test_hjb_residual_spot_check(example1, curve1):
     # supremum property at a sample of nodes and fractions
     thetas = np.linspace(-example1.b, example1.a, 64)
     sel = np.linspace(1, len(curve1.x) - 2, 60).astype(int)
+    excess = example1.mu - example1.r
     for i in sel:
         x = curve1.x[i]
         if x <= 0 or curve1.Vp[i] < 1e-12:
             continue
         MV = example1.lam * (curve1.V[i] - curve1.J[i])
         gen = (0.5 * example1.sigma**2 * x**2 * thetas**2 * curve1.Vpp[i]
-               + (example1.c + example1.r * x + example1.excess * thetas * x) * curve1.Vp[i]
+               + (example1.c + example1.r * x + excess * thetas * x) * curve1.Vp[i]
                - MV)
         tol = 1e-6 * example1.lam * curve1.V[i]
         assert np.max(gen) <= tol
         g_star = (0.5 * example1.sigma**2 * x**2 * curve1.theta_star[i]**2 * curve1.Vpp[i]
-                  + (example1.c + example1.r * x + example1.excess * curve1.theta_star[i] * x)
+                  + (example1.c + example1.r * x + excess * curve1.theta_star[i] * x)
                   * curve1.Vp[i] - MV)
         assert abs(g_star) <= tol
 
@@ -498,6 +499,15 @@ def test_solver_refuses_zero_interest():
     p = ModelParams(c=0.2, lam=0.09, mu=0.0, r=0.0, sigma=0.1, a=1.0, b=1.0)
     with pytest.raises(ValueError):
         solve(p, M)
+
+
+def test_solver_rejects_x_max_below_handoff(example1):
+    # the march starts at the series handoff point x_eps = 0.0111 of example 1
+    x_eps = handoff_point(series_coefficients(example1, M, example1.a), example1, M)
+    with pytest.raises(SolverAbort) as err:
+        solve(example1, M, SolveOptions(x_max=1e-5))
+    assert err.value.diagnostics == {"x_max": 1e-5, "x_eps": x_eps}
+    assert "x_max" in str(err.value) and "x_eps" in str(err.value)
 
 
 def test_equal_rates_runs_without_interior():

@@ -1,14 +1,37 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from ruinvest.exp_solver import SolverAbort, solve
-from ruinvest.general_solver import (GridFunction, TOperatorContext, general_solve,
-                                     integrate_w, solve_constant_regime_near_zero,
-                                     t_operator)
+from ruinvest.general_solver import (TOperatorContext, general_solve, integrate_w,
+                                     solve_constant_regime_near_zero)
 from ruinvest.model import ExponentialClaims, ModelParams
+from ruinvest.operators import infimum
 from ruinvest.series import handoff_point, series_coefficients, series_eval
 
 M = 1.0
+
+
+def t_reference(ctx, xs, ws, x):
+    """Tw(x) by direct quadrature of the split convolution, w pchip through (xs, ws).
+
+    W is recovered by integrating w from eps; both convolution pieces are
+    composite trapezoid on fine resamplings.  This is the specification's
+    route; the march in `integrate_w` tracks the same quantities through its
+    deficit state and must agree to quadrature tolerance.
+    """
+    p, law, tab = ctx.params, ctx.law, ctx.table
+    eps = ctx.epsilon
+    w = PchipInterpolator(xs, ws, extrapolate=False)
+    # W(x) = V_gamma(eps) + int_eps^x w
+    n = max(33, int((x - eps) / 2e-4) + 1)
+    ys = np.linspace(eps, x, n)
+    wy = w(ys)
+    W_at = tab.V[-1] + np.concatenate([[0.0], np.cumsum(0.5 * np.diff(ys) * (wy[1:] + wy[:-1]))])
+    piece1 = np.trapezoid(tab.V * law.pdf(x - tab.x), tab.x)
+    piece2 = np.trapezoid(W_at * law.pdf(x - ys), ys)
+    MV = p.lam * (W_at[-1] - piece1 - piece2)
+    return infimum(p, x, float(w(x)), MV, ctx.exclusion)[0]
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +80,7 @@ def test_near_zero_mixture_runs(example1, mixture_law):
     assert tab.V[0] == 1.0
     f0 = mixture_law.density_at_zero
     want = (example1.lam / example1.c) * (example1.lam / example1.c - f0
-                                          - (example1.r + example1.excess) / example1.c)
+                                          - (example1.r + (example1.mu - example1.r)) / example1.c)
     assert tab.Vpp[0] == pytest.approx(want, rel=1e-12)
 
 
@@ -68,8 +91,7 @@ def test_near_zero_mixture_runs(example1, mixture_law):
 def test_t_operator_matches_exp_solver_at_handoff(ctx1, example1, curve1):
     # Tw(eps) is the curvature; compare with the exponential path's V''(eps)
     eps = ctx1.epsilon
-    w = GridFunction(np.array([eps, eps * 2]), np.array([ctx1.table.Vp[-1]] * 2))
-    got = t_operator(ctx1, w, eps)
+    got = t_reference(ctx1, np.array([eps, eps * 2]), np.array([ctx1.table.Vp[-1]] * 2), eps)
     want = float(np.interp(eps, curve1.x, curve1.Vpp))
     assert got == pytest.approx(want, rel=1e-6)
 
@@ -79,15 +101,14 @@ def test_t_operator_positive_homogeneity(ctx1, example1, exp_law, table1):
     eps = ctx1.epsilon
     xs = np.linspace(eps, 0.02, 50)
     w_vals = np.full_like(xs, table1.Vp[-1])
-    w = GridFunction(xs, w_vals)
-    base = t_operator(ctx1, w, 0.015)
+    base = t_reference(ctx1, xs, w_vals, 0.015)
     k = 3.5
     import dataclasses
     tab_scaled = dataclasses.replace(table1, V=k * table1.V, Vp=k * table1.Vp,
                                      Vpp=k * table1.Vpp, M=k * table1.M)
     ctx_scaled = TOperatorContext(params=example1, law=exp_law, table=tab_scaled,
                                   exclusion=ctx1.exclusion)
-    scaled = t_operator(ctx_scaled, GridFunction(xs, k * w_vals), 0.015)
+    scaled = t_reference(ctx_scaled, xs, k * w_vals, 0.015)
     assert scaled == pytest.approx(k * base, rel=1e-10)
 
 
@@ -99,9 +120,10 @@ def test_t_operator_mu_equal_r_max_volatility(exp_law):
     ctx = TOperatorContext(params=p, law=exp_law, table=tab, exclusion=1e-6)
     eps = ctx.epsilon
     xs = np.linspace(eps, 0.01, 30)
-    w = GridFunction(xs, np.full_like(xs, tab.Vp[-1]))
+    w_vals = np.full_like(xs, tab.Vp[-1])
     x = 0.008
-    got = t_operator(ctx, w, x)
+    got = t_reference(ctx, xs, w_vals, x)
+    w = PchipInterpolator(xs, w_vals, extrapolate=False)
     # reconstruct the numerator at the same point to predict the endpoint value
     n = 200
     ys = np.linspace(eps, x, n)
@@ -127,10 +149,9 @@ def test_integrate_w_initial_condition(ctx1):
 def test_integrate_w_march_consistent_with_t_operator(ctx1):
     # the marched w' equals the reference quadrature T on the marched w
     march = integrate_w(ctx1, x_max=0.4)
-    w = march.grid_function()
     for x in (0.05, 0.15, 0.3):
         k = int(np.argmin(np.abs(march.x - x)))
-        ref = t_operator(ctx1, w, float(march.x[k]))
+        ref = t_reference(ctx1, march.x, march.w, float(march.x[k]))
         assert march.T[k] == pytest.approx(ref, rel=2e-4, abs=1e-8)
 
 
@@ -177,7 +198,7 @@ def test_mixture_hjb_residual(example1, mixture_law):
             continue
         MV = example1.lam * (cur.V[i] - cur.J[i])
         gen = (0.5 * example1.sigma**2 * x**2 * thetas**2 * cur.Vpp[i]
-               + (example1.c + example1.r * x + example1.excess * thetas * x) * cur.Vp[i]
+               + (example1.c + example1.r * x + (example1.mu - example1.r) * thetas * x) * cur.Vp[i]
                - MV)
         assert np.max(gen) <= 2e-5 * example1.lam * cur.V[i]
 
@@ -189,10 +210,9 @@ def test_lipschitz_bound_empirical(ctx1, example1):
     for n in (60, 120):
         xs = np.linspace(eps, 0.018, n)
         base = np.full_like(xs, ctx1.table.Vp[-1])
-        w1 = GridFunction(xs, base)
         delta = 1e-4 * np.sin(np.linspace(0.0, 3.0, n))
-        w2 = GridFunction(xs, base + delta)
-        diffs = [abs(t_operator(ctx1, w2, float(x)) - t_operator(ctx1, w1, float(x)))
+        diffs = [abs(t_reference(ctx1, xs, base + delta, float(x))
+                     - t_reference(ctx1, xs, base, float(x)))
                  for x in xs[2::7]]
         C = max(diffs) / np.max(np.abs(delta))
         assert np.isfinite(C)
@@ -205,11 +225,12 @@ def test_general_solve_rejects_equal_rates(exp_law):
         general_solve(p, exp_law, x_max=1.0)
 
 
-def test_grid_function_validation():
-    with pytest.raises(ValueError):
-        GridFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3))
-    with pytest.raises(ValueError):
-        GridFunction(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
+def test_general_solve_rejects_x_max_below_start(example1, exp_law):
+    # the continuation starts at the near-zero table's end eps = 1e-3
+    with pytest.raises(SolverAbort) as err:
+        general_solve(example1, exp_law, x_max=1e-4)
+    assert err.value.diagnostics == {"x_max": 1e-4, "epsilon": 1e-3}
+    assert "x_max" in str(err.value) and "eps" in str(err.value)
 
 
 # example 1; digests recorded at commit 3c87c69, before the w-independent

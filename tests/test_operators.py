@@ -3,187 +3,155 @@ import math
 import numpy as np
 import pytest
 
-from ruinvest.model import ExponentialClaims, ModelParams
-from ruinvest.operators import (PointState, curvature, deficit, generator, indicator,
-                                infimum, jump_operator, optimal_fraction,
-                                optimal_fraction_by_comparison, regime_for_indicator,
+from ruinvest.model import ModelParams
+from ruinvest.operators import (curvature, deficit, indicator, infimum, regime_for_indicator,
                                 regime_for_theta, switching_thresholds, theta_for,
-                                vertex_fraction)
-
-
-# ---------------------------------------------------------------------------
-# jump operator
-# ---------------------------------------------------------------------------
-
-def test_jump_operator_constant_function(exp_law):
-    # M(1)(x) = lambda (1 - F(x))
-    xs = np.linspace(0.0, 6.0, 400)
-    ones = np.ones_like(xs)
-    for x in (0.5, 1.0, 3.0):
-        got = jump_operator(ones, xs, exp_law, x, lam=0.09)
-        assert got == pytest.approx(0.09 * (1 - exp_law.cdf(x)), abs=1e-9)
-
-
-def test_jump_operator_at_zero(exp_law):
-    xs = np.linspace(0.0, 1.0, 50)
-    assert jump_operator(np.ones_like(xs), xs, exp_law, 0.0, lam=0.09) == pytest.approx(0.09)
-
-
-def test_jump_operator_identity_function():
-    # V(y) = y, exponential mean 1, lambda = 1, x = 1:
-    # M = 1 - int_0^1 (1-s) e^{-s} ds = 1 - e^{-1}
-    law = ExponentialClaims(1.0)
-    xs = np.linspace(0.0, 1.0, 800)
-    got = jump_operator(xs.copy(), xs, law, 1.0, lam=1.0)
-    assert got == pytest.approx(1.0 - math.exp(-1.0), abs=1e-7)
-
-
-def test_jump_operator_positive_for_increasing_tables(exp_law):
-    rng = np.random.default_rng(11)
-    xs = np.linspace(0.0, 5.0, 300)
-    for _ in range(20):
-        vals = np.cumsum(rng.uniform(0.001, 0.1, xs.size))
-        x = float(rng.uniform(0.5, 5.0))
-        assert jump_operator(vals, xs, exp_law, x, lam=0.09) > 0
-
-
-def test_jump_operator_rejects_negative_level(exp_law):
-    xs = np.linspace(0.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        jump_operator(np.ones_like(xs), xs, exp_law, -0.5, lam=0.09)
-
-
-# ---------------------------------------------------------------------------
-# generator and vertex
-# ---------------------------------------------------------------------------
-
-def test_generator_theta_zero(example1):
-    p = PointState(x=2.0, V=1.5, Vp=0.8, MV=0.04, Vpp=-0.3)
-    want = (example1.c + example1.r * 2.0) * 0.8 - 0.04
-    assert generator(0.0, p, example1) == pytest.approx(want, rel=1e-14)
-
-
-def test_generator_explicit_point(example1):
-    # 0.01*1*1/2*(-1) + [0.02 + 0.015 + 0.005]*1 - 0.05 = -0.015
-    p = PointState(x=1.0, V=1.0, Vp=1.0, MV=0.05, Vpp=-1.0)
-    assert generator(1.0, p, example1) == pytest.approx(-0.015, rel=1e-12)
-
-
-def test_vertex_fraction_example(example1):
-    p = PointState(x=1.0, V=1.0, Vp=4.5, MV=0.0, Vpp=-1.0)
-    # -(0.005)(4.5) / (0.01 * 1 * (-1)) = 2.25
-    assert vertex_fraction(p, example1) == pytest.approx(2.25, rel=1e-12)
-
-
-def test_vertex_fraction_mu_equals_r():
-    p = ModelParams(c=0.02, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0)
-    st = PointState(x=1.0, V=1.0, Vp=4.5, MV=0.0, Vpp=-1.0)
-    assert vertex_fraction(st, p) == 0.0
-
-
-def test_vertex_fraction_zero_curvature_marker(example1):
-    st = PointState(x=1.0, V=1.0, Vp=4.5, MV=0.0, Vpp=0.0)
-    assert vertex_fraction(st, example1) is None
-
-
-# ---------------------------------------------------------------------------
-# maximiser case table
-# ---------------------------------------------------------------------------
-
-def test_maximizer_caps_at_a(example1):
-    p = PointState(x=1.0, V=1.0, Vp=4.5, MV=0.0, Vpp=-1.0)  # vertex 2.25 > a
-    res = optimal_fraction(p, example1)
-    assert res.theta_star == example1.a
-    assert res.branch == "cap-at-a"
-
-
-def test_maximizer_convex_split(example1):
-    # convex with vertex -0.4 > (a-b)/2 = -9.5 -> short side
-    Vpp = 1.0
-    Vp = 0.4 * example1.sigma**2 * 1.0 * Vpp / (example1.mu - example1.r)
-    p = PointState(x=1.0, V=1.0, Vp=Vp, MV=0.0, Vpp=Vpp)
-    assert vertex_fraction(p, example1) == pytest.approx(-0.4)
-    res = optimal_fraction(p, example1)
-    assert res.theta_star == -example1.b
-    assert res.branch == "convex-split"
-
-
-def test_maximizer_inflection(example1):
-    p = PointState(x=1.0, V=1.0, Vp=4.5, MV=0.0, Vpp=0.0)
-    res = optimal_fraction(p, example1)
-    assert res.theta_star == example1.a  # mu > r
-    assert res.branch == "inflection"
-    p_low = ModelParams(c=0.02, lam=0.09, mu=0.01, r=0.015, sigma=0.1, a=1.0, b=20.0)
-    assert optimal_fraction(PointState(1.0, 1.0, 4.5, 0.0, 0.0), p_low).theta_star == -20.0
+                                vertex_exclusion)
 
 
 def _random_states(rng, n):
+    """(x, Vp, MV) uniform on a box where I takes both signs."""
     for _ in range(n):
-        yield PointState(
-            x=float(rng.uniform(0.05, 20.0)),
-            V=float(rng.uniform(0.5, 40.0)),
-            Vp=float(rng.uniform(0.01, 5.0)),
-            MV=float(rng.uniform(0.0, 0.2)),
-            Vpp=float(rng.uniform(-3.0, 3.0)),
-        )
+        yield (float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.01, 5.0)),
+               float(rng.uniform(0.0, 0.2)))
 
 
-def test_maximizer_is_argmax_by_dense_sampling(example1):
-    rng = np.random.default_rng(23)
-    thetas = np.linspace(-example1.b, example1.a, 501)
-    for p in _random_states(rng, 150):
-        star = optimal_fraction(p, example1).theta_star
-        best = generator(star, p, example1)
-        vals = [generator(t, p, example1) for t in thetas]
-        scale = max(1.0, abs(best))
-        assert best >= max(vals) - 1e-12 * scale
+# ---------------------------------------------------------------------------
+# maximiser case table: the kernel the solvers run against a dense argmax
+# ---------------------------------------------------------------------------
+
+# example 1, its mirror (mu < r, a > b), mu > r with a > b, mu < r with a < b
+CASE_TABLE_CONFIGS = [
+    ModelParams(c=0.02, lam=0.09, mu=0.02, r=0.015, sigma=0.1, a=1.0, b=20.0),
+    ModelParams(c=0.02, lam=0.09, mu=0.02, r=0.025, sigma=0.1, a=20.0, b=1.0),
+    ModelParams(c=0.02, lam=0.09, mu=0.02, r=0.015, sigma=0.1, a=20.0, b=1.0),
+    ModelParams(c=0.02, lam=0.09, mu=0.01, r=0.015, sigma=0.1, a=1.0, b=20.0),
+]
 
 
-def test_maximizer_matches_direct_comparison(example1):
-    rng = np.random.default_rng(29)
-    for p in _random_states(rng, 150):
-        a = optimal_fraction(p, example1)
-        b = optimal_fraction_by_comparison(p, example1)
-        ga = generator(a.theta_star, p, example1)
-        gb = generator(b.theta_star, p, example1)
-        assert ga == pytest.approx(gb, rel=1e-10, abs=1e-14)
+def _generator(p, x, Vp, MV, Vpp, theta):
+    """L(theta) V = sigma^2 x^2 theta^2 V'' / 2 + (c + r x + (mu - r) theta x) V' - M."""
+    return (0.5 * p.sigma**2 * x**2 * theta**2 * Vpp
+            + (p.c + p.r * x + (p.mu - p.r) * theta * x) * Vp - MV)
+
+
+def _positive_deficit_states(p, rng, n):
+    """(x, Vp, MV, phi) with I > 0, as along every solution; states within 1e-6
+    relative of a switching threshold, where two regimes tie, are skipped."""
+    thr = switching_thresholds(p)
+    bounds = [t for t in (thr.interior_bound, thr.extreme_bound) if t is not None]
+    for _ in range(n):
+        x, Vp = float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.01, 5.0))
+        MV = (p.c + p.r * x) * Vp * (1.0 + 10.0 ** rng.uniform(-4.0, 1.0))
+        I = deficit(p, x, Vp, MV)
+        assert I > 0
+        phi = indicator(p, x, Vp, I)
+        if all(abs(phi - t) > 1e-6 * abs(t) for t in bounds):
+            yield x, Vp, MV, phi
+
+
+def _check_sup_is_zero(p, x, Vp, MV, Vpp, theta, thetas):
+    # theta maximises L V over [-b, a] at this V'', and the maximum is 0
+    scale = (MV + (p.c + p.r * x) * Vp + abs(p.mu - p.r) * x * Vp * max(p.a, p.b)
+             + 0.5 * p.sigma**2 * x**2 * max(p.a, p.b)**2 * abs(Vpp))
+    tol = 1e-10 * scale
+    assert -p.b <= theta <= p.a
+    assert abs(_generator(p, x, Vp, MV, Vpp, theta)) <= tol
+    assert np.max(_generator(p, x, Vp, MV, Vpp, thetas)) <= tol
+
+
+def _state_at_indicator(p, x, Vp, phi):
+    """M(V) that gives the indicator phi at (x, V')."""
+    return (p.c + p.r * x) * Vp + 0.5 * phi * (p.mu - p.r) * x * Vp
+
+
+def test_maximizer_caps_at_a(example1):
+    # a <= phi <= 2ab/(b-a): the table caps the fraction at a (regime A)
+    x, Vp, phi = 1.0, 4.5, 1.5
+    MV = _state_at_indicator(example1, x, Vp, phi)
+    assert regime_for_indicator(phi, example1) == "A"
+    assert theta_for("A", example1, np.array([phi]))[0] == example1.a
+    Vpp = curvature("A", example1, x, Vp, MV)
+    _check_sup_is_zero(example1, x, Vp, MV, Vpp, example1.a,
+                       np.linspace(-example1.b, example1.a, 4001))
+
+
+def test_maximizer_convex_split(example1):
+    # phi > 2ab/(b-a): the B curvature is convex in theta and its vertex lies
+    # above (a-b)/2, so the far endpoint -b is the maximiser
+    x, Vp, phi = 1.0, 4.5, 3.0
+    MV = _state_at_indicator(example1, x, Vp, phi)
+    assert regime_for_indicator(phi, example1) == "B"
+    assert theta_for("B", example1, np.array([phi]))[0] == -example1.b
+    Vpp = curvature("B", example1, x, Vp, MV)
+    vertex = -(example1.mu - example1.r) * Vp / (example1.sigma**2 * x * Vpp)
+    assert Vpp > 0 and vertex > 0.5 * (example1.a - example1.b)
+    _check_sup_is_zero(example1, x, Vp, MV, Vpp, -example1.b,
+                       np.linspace(-example1.b, example1.a, 4001))
+
+
+def test_maximizer_is_argmax_by_dense_sampling():
+    # the case table (regime from phi, its curvature, its fraction) gives the
+    # argmax of the generator, and sup_theta L V = 0 there
+    for p in CASE_TABLE_CONFIGS:
+        rng = np.random.default_rng(23)
+        thetas = np.linspace(-p.b, p.a, 4001)
+        regimes = set()
+        for x, Vp, MV, phi in _positive_deficit_states(p, rng, 800):
+            regime = regime_for_indicator(phi, p)
+            regimes.add(regime)
+            Vpp = curvature(regime, p, x, Vp, MV)
+            theta = float(theta_for(regime, p, np.array([phi]))[0])
+            _check_sup_is_zero(p, x, Vp, MV, Vpp, theta, thetas)
+        # every regime of the table is reached: INT, the interior bound's
+        # regime and, where the table has one, the extreme regime
+        want = 3 if switching_thresholds(p).extreme_regime else 2
+        assert len(regimes) == want
+
+
+def test_maximizer_matches_direct_comparison():
+    # infimum compares its candidate fractions directly; it picks the case
+    # table's fraction and a V'' at which sup_theta L V = 0
+    for p in CASE_TABLE_CONFIGS:
+        rng = np.random.default_rng(29)
+        thetas = np.linspace(-p.b, p.a, 4001)
+        for x, Vp, MV, phi in _positive_deficit_states(p, rng, 800):
+            regime = regime_for_indicator(phi, p)
+            theta = float(theta_for(regime, p, np.array([phi]))[0])
+            Vpp, theta_inf = infimum(p, x, Vp, MV, vertex_exclusion(p))
+            assert theta_inf == pytest.approx(theta, rel=1e-12)
+            assert Vpp == pytest.approx(curvature(regime, p, x, Vp, MV), rel=1e-9)
+            _check_sup_is_zero(p, x, Vp, MV, Vpp, theta_inf, thetas)
 
 
 # ---------------------------------------------------------------------------
 # kernel: indicator, curvature and their identities
 # ---------------------------------------------------------------------------
 
-def _I(p, params):
-    return deficit(params, p.x, p.Vp, p.MV)
-
-
-def _phi(p, params):
-    return indicator(params, p.x, p.Vp, _I(p, params))
+def _phi(params, x, Vp, MV):
+    return indicator(params, x, Vp, deficit(params, x, Vp, MV))
 
 
 def test_policy_indicator_example_point(example1):
     # I = 0.08 - 0.035*4.5 = -0.0775; phi = 2(-0.0775)/(0.005*4.5)
-    p = PointState(x=1.0, V=1.0, Vp=4.5, MV=0.08)
-    phi = _phi(p, example1)
+    phi = _phi(example1, 1.0, 4.5, 0.08)
     assert phi == pytest.approx(2 * (-0.0775) / (0.005 * 4.5), rel=1e-12)
     assert phi == pytest.approx(-6.888888888888889, rel=1e-6)
 
 
 def test_no_invest_deficit_values(example1):
-    p = PointState(x=1.0, V=1.0, Vp=4.5, MV=0.08)
-    assert _I(p, example1) == pytest.approx(-0.0775, rel=1e-12)
-    p0 = PointState(x=1.0, V=1.0, Vp=0.0, MV=0.08)
-    assert _I(p0, example1) == pytest.approx(0.08)
+    assert deficit(example1, 1.0, 4.5, 0.08) == pytest.approx(-0.0775, rel=1e-12)
+    assert deficit(example1, 1.0, 0.0, 0.08) == pytest.approx(0.08)
 
 
 def test_indicator_deficit_sign_agreement(example1, example3):
     rng = np.random.default_rng(31)
     for params in (example1, example3):
-        for p in _random_states(rng, 60):
-            I = _I(p, params)
+        for x, Vp, MV in _random_states(rng, 60):
+            I = deficit(params, x, Vp, MV)
             if I == 0.0:
                 continue
-            phi = _phi(p, params)
+            phi = _phi(params, x, Vp, MV)
             assert np.sign(phi) == np.sign(I) * np.sign(params.mu - params.r)
 
 
@@ -197,21 +165,20 @@ def test_phi_psi_identity(example1):
     # psi * sigma^2 * x * phi = -(mu - r) * Vp wherever both defined, psi the
     # interior curvature
     rng = np.random.default_rng(37)
-    for p in _random_states(rng, 100):
-        phi = _phi(p, example1)
+    for x, Vp, MV in _random_states(rng, 100):
+        phi = _phi(example1, x, Vp, MV)
         if phi == 0.0:
             continue
-        psi = curvature("INT", example1, p.x, p.Vp, p.MV)
-        lhs = psi * example1.sigma**2 * p.x * phi
-        rhs = -(example1.mu - example1.r) * p.Vp
+        psi = curvature("INT", example1, x, Vp, MV)
+        lhs = psi * example1.sigma**2 * x * phi
+        rhs = -(example1.mu - example1.r) * Vp
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_psi_undefined_when_deficit_vanishes(example1):
     Vp = 2.0
     MV = (example1.c + example1.r * 1.0) * Vp  # I = 0 exactly
-    p = PointState(x=1.0, V=1.0, Vp=Vp, MV=MV)
-    assert _phi(p, example1) == pytest.approx(0.0)
+    assert _phi(example1, 1.0, Vp, MV) == pytest.approx(0.0)
     with np.errstate(divide="ignore"):
         psi = curvature("INT", example1, np.array([1.0]), np.array([Vp]), np.array([MV]))
     assert not np.isfinite(psi[0])
@@ -223,18 +190,16 @@ def test_regime_vertex_curvature_identity(example1):
     # also -(mu - r) V' / (sigma^2 x V'')
     rng = np.random.default_rng(41)
     for gamma, regime in ((example1.a, "A"), (-example1.b, "B")):
-        for p in _random_states(rng, 60):
-            den = p.MV - (example1.c + example1.r * p.x
-                          + (example1.mu - example1.r) * gamma * p.x) * p.Vp
+        for x, Vp, MV in _random_states(rng, 60):
+            den = MV - (example1.c + example1.r * x + (example1.mu - example1.r) * gamma * x) * Vp
             if den == 0.0:
                 continue
-            xi = -(gamma**2) * (example1.mu - example1.r) * p.x * p.Vp / (2.0 * den)
-            eta = curvature(regime, example1, p.x, p.Vp, p.MV)
+            xi = -(gamma**2) * (example1.mu - example1.r) * x * Vp / (2.0 * den)
+            eta = curvature(regime, example1, x, Vp, MV)
             assert eta == pytest.approx(
-                2.0 * den / (example1.sigma**2 * gamma**2 * p.x**2), rel=1e-11)
+                2.0 * den / (example1.sigma**2 * gamma**2 * x**2), rel=1e-11)
             assert eta == pytest.approx(
-                -(example1.mu - example1.r) * p.Vp / (example1.sigma**2 * p.x * xi),
-                rel=1e-11)
+                -(example1.mu - example1.r) * Vp / (example1.sigma**2 * x * xi), rel=1e-11)
 
 
 def test_regime_curvature_increases_with_jump_value(example1):
@@ -245,19 +210,18 @@ def test_regime_curvature_increases_with_jump_value(example1):
 
 def test_regime_quantities_match_solved_segment(example1, curve1):
     # on a constant-regime segment the regime's V'' is the curve's, so its
-    # implied vertex is the curve's vertex
+    # implied vertex -(mu - r) V' / (sigma^2 x V'') is the curve's vertex
     seg = curve1.segments[1]  # the maximal-short stretch
     inside = (curve1.x > seg.lo * 1.05) & (curve1.x < seg.hi * 0.95)
     idx = np.nonzero(inside)[0][:: max(1, inside.sum() // 40)]
+    excess, s2 = example1.mu - example1.r, example1.sigma**2
     for i in idx:
-        p = PointState(x=curve1.x[i], V=curve1.V[i], Vp=curve1.Vp[i],
-                       MV=example1.lam * (curve1.V[i] - curve1.J[i]), Vpp=curve1.Vpp[i])
-        eta = curvature("B", example1, p.x, p.Vp, p.MV)
-        assert eta == pytest.approx(curve1.Vpp[i], rel=1e-6, abs=1e-9)
-        al = vertex_fraction(p, example1)
-        xi = vertex_fraction(PointState(p.x, p.V, p.Vp, p.MV, eta), example1)
-        if al is not None and xi is not None:
-            assert xi == pytest.approx(al, rel=1e-6, abs=1e-6)
+        x, Vp, Vpp = curve1.x[i], curve1.Vp[i], curve1.Vpp[i]
+        eta = curvature("B", example1, x, Vp, example1.lam * (curve1.V[i] - curve1.J[i]))
+        assert eta == pytest.approx(Vpp, rel=1e-6, abs=1e-9)
+        al = -excess * Vp / (s2 * x * Vpp)
+        xi = -excess * Vp / (s2 * x * eta)
+        assert xi == pytest.approx(al, rel=1e-6, abs=1e-6)
 
 
 def test_zero_curvature_is_slope_of_slaved_derivative():
@@ -300,11 +264,11 @@ def test_curvature_infimum_mu_equal_r_endpoint():
     # theta-free numerator: the ratio is monotone in 1/theta^2, so with a
     # positive numerator the infimum sits at the largest feasible |theta|
     p = ModelParams(c=0.02, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0)
-    st = PointState(x=2.0, V=2.0, Vp=0.5, MV=0.2)
-    I = _I(st, p)
+    x, Vp, MV = 2.0, 0.5, 0.2
+    I = deficit(p, x, Vp, MV)
     assert I > 0
-    got, theta = infimum(p, st.x, st.Vp, st.MV, exclusion=1e-6)
-    want = 2.0 * I / (p.sigma**2 * p.b**2 * st.x**2)
+    got, theta = infimum(p, x, Vp, MV, exclusion=1e-6)
+    want = 2.0 * I / (p.sigma**2 * p.b**2 * x**2)
     assert got == pytest.approx(want, rel=1e-12)
     assert theta == -p.b
 
@@ -315,17 +279,20 @@ def test_curvature_infimum_rejects_large_exclusion(example1):
 
 
 def test_scale_invariance_of_pointwise_policy(example1):
-    # multiplying (V, Vp, Vpp, MV) by k > 0 changes no policy quantity
+    # multiplying (Vp, MV) by k > 0 changes no policy quantity: phi, the case
+    # table's regime and infimum's fraction stay, and infimum's V'' scales by k
     rng = np.random.default_rng(43)
-    for p in _random_states(rng, 50):
+    A = vertex_exclusion(example1)
+    for x, Vp, MV in _random_states(rng, 50):
+        phi = _phi(example1, x, Vp, MV)
+        Vpp, theta = infimum(example1, x, Vp, MV, A)
         for k in (3.7, 0.02):
-            q = PointState(x=p.x, V=k * p.V, Vp=k * p.Vp, MV=k * p.MV, Vpp=k * p.Vpp)
-            assert vertex_fraction(q, example1) == pytest.approx(
-                vertex_fraction(p, example1), rel=1e-12)
-            assert _phi(q, example1) == pytest.approx(_phi(p, example1), rel=1e-12)
-            r1, r2 = optimal_fraction(p, example1), optimal_fraction(q, example1)
-            assert r1.branch == r2.branch
-            assert r1.theta_star == pytest.approx(r2.theta_star, rel=1e-12)
+            phi_k = _phi(example1, x, k * Vp, k * MV)
+            assert phi_k == pytest.approx(phi, rel=1e-12)
+            assert regime_for_indicator(phi_k, example1) == regime_for_indicator(phi, example1)
+            Vpp_k, theta_k = infimum(example1, x, k * Vp, k * MV, A)
+            assert theta_k == pytest.approx(theta, rel=1e-12)
+            assert Vpp_k == pytest.approx(k * Vpp, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

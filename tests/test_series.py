@@ -30,7 +30,8 @@ def test_second_derivative_two_routes(example1):
     se = series_coefficients(example1, M, example1.a)
     lam, c = example1.lam, example1.c
     gamma = example1.a
-    formula = (lam / c) * (lam / c - 1.0 / M - (example1.r + gamma * example1.excess) / c)
+    excess = example1.mu - example1.r
+    formula = (lam / c) * (lam / c - 1.0 / M - (example1.r + gamma * excess) / c)
     assert se.D[1] * se.D[2] == pytest.approx(formula, abs=1e-8)
     assert formula == pytest.approx(11.25)
     assert formula > 0  # convex start, matching the condition check
