@@ -319,6 +319,38 @@ def test_threshold_absent_when_bounds_equal():
     assert t.extreme_bound is None
 
 
+def test_regime_for_indicator_table_edges():
+    # the regime at the interior bound (A for mu > r, B for mu < r) owns both
+    # of its thresholds, and a NaN indicator maps to it; with a = b it is the
+    # only constant regime
+    for p in CASE_TABLE_CONFIGS:
+        a, b = p.a, p.b
+        if p.mu > p.r:
+            near, far, inner = "A", "B", a
+            outer = 2.0 * a * b / (b - a) if a < b else None
+            into_int, into_far = -np.inf, np.inf
+        else:
+            near, far, inner = "B", "A", -b
+            outer = -2.0 * a * b / (a - b) if a > b else None
+            into_int, into_far = np.inf, -np.inf
+        assert regime_for_indicator(inner, p) == near
+        assert regime_for_indicator(np.nextafter(inner, into_int), p) == "INT"
+        assert regime_for_indicator(math.nan, p) == near
+        if outer is None:
+            assert regime_for_indicator(np.nextafter(inner, into_far), p) == near
+            assert regime_for_indicator(1e6 * inner, p) == near
+        else:
+            assert regime_for_indicator(outer, p) == near
+            assert regime_for_indicator(np.nextafter(outer, into_far), p) == far
+            assert regime_for_indicator(np.nextafter(outer, into_int), p) == near
+    for mu in (0.02, 0.01):
+        p = ModelParams(c=0.02, lam=0.09, mu=mu, r=0.015, sigma=0.1, a=2.0, b=2.0)
+        near, sign = ("A", 1.0) if mu > p.r else ("B", -1.0)
+        for phi in (sign * 2.0, sign * 1e12, math.nan):
+            assert regime_for_indicator(phi, p) == near
+        assert regime_for_indicator(sign * 1.999, p) == "INT"
+
+
 def test_regime_for_indicator_case_tables(example1, example2):
     thr = 40.0 / 19.0
     assert regime_for_indicator(0.5, example1) == "INT"
