@@ -5,8 +5,8 @@ with keys c, lambda, mu, r, sigma, a, b, claim.kind, claim.mean.  Every
 output file records the run-manifest hash; identical config and seed produce
 byte-identical CSV artifacts.
 
-Exit codes: 0 success, 1 validation failure, 2 solver abort, 3 verification
-failure.
+Exit codes: 0 success, 1 validation failure or a verify the curve cannot
+answer, 2 solver abort, 3 verification failure.
 """
 from __future__ import annotations
 
@@ -21,10 +21,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .curve import SolutionCurve
+from .curve import REGIME_INTERIOR, SolutionCurve
 from .exp_solver import SolveOptions, SolverAbort, solve
 from .model import ExponentialClaims, ModelParams, validate
-from .operators import switching_thresholds
+from .operators import indicator_bands, start_regime
 from .simulator import (ConstantPolicy, FeedbackPolicy, SimConfig,
                         compare_policies, estimate_survival,
                         lundberg_ruin_probability)
@@ -152,9 +152,10 @@ def cmd_policy(args, cfg, params, law, manifest, out) -> int:
     thresholds = {"a": params.a, "minus_b": -params.b,
                   "convex_split": 0.5 * (params.a - params.b)}
     if params.mu != params.r:
-        t = switching_thresholds(params)
-        if t.extreme_bound is not None:
-            thresholds["extreme_bound"] = t.extreme_bound
+        # the start regime's band bound not shared with INT, when a != b
+        bands = indicator_bands(params)
+        for t in set(bands[start_regime(params)]) - set(bands[REGIME_INTERIOR]) - {None}:
+            thresholds["extreme_bound"] = t
     # event-located switch points, sharper than the node grid
     switch_points = curve.switch_points if sidecar is None else sidecar["switch_points"]
 
@@ -194,6 +195,12 @@ def cmd_verify(args, cfg, params, law, manifest, out) -> int:
         except SolverAbort as exc:
             return _abort(out, manifest, exc)
         x0s = [1.0, 5.0, 10.0]
+        mode = curve.meta["tail"]["mode"]
+        if max(x0s) > curve.x[-1] or mode in ("open", "q-below-one"):
+            print(f"cannot verify: x0 up to {max(x0s):g}, last node x={curve.x[-1]:.6g}, tail "
+                  f"mode {mode}; V/V_inf is no survival probability there, raise --xmax",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
         policy = FeedbackPolicy(curve, params)
         report = estimate_survival(x0s, policy, params, law, sim_cfg)
         expected = [float(curve.survival(x)) for x in x0s]

@@ -36,9 +36,6 @@ class RegimeSegment:
     regime: str
     terminal_event: str  # switch condition that ended the segment
 
-    def __contains__(self, x):
-        return self.lo <= x <= self.hi
-
 
 def segments_from_regimes(x, regime, last_event: str) -> list[RegimeSegment]:
     """Maximal runs of equal labels in the regime column, ended by "switch"."""

@@ -12,9 +12,8 @@ ordinary (not integro-) differential equation in (V, V', J):
     no investment (mu = r): V' = lambda (V-J) / (c + r x)
 
 The march starts from the near-zero asymptotic series of the initial regime
-(maximal long when mu > r, maximal short when mu < r), tracks the policy
-indicator phi, and switches regimes where phi crosses the case-table
-thresholds.  The march owns its Dormand-Prince 5(4) step loop: scipy's RK45
+(`operators.start_regime`), tracks the policy indicator phi, and switches
+regimes where phi leaves the regime's band (`operators.indicator_bands`).  The march owns its Dormand-Prince 5(4) step loop: scipy's RK45
 only validates the tolerances and picks the first step, and the loop copies
 scipy 1.17's step control (the oracle tests against solve_ivp catch a
 drifted scipy).  It evaluates all of a regime's events in one fused function
@@ -45,8 +44,9 @@ from scipy.optimize import OptimizeResult, brentq
 from .curve import (REGIME_INTERIOR, REGIME_LONG, REGIME_SHORT, REGIME_ZERO,
                     RegimeSegment, SolutionCurve)
 from .model import ExponentialClaims, ModelParams, regime_constants, require_valid
-from .operators import (curvature, curvature_fn, deficit, indicator, regime_for_indicator,
-                        switching_thresholds, theta_for, vertex_exclusion)
+from .operators import (curvature, curvature_fn, deficit, indicator, indicator_bands,
+                        regime_for_indicator, regime_fraction, start_regime, theta_for,
+                        vertex_exclusion)
 from .series import SeriesExpansion, handoff_point, series_coefficients, series_eval
 
 __all__ = [
@@ -134,38 +134,27 @@ def _segment_events(regime: str, params: ModelParams, m: float):
 
     if params.mu == params.r:
         if regime == REGIME_ZERO:
-            big = REGIME_LONG if params.a >= params.b else REGIME_SHORT
             vpp = curvature_fn(REGIME_ZERO, params)
 
             def g(x, y):
                 y = y.tolist()
                 vp = _zero_vp(params, x, y)
                 return (vpp(x, vp, lam * y[2], lam * (vp - y[2] / m)), vp - VP_FLOOR)
-            return [("curvature-positive", up, big), floor], g
+            return [("curvature-positive", up, start_regime(params)), floor], g
 
         def g(x, y):
             V, Vp, D = y.tolist()
             return (deficit(params, x, Vp, lam * D), Vp - VP_FLOOR)
         return [("curvature-negative", down, REGIME_ZERO), floor], g
 
-    thr = switching_thresholds(params)
-    inner = ("indicator-interior-bound", thr.interior_bound)
-    outer = ("indicator-extreme-bound", thr.extreme_bound)
-    # (name, level, direction) of the indicator thresholds; the constant
-    # regime at the interior bound is A for mu > r and B for mu < r, and the
-    # directions flip with the sign of mu - r
-    sign = 1 if params.mu > params.r else -1
-    near = REGIME_LONG if sign > 0 else REGIME_SHORT
-    if regime == REGIME_INTERIOR:
-        crossings = [(*inner, sign * up)]
-    elif regime == near:
-        crossings = [(*inner, sign * down)]
-        if thr.extreme_bound is not None:
-            crossings.append((*outer, sign * up))
-    else:
-        crossings = [(*outer, sign * down)]
-    rows = [(name, direction, None) for name, _, direction in crossings]
-    levels = [level for _, level, _ in crossings]
+    # phi leaves the regime's band down through lo or up through hi; a bound
+    # of the interior band is the interior bound, the other the extreme bound
+    bands = indicator_bands(params)
+    lo, hi = bands[regime]
+    levels = [level for level in (lo, hi) if level is not None]
+    rows = [("indicator-interior-bound" if level in bands[REGIME_INTERIOR]
+             else "indicator-extreme-bound", down if level == lo else up, None)
+            for level in levels]
 
     if regime == REGIME_INTERIOR:
         (level,) = levels
@@ -360,16 +349,12 @@ def _start(params: ModelParams, m: float):
     largest-|theta| endpoint if V''(0+) > 0, and otherwise ZERO from x = 1e-8
     with the x = 0 data (no series segment).
     """
-    if params.mu != params.r:
-        gamma0 = params.a if params.mu > params.r else -params.b
-    else:
-        gamma0 = params.a if params.a >= params.b else -params.b
-    exp = series_coefficients(params, m, gamma0, K=SERIES_TERMS)
+    regime0 = start_regime(params)
+    exp = series_coefficients(params, m, regime_fraction(params, regime0), K=SERIES_TERMS)
     if params.mu == params.r and exp.D[2] <= 0:
         return exp, REGIME_ZERO, 1e-8, np.array([1.0, params.lam / params.c, 1.0])
     x_eps = handoff_point(exp, params, m)
     V0, Vp0, _, J0 = series_eval(exp, x_eps, params, m)
-    regime0 = REGIME_LONG if gamma0 > 0 else REGIME_SHORT
     return exp, regime0, x_eps, np.array([V0, Vp0, V0 - J0])
 
 
@@ -615,8 +600,8 @@ def extrapolate_tail(x, Vp, V_end, terminal_regime, params: ModelParams,
         tail.update({"mode": "converged", "tail_mass_bound": v_end})
         return V_end, tail
 
-    gamma = -params.b if terminal_regime == REGIME_SHORT else params.a
-    rc = regime_constants(params, gamma)
+    rc = regime_constants(params, regime_fraction(
+        params, REGIME_SHORT if terminal_regime == REGIME_SHORT else REGIME_LONG))
     q = 2.0 * rc.mu_bar / rc.sigma_bar**2
     tail["q"] = q
     if q <= 1.0:
@@ -647,8 +632,7 @@ def third_order_check(curve: SolutionCurve, segment: RegimeSegment,
     """
     if segment.regime not in (REGIME_LONG, REGIME_SHORT):
         raise ValueError("third-order check applies to constant-regime segments")
-    gamma = params.a if segment.regime == REGIME_LONG else -params.b
-    rc = regime_constants(params, gamma)
+    rc = regime_constants(params, regime_fraction(params, segment.regime))
     mb, sb2 = rc.mu_bar, rc.sigma_bar**2
 
     def rhs(x, y):

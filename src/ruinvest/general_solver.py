@@ -39,7 +39,8 @@ import numpy as np
 from .curve import SolutionCurve, segments_from_regimes
 from .exp_solver import SolverAbort, extrapolate_tail
 from .model import ClaimLaw, ModelParams, regime_constants, require_valid
-from .operators import deficit, indicator, infimum, regime_for_theta, vertex_exclusion
+from .operators import (deficit, indicator, infimum, regime_for_theta, regime_fraction,
+                        start_regime, vertex_exclusion)
 
 __all__ = [
     "NearZeroTable",
@@ -331,8 +332,8 @@ def general_solve(params: ModelParams, law: ClaimLaw, x_max: Optional[float] = N
         raise SolverAbort("the continuation path requires mu != r; "
                           "use the exponential-claims solver for mu = r")
     x_max = x_max if x_max is not None else 200.0 * params.c / params.lam
-    gamma0 = params.a if params.mu > params.r else -params.b
-    table = solve_constant_regime_near_zero(params, law, gamma0)
+    table = solve_constant_regime_near_zero(params, law,
+                                            regime_fraction(params, start_regime(params)))
     ctx = TOperatorContext(params=params, law=law, table=table,
                            exclusion=vertex_exclusion(params))
     if x_max <= ctx.epsilon:

@@ -205,9 +205,6 @@ class ValidationReport:
     violations: list = field(default_factory=list)
     convex_start: Optional[bool] = None  # exponential law only
 
-    def __bool__(self):
-        return self.ok
-
 
 def validate(params: ModelParams, law: ClaimLaw, oracle_mode: bool = False) -> ValidationReport:
     """Check the standing model assumptions; list every violation found.
@@ -246,8 +243,7 @@ def convex_start_condition(params: ModelParams, m: float) -> bool:
     (V''(0+) > 0 in the maximal-long regime), which is what produces the
     long -> short -> long switching pattern for mu > r and large b.
     """
-    mu_bar_a = params.a * params.mu + (1.0 - params.a) * params.r
-    return m * (mu_bar_a - params.lam) + params.c < 0
+    return m * (regime_constants(params, params.a).mu_bar - params.lam) + params.c < 0
 
 
 def require_valid(params: ModelParams, law: ClaimLaw, oracle_mode: bool = False) -> None:

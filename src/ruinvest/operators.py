@@ -1,10 +1,13 @@
 """The HJB equation's quantities for the constrained investment problem.
 
-This module is the one home of the equation's formulas: the array kernel
-(`deficit`, `indicator`, `curvature`, `theta_for`, `infimum` and the switching
-case tables) that both solvers call.  There is no second, pointwise copy of
-the case table; the tests check this one against a dense argmax of the
-generator below.
+This module is the one home of the equation's formulas and of its case
+table: the array kernel (`deficit`, `indicator`, `curvature`, `theta_for`,
+`infimum`) that both solvers call, and the per-regime facts
+(`regime_fraction`, `start_regime`, `indicator_bands`,
+`regime_for_indicator`) that the solvers, the CLI and the tests read; no
+other module derives a regime's fraction, start or indicator band.  There is
+no second, pointwise copy of the table; the tests check this one against a
+dense argmax of the generator below.
 
 For a candidate value function W the controlled generator at fraction theta is
 
@@ -34,13 +37,11 @@ along solutions of the HJB equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .curve import REGIME_INTERIOR, REGIME_LONG, REGIME_SHORT, REGIME_ZERO
-from .model import ModelParams
+from .model import ModelParams, regime_constants
 
 __all__ = [
     "deficit",
@@ -51,7 +52,9 @@ __all__ = [
     "regime_for_theta",
     "vertex_exclusion",
     "infimum",
-    "switching_thresholds",
+    "regime_fraction",
+    "start_regime",
+    "indicator_bands",
     "regime_for_indicator",
 ]
 
@@ -103,21 +106,16 @@ def curvature_fn(regime: str, p: ModelParams):
         return lambda x, Vp, MV, dMV=None: num * Vp**2 / (den * deficit(p, x, Vp, MV))
     if regime == REGIME_ZERO:
         return lambda x, Vp, MV, dMV=None: (dMV * (c + r * x) - r * MV) / (c + r * x)**2
-    gamma = p.a if regime == REGIME_LONG else -p.b
-    mu_bar = p.r + gamma * (p.mu - p.r)
-    sigma_bar2 = (abs(gamma) * p.sigma) ** 2
+    rc = regime_constants(p, regime_fraction(p, regime))
+    mu_bar, sigma_bar2 = rc.mu_bar, rc.sigma_bar**2
     return lambda x, Vp, MV, dMV=None: 2.0 * (MV - (c + mu_bar * x) * Vp) / (sigma_bar2 * x**2)
 
 
 def theta_for(regime: str, p: ModelParams, phi: np.ndarray) -> np.ndarray:
     """Optimal fraction of the regime at nodes with indicator phi."""
-    if regime == REGIME_LONG:
-        return np.full_like(phi, p.a)
-    if regime == REGIME_SHORT:
-        return np.full_like(phi, -p.b)
-    if regime == REGIME_ZERO:
-        return np.zeros_like(phi)
-    return np.clip(phi, -p.b, p.a)
+    if regime == REGIME_INTERIOR:
+        return np.clip(phi, -p.b, p.a)
+    return np.full_like(phi, regime_fraction(p, regime))
 
 
 def regime_for_theta(p: ModelParams, theta: np.ndarray) -> np.ndarray:
@@ -161,52 +159,58 @@ def infimum(p: ModelParams, x: float, Vp: float, MV: float, exclusion: float):
 
 
 # ---------------------------------------------------------------------------
-# switching case tables
+# the case table: every per-regime fact the solvers, the CLI and the tests read
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SwitchingThresholds:
-    """Indicator thresholds separating the interior and boundary regimes.
+def regime_fraction(p: ModelParams, regime: str) -> float:
+    """Constant fraction of a regime: a for A, -b for B, 0 otherwise."""
+    return {REGIME_LONG: p.a, REGIME_SHORT: -p.b}.get(regime, 0.0)
 
-    For mu > r the regimes along the solution are
 
-        indicator < a                 -> interior (fraction = indicator)
-        a <= indicator <= long_short  -> maximal long a
-        indicator > long_short        -> maximal short -b   (a < b only)
+def start_regime(p: ModelParams) -> str:
+    """Regime optimal at zero surplus, the one at the case table's interior bound.
 
-    with long_short = 2ab/(b-a); for mu < r the mirrored table applies with
-    interior for indicator > -b and short_long = -2ab/(a-b) (a > b only).
+    A for mu > r, B for mu < r; for mu = r the endpoint of larger |theta|
+    (A on a tie), which starts the march while V''(0+) > 0.
     """
+    if p.mu != p.r:
+        return REGIME_LONG if p.mu > p.r else REGIME_SHORT
+    return REGIME_LONG if p.a >= p.b else REGIME_SHORT
 
-    interior_bound: float          # a (mu > r) or -b (mu < r)
-    extreme_bound: Optional[float]  # 2ab/(b-a), -2ab/(a-b), or None when a = b
-    extreme_regime: Optional[str]   # regime beyond the extreme bound
 
+def indicator_bands(p: ModelParams) -> dict:
+    """{regime: (lo, hi)}: the band of the indicator phi where each regime is optimal.
 
-def switching_thresholds(params: ModelParams) -> SwitchingThresholds:
-    a, b = params.a, params.b
-    if params.mu > params.r:
-        if a < b:
-            return SwitchingThresholds(a, 2.0 * a * b / (b - a), "B")
-        return SwitchingThresholds(a, None, None)
-    if params.mu < params.r:
-        if a > b:
-            return SwitchingThresholds(-b, -2.0 * a * b / (a - b), "A")
-        return SwitchingThresholds(-b, None, None)
-    raise ValueError("switching thresholds are undefined for mu = r")
+    None is an unbounded side.  For mu > r:
+
+        INT  phi < a                    (fraction = phi)
+        A    a <= phi <= 2ab/(b-a)      (upper bound only when a < b)
+        B    phi > 2ab/(b-a)            (a < b only)
+
+    and for mu < r the mirror: INT phi > -b, B -2ab/(a-b) <= phi <= -b, A
+    phi < -2ab/(a-b) (a > b only).  The regime at the interior bound
+    (`start_regime`) owns both of its thresholds.  Undefined for mu = r.
+    """
+    a, b = p.a, p.b
+    if p.mu > p.r:
+        extreme = 2.0 * a * b / (b - a) if a < b else None
+        bands = {REGIME_INTERIOR: (None, a), REGIME_LONG: (a, extreme)}
+        if extreme is not None:
+            bands[REGIME_SHORT] = (extreme, None)
+        return bands
+    if p.mu < p.r:
+        extreme = -2.0 * a * b / (a - b) if a > b else None
+        bands = {REGIME_INTERIOR: (-b, None), REGIME_SHORT: (extreme, -b)}
+        if extreme is not None:
+            bands[REGIME_LONG] = (None, extreme)
+        return bands
+    raise ValueError("the indicator case table is undefined for mu = r")
 
 
 def regime_for_indicator(phi: float, params: ModelParams) -> str:
-    """Active regime ('A', 'B' or 'INT') prescribed by the case table at phi."""
-    t = switching_thresholds(params)
-    if params.mu > params.r:
-        if phi < t.interior_bound:
-            return "INT"
-        if t.extreme_bound is not None and phi > t.extreme_bound:
-            return "B"
-        return "A"
-    if phi > t.interior_bound:
-        return "INT"
-    if t.extreme_bound is not None and phi < t.extreme_bound:
-        return "A"
-    return "B"
+    """Regime the case table prescribes at phi; NaN maps to `start_regime`."""
+    near = start_regime(params)
+    for regime, (lo, hi) in indicator_bands(params).items():
+        if regime != near and (lo is None or phi > lo) and (hi is None or phi < hi):
+            return regime
+    return near

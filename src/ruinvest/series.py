@@ -3,10 +3,11 @@
 Bounded solutions of the constant-regime integro-differential equation with
 exponential claims admit the expansion
 
-    V(x) = C0 + D1 [ x + sum_{k>=2} C_k x^k ],   C_k = D_k / k,
+    V(x) = 1 + D1 [ x + sum_{k>=2} C_k x^k ],   C_k = D_k / k,
 
-with C0 = V(0) = 1, D1 = lambda/c, and an explicit two-term recursion for the
-D_k driven by the regime's effective drift mu_bar and volatility sigma_bar.
+normalised to V(0) = 1, with D1 = lambda/c and an explicit two-term
+recursion for the D_k driven by the regime's effective drift mu_bar and
+volatility sigma_bar.
 The series is asymptotic (the D_k grow factorially), so it is only ever
 evaluated on a small initial interval chosen by `handoff_point`; the ODE
 march takes over from there.
@@ -18,9 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, regime_constants
-from .operators import deficit, indicator, regime_for_indicator
+from .operators import deficit, indicator, regime_for_indicator, start_regime
 
 __all__ = ["SeriesExpansion", "series_coefficients", "series_eval", "handoff_point"]
+
+# handoff_point's truncation tolerance and its clamp on x_eps
+HANDOFF_REL_TOL = 1e-12
+HANDOFF_LO = 1e-6
+HANDOFF_HI = 0.1
 
 
 @dataclass(frozen=True)
@@ -30,17 +36,8 @@ class SeriesExpansion:
     gamma: float          # the regime fraction (a or -b)
     mu_bar: float
     sigma_bar: float
-    C0: float             # value at zero, normalised to 1
     D: np.ndarray         # D[1..K]; D[0] unused
     K: int
-
-    @property
-    def C(self) -> np.ndarray:
-        """C_k = D_k / k for k >= 2 (C[0], C[1] unused)."""
-        k = np.arange(self.K + 1)
-        out = np.zeros(self.K + 1)
-        out[2:] = self.D[2:] / k[2:]
-        return out
 
 
 def series_coefficients(params: ModelParams, m: float, gamma: float, K: int = 40) -> SeriesExpansion:
@@ -71,7 +68,7 @@ def series_coefficients(params: ModelParams, m: float, gamma: float, K: int = 40
             -D[k - 1] * ((k - 1) * (k - 2) * sb**2 / 2.0 + (k - 1) * mb - lam + c / m)
             - (1.0 / m) * D[k - 2] * ((k - 3) * sb**2 / 2.0 + mb)
         ) / (c * (k - 1))
-    return SeriesExpansion(gamma=gamma, mu_bar=mb, sigma_bar=sb, C0=1.0, D=D, K=K)
+    return SeriesExpansion(gamma=gamma, mu_bar=mb, sigma_bar=sb, D=D, K=K)
 
 
 def series_eval(exp: SeriesExpansion, x: float, params: ModelParams, m: float):
@@ -84,7 +81,7 @@ def series_eval(exp: SeriesExpansion, x: float, params: ModelParams, m: float):
     D, K = exp.D, exp.K
     k = np.arange(2, K + 1)
     xk = x ** k
-    V = exp.C0 + D[1] * x + D[1] * float(np.sum(D[2:] / k * xk))
+    V = 1.0 + D[1] * x + D[1] * float(np.sum(D[2:] / k * xk))
     Vp = D[1] * (1.0 + float(np.sum(D[2:] * x ** (k - 1))))
     Vpp = D[1] * float(np.sum((k - 1) * D[2:] * x ** (k - 2)))
     M = (params.c + exp.mu_bar * x) * Vp + 0.5 * exp.sigma_bar**2 * x**2 * Vpp
@@ -92,14 +89,13 @@ def series_eval(exp: SeriesExpansion, x: float, params: ModelParams, m: float):
     return V, Vp, Vpp, J
 
 
-def handoff_point(exp: SeriesExpansion, params: ModelParams, m: float,
-                  rel_tol: float = 1e-12, lo: float = 1e-6, hi: float = 0.1) -> float:
-    """Largest x where the series is trustworthy, clamped to [lo, hi].
+def handoff_point(exp: SeriesExpansion, params: ModelParams, m: float) -> float:
+    """Largest x where the series is trustworthy, clamped to [HANDOFF_LO, HANDOFF_HI].
 
     Two rules, both required:
 
     * truncation: the last retained term of each of V, V', V'' is below
-      rel_tol relative to its partial sum;
+      HANDOFF_REL_TOL relative to its partial sum;
     * regime consistency: the case-table regime evaluated on the series stays
       equal to the starting regime on (0, x] (the constant-regime branch only
       coincides with the HJB solution up to the first switch, which can sit
@@ -114,21 +110,21 @@ def handoff_point(exp: SeriesExpansion, params: ModelParams, m: float,
         lastV = abs(D[1] * D[K] / K) * x**K
         lastVp = abs(D[1] * D[K]) * x ** (K - 1)
         lastVpp = abs(D[1] * (K - 1) * D[K]) * x ** (K - 2)
-        return (lastV <= rel_tol * abs(V)
-                and lastVp <= rel_tol * abs(Vp)
-                and lastVpp <= rel_tol * (abs(Vpp) + abs(Vp)))
+        return (lastV <= HANDOFF_REL_TOL * abs(V)
+                and lastVp <= HANDOFF_REL_TOL * abs(Vp)
+                and lastVpp <= HANDOFF_REL_TOL * (abs(Vpp) + abs(Vp)))
 
-    x_eps = hi
-    while x_eps > lo and not trunc_ok(x_eps):
+    x_eps = HANDOFF_HI
+    while x_eps > HANDOFF_LO and not trunc_ok(x_eps):
         x_eps *= 0.7
-    x_eps = max(x_eps, lo)
+    x_eps = max(x_eps, HANDOFF_LO)
 
     if params.mu != params.r:
-        want = "A" if exp.gamma > 0 else "B"
-        for xq in np.geomspace(lo, x_eps, 200):
+        want = start_regime(params)
+        for xq in np.geomspace(HANDOFF_LO, x_eps, 200):
             V, Vp, Vpp, J = series_eval(exp, xq, params, m)
             phi = indicator(params, xq, Vp, deficit(params, xq, Vp, params.lam * (V - J)))
             if regime_for_indicator(phi, params) != want:
-                x_eps = max(lo, xq / 2.0)
+                x_eps = max(HANDOFF_LO, xq / 2.0)
                 break
     return x_eps

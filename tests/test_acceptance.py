@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from ruinvest.exp_solver import SolveOptions, solve, third_order_check
 from ruinvest.general_solver import general_solve
 from ruinvest.model import ExponentialClaims, convex_start_condition, regime_constants
-from ruinvest.operators import regime_for_indicator, switching_thresholds
+from ruinvest.operators import indicator_bands, regime_for_indicator
 from ruinvest.simulator import (ConstantPolicy, FeedbackPolicy, SimConfig,
                                 compare_policies, estimate_survival,
                                 lundberg_ruin_probability)
@@ -189,8 +189,8 @@ def test_criterion_5_scheme_equivalence(example1, example2, example3,
 def test_criterion_6_theorem_consistency(example1, example2, example3,
                                          curve1, curve2, curve3):
     for p, cur in ((example1, curve1), (example2, curve2), (example3, curve3)):
-        thr = switching_thresholds(p)
-        band = 1e-7 * (1.0 + abs(thr.extreme_bound or 0.0) + abs(thr.interior_bound))
+        bounds = {t for band in indicator_bands(p).values() for t in band if t is not None}
+        band = 1e-7 * (1.0 + sum(abs(t) for t in bounds))
         live = cur.x > 0
         phi = cur.phi[live]
         theta = cur.theta_star[live]
@@ -207,11 +207,9 @@ def test_criterion_6_theorem_consistency(example1, example2, example3,
             if want == "INT" and abs(th - np.clip(ph, -p.b, p.a)) <= 1e-9 * (1 + abs(ph)):
                 continue
             # threshold-straddling nodes: the bisection lands within `band`
-            dist = min(abs(ph - thr.interior_bound),
-                       abs(ph - thr.extreme_bound) if thr.extreme_bound else np.inf)
+            dist = min(abs(ph - t) for t in bounds)
             assert dist <= band, (ph, th, dist)
-    thr1 = switching_thresholds(example1)
-    assert thr1.extreme_bound == pytest.approx(40.0 / 19.0)
+    assert indicator_bands(example1)["B"][0] == pytest.approx(40.0 / 19.0)
     _report(6, True, "theta* follows the case tables at every node; indicator "
                      "sign positive for example 1, negative for examples 2-3; "
                      "threshold 2ab/(b-a) = 40/19")

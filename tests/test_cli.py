@@ -211,6 +211,21 @@ def test_verify_example1_small_sample(tmp_path):
     assert all(r["path_steps"] > r["iterations"] > 0 for r in rows)
 
 
+def test_verify_refuses_x0_beyond_curve(tmp_path, monkeypatch, capsys):
+    # at --xmax 5 the curve ends at x = 5 with an open tail, so V/V_inf at
+    # x0 = 10 is V(5)/V(5) = 1: verify refuses before simulating
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("verify simulated a curve it cannot check")
+    monkeypatch.setattr(cli, "estimate_survival", no_simulation)
+    rc = main(["verify", "--config", str(CONFIGS / "example1.cfg"), "--out-dir", str(tmp_path),
+               "--xmax", "5", "--n-paths", "2000", "--seed", "3"])
+    assert rc == 1
+    assert not (tmp_path / "verify.csv").exists()
+    assert capsys.readouterr().err == ("cannot verify: x0 up to 10, last node x=5, tail mode "
+                                       "open; V/V_inf is no survival probability there, raise "
+                                       "--xmax\n")
+
+
 @pytest.mark.slow
 def test_compare_emits_all_policies(tmp_path):
     rc = main(["compare", "--config", str(CONFIGS / "example1.cfg"),

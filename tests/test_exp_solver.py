@@ -9,7 +9,7 @@ from ruinvest.exp_solver import (SolveOptions, SolverAbort, _rhs_for, _rk45_marc
                                  _segment_events, _segment_nodes, extrapolate_tail, solve,
                                  third_order_check)
 from ruinvest.model import ExponentialClaims, ModelParams, regime_constants
-from ruinvest.operators import curvature
+from ruinvest.operators import curvature, indicator_bands, start_regime
 from ruinvest.series import handoff_point, series_coefficients, series_eval
 
 M = 1.0
@@ -528,6 +528,39 @@ def test_equal_rates_runs_without_interior():
         ("ZERO", "derivative-floor")]
     assert cur.x[-1] == pytest.approx(39.504467, rel=1e-6)
     assert cur.V_inf == pytest.approx(3.2251262, rel=1e-6)
+
+
+def _switches_follow_bands(p, cur):
+    """Every logged switch crosses the one threshold its two regimes' bands share."""
+    if p.mu == p.r:
+        assert all({e["from"], e["to"]} == {start_regime(p), "ZERO"} for e in cur.meta["events"])
+        return
+    bands = indicator_bands(p)
+    for e in cur.meta["events"]:
+        (t,) = (set(bands[e["from"]]) & set(bands[e["to"]])) - {None}
+        interior = "indicator-interior-bound" if t in bands["INT"] else "indicator-extreme-bound"
+        assert e["kind"] == interior
+        phi = cur.phi[np.searchsorted(cur.x, e["x"])]
+        assert abs(phi - t) <= 1e-6 * (1.0 + abs(t)), (e, phi)
+
+
+def test_mirror_symmetry(example1, example2, example3, curve1, curve2, curve3):
+    # (mu, a, b) -> (2r - mu, b, a) flips the sign of mu - r and swaps the
+    # constraints: A and B trade places, theta* changes sign and V is unchanged
+    cases = [(example1, curve1), (example2, curve2), (example3, curve3)]
+    for p in (replace(example1, mu=example1.r), replace(example1, a=20.0, b=1.0)):
+        cases.append((p, solve(p, M)))
+    swap = {"A": "B", "B": "A", "INT": "INT", "ZERO": "ZERO"}
+    for p, cur in cases:
+        q = replace(p, mu=2.0 * p.r - p.mu, a=p.b, b=p.a)
+        mir = solve(q, M)
+        assert mir.V_inf == pytest.approx(cur.V_inf, rel=1e-12)
+        assert np.all(np.abs(mir.value(cur.x) / cur.V - 1.0) <= 1e-10)
+        assert np.all(np.abs(mir.theta(cur.x) + cur.theta_star) <= 1e-8)
+        assert [swap[s.regime] for s in cur.segments] == [s.regime for s in mir.segments]
+        assert mir.switch_points == pytest.approx(cur.switch_points, rel=1e-12, abs=1e-12)
+        _switches_follow_bands(p, cur)
+        _switches_follow_bands(q, mir)
 
 
 def test_csv_roundtrip(tmp_path, curve1):

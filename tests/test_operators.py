@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ruinvest.model import ModelParams
-from ruinvest.operators import (curvature, deficit, indicator, infimum, regime_for_indicator,
-                                regime_for_theta, switching_thresholds, theta_for,
+from ruinvest.operators import (curvature, deficit, indicator, indicator_bands, infimum,
+                                regime_for_indicator, regime_for_theta, theta_for,
                                 vertex_exclusion)
 
 
@@ -38,8 +38,7 @@ def _generator(p, x, Vp, MV, Vpp, theta):
 def _positive_deficit_states(p, rng, n):
     """(x, Vp, MV, phi) with I > 0, as along every solution; states within 1e-6
     relative of a switching threshold, where two regimes tie, are skipped."""
-    thr = switching_thresholds(p)
-    bounds = [t for t in (thr.interior_bound, thr.extreme_bound) if t is not None]
+    bounds = {t for band in indicator_bands(p).values() for t in band if t is not None}
     for _ in range(n):
         x, Vp = float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.01, 5.0))
         MV = (p.c + p.r * x) * Vp * (1.0 + 10.0 ** rng.uniform(-4.0, 1.0))
@@ -105,8 +104,7 @@ def test_maximizer_is_argmax_by_dense_sampling():
             _check_sup_is_zero(p, x, Vp, MV, Vpp, theta, thetas)
         # every regime of the table is reached: INT, the interior bound's
         # regime and, where the table has one, the extreme regime
-        want = 3 if switching_thresholds(p).extreme_regime else 2
-        assert len(regimes) == want
+        assert len(regimes) == len(indicator_bands(p))
 
 
 def test_maximizer_matches_direct_comparison():
@@ -300,23 +298,24 @@ def test_scale_invariance_of_pointwise_policy(example1):
 # ---------------------------------------------------------------------------
 
 def test_thresholds_example1(example1):
-    t = switching_thresholds(example1)
-    assert t.interior_bound == 1.0
-    assert t.extreme_bound == pytest.approx(40.0 / 19.0)
-    assert t.extreme_regime == "B"
+    bands = indicator_bands(example1)
+    assert bands["INT"] == (None, 1.0)
+    assert bands["A"][0] == 1.0
+    assert bands["A"][1] == pytest.approx(40.0 / 19.0)
+    assert bands["B"] == (bands["A"][1], None)
 
 
 def test_thresholds_mirrored(example2):
-    t = switching_thresholds(example2)
-    assert t.interior_bound == -1.0
-    assert t.extreme_bound == pytest.approx(-40.0 / 19.0)
-    assert t.extreme_regime == "A"
+    bands = indicator_bands(example2)
+    assert bands["INT"] == (-1.0, None)
+    assert bands["B"][1] == -1.0
+    assert bands["B"][0] == pytest.approx(-40.0 / 19.0)
+    assert bands["A"] == (None, bands["B"][0])
 
 
 def test_threshold_absent_when_bounds_equal():
     p = ModelParams(c=0.02, lam=0.09, mu=0.02, r=0.015, sigma=0.1, a=2.0, b=2.0)
-    t = switching_thresholds(p)
-    assert t.extreme_bound is None
+    assert indicator_bands(p) == {"INT": (None, 2.0), "A": (2.0, None)}
 
 
 def test_regime_for_indicator_table_edges():

@@ -14,7 +14,11 @@ def test_leading_coefficients_example1(example1):
     assert se.D[1] == pytest.approx(4.5)            # lambda / c
     assert se.D[2] == pytest.approx(2.5)            # -((mu_bar - lam)/c + 1/m)
     assert se.D[3] == pytest.approx(0.75)
-    assert np.allclose(se.C[2:], se.D[2:] / np.arange(2, se.K + 1))
+    # V's coefficients are C_k = D_k / k: V' from the D_k is V's slope
+    x, h = 0.01, 1e-6
+    V = lambda x: series_eval(se, x, example1, M)[0]
+    assert (V(x + h) - V(x - h)) / (2 * h) == pytest.approx(
+        series_eval(se, x, example1, M)[1], rel=1e-9)
 
 
 def test_boundary_values_example1(example1):
@@ -58,7 +62,7 @@ def test_handoff_clamps_linear_series(example1):
     # so the handoff sits at the upper clamp
     D = np.zeros(41)
     D[1] = 4.5
-    se = SeriesExpansion(gamma=example1.a, mu_bar=0.02, sigma_bar=0.1, C0=1.0, D=D, K=40)
+    se = SeriesExpansion(gamma=example1.a, mu_bar=0.02, sigma_bar=0.1, D=D, K=40)
     assert handoff_point(se, example1, M) == pytest.approx(0.1)
 
 
@@ -69,7 +73,7 @@ def test_handoff_shrinks_with_coefficient_growth(example1):
         D = se.D.copy()
         D[2:] *= scale
         boosted = SeriesExpansion(gamma=se.gamma, mu_bar=se.mu_bar, sigma_bar=se.sigma_bar,
-                                  C0=1.0, D=D, K=se.K)
+                                  D=D, K=se.K)
         xs.append(handoff_point(boosted, example1, M))
     assert xs[0] >= xs[1] >= xs[2]
 
