@@ -11,7 +11,7 @@ controlled surplus.
 __version__ = "0.1.0"
 
 from .curve import RegimeSegment, SolutionCurve
-from .exp_solver import SolveOptions, SolverAbort, extrapolate_tail, solve, third_order_check
+from .exp_solver import SolveOptions, SolverAbort, extrapolate_tail, solve
 from .general_solver import general_solve, solve_constant_regime_near_zero
 from .model import (ExponentialClaims, GeneralClaims, ModelParams, RegimeConstants,
                     convex_start_condition, regime_constants, validate)
@@ -23,7 +23,7 @@ __all__ = [
     "ModelParams", "ExponentialClaims", "GeneralClaims", "RegimeConstants",
     "validate", "regime_constants", "convex_start_condition",
     "SolutionCurve", "RegimeSegment",
-    "solve", "SolveOptions", "SolverAbort", "third_order_check", "extrapolate_tail",
+    "solve", "SolveOptions", "SolverAbort", "extrapolate_tail",
     "general_solve", "solve_constant_regime_near_zero",
     "ConstantPolicy", "FeedbackPolicy", "SimConfig", "SimulationReport",
     "estimate_survival", "compare_policies",

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .curve import REGIME_INTERIOR, SolutionCurve
+from .curve import MANIFEST_TAG, REGIME_INTERIOR, SolutionCurve, manifest_tag
 from .exp_solver import SolveOptions, SolverAbort, solve
 from .model import ExponentialClaims, ModelParams, validate
 from .operators import indicator_bands, start_regime
@@ -160,7 +160,7 @@ def cmd_policy(args, cfg, params, law, manifest, out) -> int:
     switch_points = curve.switch_points if sidecar is None else sidecar["switch_points"]
 
     with open(out / "policy.csv", "w") as fh:
-        fh.write(f"# manifest: {manifest.hash}\n")
+        fh.write(f"{MANIFEST_TAG}{manifest.hash}\n")
         for key, val in sorted(thresholds.items()):
             fh.write(f"# threshold {key} = {val:.17g}\n")
         for i, xi in enumerate(switch_points, 1):
@@ -208,7 +208,7 @@ def cmd_verify(args, cfg, params, law, manifest, out) -> int:
 
     all_pass = True
     with open(out / "verify.csv", "w") as fh:
-        fh.write(f"# manifest: {manifest.hash}\n")
+        fh.write(f"{MANIFEST_TAG}{manifest.hash}\n")
         fh.write("x0,expected,p_hat,ci_half,pass\n")
         for x0, exp_val in zip(x0s, expected):
             row = report.lookup(x0, policy.label)
@@ -265,14 +265,6 @@ def cmd_compare(args, cfg, params, law, manifest, out) -> int:
     return EXIT_OK
 
 
-def _manifest_hash(path) -> Optional[str]:
-    """Hash on an artifact's leading "# manifest: " line, or None."""
-    with open(path) as fh:
-        first = fh.readline()
-    tag = "# manifest: "
-    return first[len(tag):].strip() if first.startswith(tag) else None
-
-
 def _solved_sidecar(out: Path, cfg: dict, args) -> Optional[dict]:
     """curve.json in out if curve.csv there was solved from this config, xmax,
     tol and version, else None; the other options and the seed leave the
@@ -281,10 +273,12 @@ def _solved_sidecar(out: Path, cfg: dict, args) -> Optional[dict]:
     if not (curve_csv.exists() and sidecar.exists()):
         return None
     meta = json.loads(sidecar.read_text())
+    with open(curve_csv) as fh:
+        tag = manifest_tag(fh.readline())
     m = meta.get("manifest", {})
     solved = RunManifest("solve", cfg, {**m.get("options", {}), "xmax": args.xmax,
                                         "tol": args.tol}, m.get("seed"))
-    return meta if solved.hash == m.get("hash") == _manifest_hash(curve_csv) else None
+    return meta if solved.hash == m.get("hash") == tag else None
 
 
 def _options_echo(args) -> dict:

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-__all__ = ["RegimeSegment", "SolutionCurve", "segments_from_regimes"]
+__all__ = ["RegimeSegment", "SolutionCurve", "segments_from_regimes", "manifest_tag"]
 
 REGIME_LONG = "A"      # maximal long fraction a
 REGIME_SHORT = "B"     # maximal short fraction -b
@@ -25,6 +25,11 @@ REGIME_ZERO = "ZERO"   # no investment; only occurs when mu = r
 CSV_HEADER = "x,V,Vp,Vpp,J,phi,theta_star,regime"
 MANIFEST_TAG = "# manifest: "
 CSV_BLOCK = 4096      # rows formatted per write
+
+
+def manifest_tag(line: str) -> Optional[str]:
+    """Hash on an artifact's leading MANIFEST_TAG line, or None."""
+    return line[len(MANIFEST_TAG):].strip() if line.startswith(MANIFEST_TAG) else None
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,7 @@ class SolutionCurve:
         """
         with open(path) as fh:
             line = fh.readline()
-            tag = line[len(MANIFEST_TAG):].strip() if line.startswith(MANIFEST_TAG) else None
+            tag = manifest_tag(line)
             while line.startswith("#"):
                 line = fh.readline()  # ends on the column header
             start = fh.tell()

@@ -13,17 +13,19 @@ ordinary (not integro-) differential equation in (V, V', J):
 
 The march starts from the near-zero asymptotic series of the initial regime
 (`operators.start_regime`), tracks the policy indicator phi, and switches
-regimes where phi leaves the regime's band (`operators.indicator_bands`).  The march owns its Dormand-Prince 5(4) step loop: scipy's RK45
-only validates the tolerances and picks the first step, and the loop copies
-scipy 1.17's step control (the oracle tests against solve_ivp catch a
-drifted scipy).  It evaluates all of a regime's events in one fused function
+regimes where phi leaves the regime's band (`operators.indicator_bands`):
+each row of a regime's event table names the regime across the crossed bound.
+The march owns its Dormand-Prince 5(4) step loop: scipy's RK45 only
+validates the tolerances and picks the first step, and the loop copies scipy
+1.17's step control (the oracle tests against solve_ivp catch a drifted
+scipy).  It evaluates all of a regime's events in one fused function
 per step, localises a crossing on the step's interpolant, and evaluates the
 output nodes in blocks of steps, bit-identical to scipy's solve_ivp.
 
 When mu = r the drift is theta-free and there is no interior regime: the
 largest-|theta| endpoint is optimal while V'' > 0 and theta = 0 (ZERO) while
-V'' < 0.  One march serves both cases; each regime's row of the event table
-says where its segment ends and which regime follows.
+V'' < 0.  One march serves both cases, with a curvature row in place of the
+indicator rows.
 
 Internally the integrated state is (V, V', V-J): the deficit V-J decays to
 zero while V and J separately approach V(inf), and differencing them at the
@@ -37,7 +39,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 from scipy.integrate import RK45
 from scipy.optimize import OptimizeResult, brentq
 
@@ -45,7 +46,7 @@ from .curve import (REGIME_INTERIOR, REGIME_LONG, REGIME_SHORT, REGIME_ZERO,
                     RegimeSegment, SolutionCurve)
 from .model import ExponentialClaims, ModelParams, regime_constants, require_valid
 from .operators import (curvature, curvature_fn, deficit, indicator, indicator_bands,
-                        regime_for_indicator, regime_fraction, start_regime, theta_for,
+                        regime_fraction, start_indicator, start_regime, theta_for,
                         vertex_exclusion)
 from .series import SeriesExpansion, handoff_point, series_coefficients, series_eval
 
@@ -54,7 +55,6 @@ __all__ = [
     "SolverAbort",
     "solve",
     "extrapolate_tail",
-    "third_order_check",
 ]
 
 MAX_SWITCHES = 16     # more regime changes than this is event oscillation
@@ -123,10 +123,10 @@ def _segment_events(regime: str, params: ModelParams, m: float):
 
     rows holds one (name, direction, target) per event; g(x, y) returns all
     their values at once, in row order, sharing one deficit and indicator
-    evaluation per call.  A switch event names the regime that follows, or
-    None when the case table picks it just across the crossed indicator
-    threshold (mu != r).  The events in _COMPLETIONS end the march, those in
-    _ABORTS fail it.
+    evaluation per call.  A switch event names the regime that follows: for
+    mu != r the one whose band of `indicator_bands` shares the crossed bound.
+    The events in _COMPLETIONS and _ABORTS have target None; the former end
+    the march, the latter fail it.
     """
     lam = params.lam
     up, down = 1, -1
@@ -147,13 +147,15 @@ def _segment_events(regime: str, params: ModelParams, m: float):
             return (deficit(params, x, Vp, lam * D), Vp - VP_FLOOR)
         return [("curvature-negative", down, REGIME_ZERO), floor], g
 
-    # phi leaves the regime's band down through lo or up through hi; a bound
-    # of the interior band is the interior bound, the other the extreme bound
+    # phi leaves the regime's band down through lo or up through hi, into the
+    # band across that bound; a bound of the interior band is the interior
+    # bound, the other the extreme bound
     bands = indicator_bands(params)
     lo, hi = bands[regime]
     levels = [level for level in (lo, hi) if level is not None]
     rows = [("indicator-interior-bound" if level in bands[REGIME_INTERIOR]
-             else "indicator-extreme-bound", down if level == lo else up, None)
+             else "indicator-extreme-bound", down if level == lo else up,
+             next(k for k, band in bands.items() if k != regime and level in band))
             for level in levels]
 
     if regime == REGIME_INTERIOR:
@@ -405,10 +407,10 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
         march.append({"regime": regime, "steps": len(sol.t) - 1, "rhs_evals": int(sol.nfev),
                       "rejected": sol.rejected})
 
-        ev_name, direction, target = "reached-x-max", None, None
+        ev_name, target = "reached-x-max", None
         if sol.status == 1:
             i0 = next(i for i, te in enumerate(sol.t_events) if len(te))
-            ev_name, direction, target = rows[i0]
+            ev_name, _, target = rows[i0]
         switch = sol.status == 1 and ev_name not in _COMPLETIONS + _ABORTS
         nodes = _segment_nodes(sol.t, x, sol.t[-1], out_dx, hug_lo=n_switch > 0, hug_hi=switch)
         states = sol.sol(nodes)
@@ -445,15 +447,7 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
                 f"indicator magnitude fell below the vertex-exclusion cutoff at x={x:.6g}",
                 {"x": x})
 
-        phi_here = indicator(params, x, y[1], deficit(params, x, y[1], params.lam * y[2]))
-        if target is None:
-            # re-enter by the case table just across the crossed threshold
-            nudge = direction * 1e-9 * (1.0 + abs(phi_here))
-            target = regime_for_indicator(phi_here + nudge, params)
         events_log.append({"x": x, "kind": ev_name, "from": regime, "to": target})
-        if target == regime:
-            raise SolverAbort(f"event {ev_name} at x={x:.6g} did not change the regime",
-                              {"x": x, "phi": phi_here})
         regime = target
         n_switch += 1
         if n_switch > MAX_SWITCHES:
@@ -524,7 +518,7 @@ def _series_prefix(params, m, exp: SeriesExpansion, x_eps, regime0):
     rows = [(1.0, D1, D1 * exp.D[2], 0.0)] + [series_eval(exp, x, params, m) for x in xs[1:]]
     V, Vp, Vpp, J = np.array(rows).T
     phi = np.empty_like(xs)
-    phi[0] = 2.0 * exp.gamma if params.mu != params.r else math.nan
+    phi[0] = start_indicator(params)
     x1, Vp1 = xs[1:], Vp[1:]
     phi[1:] = indicator(params, x1, Vp1, deficit(params, x1, Vp1, params.lam * (V[1:] - J[1:])))
     return xs, {"V": V, "Vp": Vp, "Vpp": Vpp, "J": J, "phi": phi,
@@ -561,7 +555,7 @@ def _assemble(params, m, exp, x_eps, xs_all, cols, segments, events_log, march, 
 
 
 # ---------------------------------------------------------------------------
-# tail extrapolation and the third-order cross-check
+# tail extrapolation
 # ---------------------------------------------------------------------------
 
 def extrapolate_tail(x, Vp, V_end, terminal_regime, params: ModelParams,
@@ -615,45 +609,3 @@ def extrapolate_tail(x, Vp, V_end, terminal_regime, params: ModelParams,
     add = d * x_end ** (1.0 - q) / (q - 1.0)
     tail.update({"mode": "power-law", "d": d, "tail_add": add})
     return V_end + add, tail
-
-
-def third_order_check(curve: SolutionCurve, segment: RegimeSegment,
-                      params: ModelParams, m: float) -> float:
-    """Max relative deviation of (V, V') from the third-order linear ODE.
-
-    The constant-regime equation reduces (for exponential claims) to
-
-        x^2 V''' + [x^2/m + 2(1 + mu_bar/sigma_bar^2) x + 2c/sigma_bar^2] V''
-                 + 2 [mu_bar x/(m sigma_bar^2)
-                      + (mu_bar - lambda + c/m)/sigma_bar^2] V' = 0,
-
-    an independent route to the same solution; integrating it from the
-    segment's left endpoint must reproduce the curve.
-    """
-    if segment.regime not in (REGIME_LONG, REGIME_SHORT):
-        raise ValueError("third-order check applies to constant-regime segments")
-    rc = regime_constants(params, regime_fraction(params, segment.regime))
-    mb, sb2 = rc.mu_bar, rc.sigma_bar**2
-
-    def rhs(x, y):
-        V, Vp, Vpp = y
-        Vppp = -((x**2 / m + 2.0 * (1.0 + mb / sb2) * x + 2.0 * params.c / sb2) * Vpp
-                 + 2.0 * (mb * x / (m * sb2) + (mb - params.lam + params.c / m) / sb2) * Vp) / x**2
-        return (Vp, Vpp, Vppp)
-
-    # the equation is singular at x = 0; the first segment's series prefix is
-    # checked by the series tests, the ODE comparison starts at the handoff
-    lo = max(segment.lo, curve.meta.get("x_eps", 0.0))
-    inside = (curve.x >= lo) & (curve.x <= segment.hi) & (curve.x > 0)
-    xs = curve.x[inside]
-    if len(xs) < 3:
-        return 0.0
-    i0 = np.nonzero(inside)[0][0]
-    y0 = [curve.V[i0], curve.Vp[i0], curve.Vpp[i0]]
-    sol = integrate.solve_ivp(rhs, (xs[0], xs[-1]), y0, method="RK45", rtol=1e-12,
-                              atol=1e-14, t_eval=xs, max_step=0.5)
-    if not sol.success:
-        raise SolverAbort(f"third-order cross-check integration failed: {sol.message}")
-    relV = np.max(np.abs(sol.y[0] - curve.V[inside]) / np.abs(curve.V[inside]))
-    relVp = np.max(np.abs(sol.y[1] - curve.Vp[inside]) / np.abs(curve.Vp[inside]))
-    return float(max(relV, relVp))

@@ -26,7 +26,9 @@ freezes theta at the current node's argmin, which makes the step linear in
 the new (w, G) and solvable in closed form.
 
 The march is the only evaluation of T (the tests check it against a direct
-quadrature); its step is the one setting, the near-zero table is fixed.
+quadrature); its step is the one setting, the near-zero table is fixed.  The
+stages take plain arguments: eps is the table's last node, the cutoff A is
+`operators.vertex_exclusion`, x_max defaults to `SolveOptions.resolved_x_max`.
 """
 from __future__ import annotations
 
@@ -37,14 +39,13 @@ from typing import Optional
 import numpy as np
 
 from .curve import SolutionCurve, segments_from_regimes
-from .exp_solver import SolverAbort, extrapolate_tail
+from .exp_solver import SolveOptions, SolverAbort, extrapolate_tail
 from .model import ClaimLaw, ModelParams, regime_constants, require_valid
 from .operators import (deficit, indicator, infimum, regime_for_theta, regime_fraction,
-                        start_regime, vertex_exclusion)
+                        start_indicator, start_regime, vertex_exclusion)
 
 __all__ = [
     "NearZeroTable",
-    "TOperatorContext",
     "solve_constant_regime_near_zero",
     "integrate_w",
     "assemble_solution",
@@ -141,20 +142,6 @@ def solve_constant_regime_near_zero(params: ModelParams, law: ClaimLaw,
 
 
 @dataclass
-class TOperatorContext:
-    """Everything T needs besides w itself."""
-
-    params: ModelParams
-    law: ClaimLaw
-    table: NearZeroTable          # V_gamma on [0, eps]
-    exclusion: float              # vertex-exclusion cutoff A (constant schedule)
-
-    @property
-    def epsilon(self) -> float:
-        return float(self.table.x[-1])
-
-
-@dataclass
 class WMarch:
     """Accepted-grid history of the continuation march."""
 
@@ -167,8 +154,9 @@ class WMarch:
     completion: str
 
 
-def integrate_w(ctx: TOperatorContext, x_max: float, step: float = 0.0005) -> WMarch:
-    """March w' = Tw from eps on a uniform grid by semi-implicit trapezoid.
+def integrate_w(params: ModelParams, law: ClaimLaw, table: NearZeroTable, x_max: float,
+                step: float = 0.0005) -> WMarch:
+    """March w' = Tw from eps = table.x[-1] on a uniform grid by semi-implicit trapezoid.
 
     Constant-fraction branches of T are stiff near zero (their w-coefficient
     is -2(c + mu_bar x)/(sigma_bar^2 x^2)), so each step freezes theta at the
@@ -185,9 +173,10 @@ def integrate_w(ctx: TOperatorContext, x_max: float, step: float = 0.0005) -> WM
     stops with completion='derivative-floor' once w underflows the scale of
     meaningful tail mass.
     """
-    p, law, tab = ctx.params, ctx.law, ctx.table
+    p, tab = params, table
     lam = p.lam
-    eps = ctx.epsilon
+    eps = float(tab.x[-1])
+    exclusion = vertex_exclusion(p)
     n = int(math.ceil((x_max - eps) / step))
     h = (x_max - eps) / n
     xg = eps + h * np.arange(n + 1)
@@ -235,7 +224,7 @@ def integrate_w(ctx: TOperatorContext, x_max: float, step: float = 0.0005) -> WM
         return near[k1] + piece2
 
     fill_near(0)
-    T[0], theta[0] = infimum(p, xg[0], w[0], lam * G[0], ctx.exclusion)
+    T[0], theta[0] = infimum(p, xg[0], w[0], lam * G[0], exclusion)
     dG[0] = w[0] - fx[0] - near[0]
 
     completion = "reached-x-max"
@@ -261,7 +250,7 @@ def integrate_w(ctx: TOperatorContext, x_max: float, step: float = 0.0005) -> WM
         dG[k + 1] = w[k + 1] * cG - fx[k + 1] - Hh
         G[k + 1] = G[k] + 0.5 * h * (dG[k] + dG[k + 1])
         W[k + 1] = W[k] + 0.5 * h * (w[k] + w[k + 1])
-        T[k + 1], theta[k + 1] = infimum(p, x1, w[k + 1], lam * G[k + 1], ctx.exclusion)
+        T[k + 1], theta[k + 1] = infimum(p, x1, w[k + 1], lam * G[k + 1], exclusion)
 
         last = k + 1
         w_max = max(w_max, w[k + 1])
@@ -287,9 +276,9 @@ def integrate_w(ctx: TOperatorContext, x_max: float, step: float = 0.0005) -> WM
                   completion=completion)
 
 
-def assemble_solution(ctx: TOperatorContext, march: WMarch) -> SolutionCurve:
+def assemble_solution(params: ModelParams, table: NearZeroTable, march: WMarch) -> SolutionCurve:
     """Concatenate the near-zero table with the continuation into a curve."""
-    p, tab = ctx.params, ctx.table
+    p, tab = params, table
     lam = p.lam
 
     # near-zero block (drop the duplicated eps node)
@@ -306,8 +295,7 @@ def assemble_solution(ctx: TOperatorContext, march: WMarch) -> SolutionCurve:
 
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = indicator(p, x, Vp, deficit(p, x, Vp, M))
-    if p.mu != p.r:
-        phi[0] = 2.0 * tab.gamma
+    phi[0] = start_indicator(p)
 
     theta = np.concatenate([np.full(x0.shape, tab.gamma), march.theta])
     regime = regime_for_theta(p, theta)
@@ -315,7 +303,7 @@ def assemble_solution(ctx: TOperatorContext, march: WMarch) -> SolutionCurve:
 
     V_inf, tail = extrapolate_tail(x, Vp, float(V[-1]), str(regime[-1]), p,
                                    completion=march.completion)
-    meta = {"epsilon": ctx.epsilon, "scheme": "trapezoid-frozen-theta", "tail": tail,
+    meta = {"epsilon": float(tab.x[-1]), "scheme": "trapezoid-frozen-theta", "tail": tail,
             "completion": march.completion}
     return SolutionCurve(x=x, V=V, Vp=Vp, Vpp=Vpp, J=J, phi=phi, theta_star=theta,
                          regime=regime, segments=segments, V_inf=V_inf, params=p,
@@ -331,13 +319,12 @@ def general_solve(params: ModelParams, law: ClaimLaw, x_max: Optional[float] = N
     if params.mu == params.r:
         raise SolverAbort("the continuation path requires mu != r; "
                           "use the exponential-claims solver for mu = r")
-    x_max = x_max if x_max is not None else 200.0 * params.c / params.lam
+    x_max = SolveOptions(x_max=x_max).resolved_x_max(params)
     table = solve_constant_regime_near_zero(params, law,
                                             regime_fraction(params, start_regime(params)))
-    ctx = TOperatorContext(params=params, law=law, table=table,
-                           exclusion=vertex_exclusion(params))
-    if x_max <= ctx.epsilon:
-        raise SolverAbort(f"x_max={x_max:.6g} is not beyond the table's end eps={ctx.epsilon:.6g}",
-                          {"x_max": x_max, "epsilon": ctx.epsilon})
-    march = integrate_w(ctx, x_max, step=step)
-    return assemble_solution(ctx, march)
+    eps = float(table.x[-1])
+    if x_max <= eps:
+        raise SolverAbort(f"x_max={x_max:.6g} is not beyond the table's end eps={eps:.6g}",
+                          {"x_max": x_max, "epsilon": eps})
+    march = integrate_w(params, law, table, x_max, step=step)
+    return assemble_solution(params, table, march)

@@ -3,9 +3,9 @@
 This module is the one home of the equation's formulas and of its case
 table: the array kernel (`deficit`, `indicator`, `curvature`, `theta_for`,
 `infimum`) that both solvers call, and the per-regime facts
-(`regime_fraction`, `start_regime`, `indicator_bands`,
+(`regime_fraction`, `start_regime`, `start_indicator`, `indicator_bands`,
 `regime_for_indicator`) that the solvers, the CLI and the tests read; no
-other module derives a regime's fraction, start or indicator band.  There is
+other module derives a regime's fraction, start, phi(0+) or indicator band.  There is
 no second, pointwise copy of the table; the tests check this one against a
 dense argmax of the generator below.
 
@@ -54,6 +54,7 @@ __all__ = [
     "infimum",
     "regime_fraction",
     "start_regime",
+    "start_indicator",
     "indicator_bands",
     "regime_for_indicator",
 ]
@@ -176,6 +177,11 @@ def start_regime(p: ModelParams) -> str:
     if p.mu != p.r:
         return REGIME_LONG if p.mu > p.r else REGIME_SHORT
     return REGIME_LONG if p.a >= p.b else REGIME_SHORT
+
+
+def start_indicator(p: ModelParams) -> float:
+    """phi(0+) = 2 * (the start regime's fraction); nan for mu = r, like `indicator`."""
+    return 2.0 * regime_fraction(p, start_regime(p)) if p.mu != p.r else math.nan
 
 
 def indicator_bands(p: ModelParams) -> dict:

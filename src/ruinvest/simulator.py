@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curve import SolutionCurve
+from .curve import MANIFEST_TAG, SolutionCurve
 from .model import ClaimLaw, ModelParams
 
 __all__ = [
@@ -270,7 +270,7 @@ class SimulationReport:
     def to_csv(self, path, manifest_hash: str = "") -> None:
         with open(path, "w") as fh:
             if manifest_hash:
-                fh.write(f"# manifest: {manifest_hash}\n")
+                fh.write(f"{MANIFEST_TAG}{manifest_hash}\n")
             fh.write("x0,policy,p_hat,ci_half,n,censored_frac\n")
             for r in self.rows:
                 fh.write("%.17g,%s,%.17g,%.17g,%d,%.17g\n"

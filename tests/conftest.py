@@ -2,8 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from ruinvest.model import ExponentialClaims, GeneralClaims, ModelParams
+from ruinvest.model import ExponentialClaims, GeneralClaims, ModelParams, regime_constants
+from ruinvest.operators import regime_fraction
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +80,49 @@ def curve_sha256():
         h.update("|".join(map(str, cur.regime)).encode())
         return h.hexdigest()
     return digest
+
+
+def _third_order_check(curve, segment, params, m):
+    """Max relative deviation of (V, V') from the third-order linear ODE.
+
+    The constant-regime equation reduces (for exponential claims) to
+
+        x^2 V''' + [x^2/m + 2(1 + mu_bar/sigma_bar^2) x + 2c/sigma_bar^2] V''
+                 + 2 [mu_bar x/(m sigma_bar^2)
+                      + (mu_bar - lambda + c/m)/sigma_bar^2] V' = 0,
+
+    an independent route to the same solution; integrating it from the
+    segment's left endpoint must reproduce the curve.
+    """
+    if segment.regime not in ("A", "B"):
+        raise ValueError("third-order check applies to constant-regime segments")
+    rc = regime_constants(params, regime_fraction(params, segment.regime))
+    mb, sb2 = rc.mu_bar, rc.sigma_bar**2
+
+    def rhs(x, y):
+        V, Vp, Vpp = y
+        Vppp = -((x**2 / m + 2.0 * (1.0 + mb / sb2) * x + 2.0 * params.c / sb2) * Vpp
+                 + 2.0 * (mb * x / (m * sb2) + (mb - params.lam + params.c / m) / sb2) * Vp) / x**2
+        return (Vp, Vpp, Vppp)
+
+    # the equation is singular at x = 0; the first segment's series prefix is
+    # checked by the series tests, the ODE comparison starts at the handoff
+    lo = max(segment.lo, curve.meta.get("x_eps", 0.0))
+    inside = (curve.x >= lo) & (curve.x <= segment.hi) & (curve.x > 0)
+    xs = curve.x[inside]
+    if len(xs) < 3:
+        return 0.0
+    i0 = np.nonzero(inside)[0][0]
+    y0 = [curve.V[i0], curve.Vp[i0], curve.Vpp[i0]]
+    sol = solve_ivp(rhs, (xs[0], xs[-1]), y0, method="RK45", rtol=1e-12, atol=1e-14,
+                    t_eval=xs, max_step=0.5)
+    assert sol.success, f"third-order cross-check integration failed: {sol.message}"
+    relV = np.max(np.abs(sol.y[0] - curve.V[inside]) / np.abs(curve.V[inside]))
+    relVp = np.max(np.abs(sol.y[1] - curve.Vp[inside]) / np.abs(curve.Vp[inside]))
+    return float(max(relV, relVp))
+
+
+@pytest.fixture(scope="session")
+def third_order_check():
+    """check(curve, segment, params, m), the third-order cross-check of a constant segment."""
+    return _third_order_check

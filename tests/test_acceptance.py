@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ruinvest.exp_solver import SolveOptions, solve, third_order_check
+from ruinvest.exp_solver import SolveOptions, solve
 from ruinvest.general_solver import general_solve
 from ruinvest.model import ExponentialClaims, convex_start_condition, regime_constants
 from ruinvest.operators import indicator_bands, regime_for_indicator
@@ -165,7 +165,7 @@ def test_criterion_4_hjb_residual(example1, example2, example3, curve1, curve2, 
 
 
 def test_criterion_5_scheme_equivalence(example1, example2, example3,
-                                        curve1, curve2, curve3, exp_law):
+                                        curve1, curve2, curve3, exp_law, third_order_check):
     # (a) independent third-order integration on constant-regime segments
     worst_dev = 0.0
     for p, cur in ((example1, curve1), (example2, curve2), (example3, curve3)):

@@ -6,8 +6,7 @@ from scipy.integrate import quad, solve_ivp
 
 from ruinvest.curve import SolutionCurve
 from ruinvest.exp_solver import (SolveOptions, SolverAbort, _rhs_for, _rk45_march,
-                                 _segment_events, _segment_nodes, extrapolate_tail, solve,
-                                 third_order_check)
+                                 _segment_events, _segment_nodes, extrapolate_tail, solve)
 from ruinvest.model import ExponentialClaims, ModelParams, regime_constants
 from ruinvest.operators import curvature, indicator_bands, start_regime
 from ruinvest.series import handoff_point, series_coefficients, series_eval
@@ -196,7 +195,7 @@ def test_detect_switch_standalone(example1):
     x, kind, target = min((te[0], name, target)
                           for (name, _, target), te in zip(rows, sol.t_events) if len(te))
     assert kind == "indicator-extreme-bound"
-    assert target is None  # the case table picks the next regime
+    assert target == "B"  # the regime across A's upper bound 2ab/(b-a)
     assert x == pytest.approx(X1_FIX, rel=1e-5)
 
 
@@ -469,7 +468,7 @@ def test_v_inf_stable_under_x_max_doubling(example1, curve1):
 # third-order cross-check
 # ---------------------------------------------------------------------------
 
-def test_third_order_check_all_constant_segments(example1, curve1):
+def test_third_order_check_all_constant_segments(example1, curve1, third_order_check):
     for seg in curve1.segments:
         if seg.regime in ("A", "B"):
             assert third_order_check(curve1, seg, example1, M) <= 1e-6
@@ -486,7 +485,7 @@ def test_zero_limit_conditions(example1):
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
-def test_third_order_check_rejects_interior_segment(example1, curve1):
+def test_third_order_check_rejects_interior_segment(example1, curve1, third_order_check):
     with pytest.raises(ValueError):
         third_order_check(curve1, curve1.segments[-1], example1, M)
 

@@ -3,16 +3,15 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from ruinvest.exp_solver import SolverAbort, solve
-from ruinvest.general_solver import (TOperatorContext, general_solve, integrate_w,
-                                     solve_constant_regime_near_zero)
+from ruinvest.general_solver import general_solve, integrate_w, solve_constant_regime_near_zero
 from ruinvest.model import ExponentialClaims, ModelParams
-from ruinvest.operators import infimum
+from ruinvest.operators import infimum, vertex_exclusion
 from ruinvest.series import handoff_point, series_coefficients, series_eval
 
 M = 1.0
 
 
-def t_reference(ctx, xs, ws, x):
+def t_reference(p, law, tab, xs, ws, x):
     """Tw(x) by direct quadrature of the split convolution, w pchip through (xs, ws).
 
     W is recovered by integrating w from eps; both convolution pieces are
@@ -20,8 +19,7 @@ def t_reference(ctx, xs, ws, x):
     route; the march in `integrate_w` tracks the same quantities through its
     deficit state and must agree to quadrature tolerance.
     """
-    p, law, tab = ctx.params, ctx.law, ctx.table
-    eps = ctx.epsilon
+    eps = tab.x[-1]
     w = PchipInterpolator(xs, ws, extrapolate=False)
     # W(x) = V_gamma(eps) + int_eps^x w
     n = max(33, int((x - eps) / 2e-4) + 1)
@@ -31,18 +29,12 @@ def t_reference(ctx, xs, ws, x):
     piece1 = np.trapezoid(tab.V * law.pdf(x - tab.x), tab.x)
     piece2 = np.trapezoid(W_at * law.pdf(x - ys), ys)
     MV = p.lam * (W_at[-1] - piece1 - piece2)
-    return infimum(p, x, float(w(x)), MV, ctx.exclusion)[0]
+    return infimum(p, x, float(w(x)), MV, vertex_exclusion(p))[0]
 
 
 @pytest.fixture(scope="module")
 def table1(example1, exp_law):
     return solve_constant_regime_near_zero(example1, exp_law, example1.a)
-
-
-@pytest.fixture(scope="module")
-def ctx1(example1, exp_law, table1):
-    return TOperatorContext(params=example1, law=exp_law, table=table1,
-                            exclusion=1e-6 * min(example1.a, example1.b))
 
 
 # ---------------------------------------------------------------------------
@@ -88,27 +80,26 @@ def test_near_zero_mixture_runs(example1, mixture_law):
 # the continuation operator
 # ---------------------------------------------------------------------------
 
-def test_t_operator_matches_exp_solver_at_handoff(ctx1, example1, curve1):
+def test_t_operator_matches_exp_solver_at_handoff(example1, exp_law, table1, curve1):
     # Tw(eps) is the curvature; compare with the exponential path's V''(eps)
-    eps = ctx1.epsilon
-    got = t_reference(ctx1, np.array([eps, eps * 2]), np.array([ctx1.table.Vp[-1]] * 2), eps)
+    eps = table1.x[-1]
+    got = t_reference(example1, exp_law, table1, np.array([eps, eps * 2]),
+                      np.array([table1.Vp[-1]] * 2), eps)
     want = float(np.interp(eps, curve1.x, curve1.Vpp))
     assert got == pytest.approx(want, rel=1e-6)
 
 
-def test_t_operator_positive_homogeneity(ctx1, example1, exp_law, table1):
+def test_t_operator_positive_homogeneity(example1, exp_law, table1):
     # scaling w and the near-zero table jointly by k scales Tw by k
-    eps = ctx1.epsilon
+    eps = table1.x[-1]
     xs = np.linspace(eps, 0.02, 50)
     w_vals = np.full_like(xs, table1.Vp[-1])
-    base = t_reference(ctx1, xs, w_vals, 0.015)
+    base = t_reference(example1, exp_law, table1, xs, w_vals, 0.015)
     k = 3.5
     import dataclasses
     tab_scaled = dataclasses.replace(table1, V=k * table1.V, Vp=k * table1.Vp,
                                      Vpp=k * table1.Vpp, M=k * table1.M)
-    ctx_scaled = TOperatorContext(params=example1, law=exp_law, table=tab_scaled,
-                                  exclusion=ctx1.exclusion)
-    scaled = t_reference(ctx_scaled, xs, k * w_vals, 0.015)
+    scaled = t_reference(example1, exp_law, tab_scaled, xs, k * w_vals, 0.015)
     assert scaled == pytest.approx(k * base, rel=1e-10)
 
 
@@ -117,12 +108,12 @@ def test_t_operator_mu_equal_r_max_volatility(exp_law):
     # largest-|theta| endpoint
     p = ModelParams(c=0.02, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0)
     tab = solve_constant_regime_near_zero(p, exp_law, -p.b)
-    ctx = TOperatorContext(params=p, law=exp_law, table=tab, exclusion=1e-6)
-    eps = ctx.epsilon
+    assert vertex_exclusion(p) == 1e-6
+    eps = tab.x[-1]
     xs = np.linspace(eps, 0.01, 30)
     w_vals = np.full_like(xs, tab.Vp[-1])
     x = 0.008
-    got = t_reference(ctx, xs, w_vals, x)
+    got = t_reference(p, exp_law, tab, xs, w_vals, x)
     w = PchipInterpolator(xs, w_vals, extrapolate=False)
     # reconstruct the numerator at the same point to predict the endpoint value
     n = 200
@@ -139,19 +130,19 @@ def test_t_operator_mu_equal_r_max_volatility(exp_law):
     assert got == pytest.approx(want, rel=1e-3)
 
 
-def test_integrate_w_initial_condition(ctx1):
-    march = integrate_w(ctx1, x_max=0.05)
-    assert march.x[0] == ctx1.epsilon
-    assert march.w[0] == ctx1.table.Vp[-1]  # w(eps) = V_gamma'(eps) exactly
+def test_integrate_w_initial_condition(example1, exp_law, table1):
+    march = integrate_w(example1, exp_law, table1, x_max=0.05)
+    assert march.x[0] == table1.x[-1]
+    assert march.w[0] == table1.Vp[-1]  # w(eps) = V_gamma'(eps) exactly
     assert np.all(march.w > 0)
 
 
-def test_integrate_w_march_consistent_with_t_operator(ctx1):
+def test_integrate_w_march_consistent_with_t_operator(example1, exp_law, table1):
     # the marched w' equals the reference quadrature T on the marched w
-    march = integrate_w(ctx1, x_max=0.4)
+    march = integrate_w(example1, exp_law, table1, x_max=0.4)
     for x in (0.05, 0.15, 0.3):
         k = int(np.argmin(np.abs(march.x - x)))
-        ref = t_reference(ctx1, march.x, march.w, float(march.x[k]))
+        ref = t_reference(example1, exp_law, table1, march.x, march.w, float(march.x[k]))
         assert march.T[k] == pytest.approx(ref, rel=2e-4, abs=1e-8)
 
 
@@ -203,16 +194,16 @@ def test_mixture_hjb_residual(example1, mixture_law):
         assert np.max(gen) <= 2e-5 * example1.lam * cur.V[i]
 
 
-def test_lipschitz_bound_empirical(ctx1, example1):
+def test_lipschitz_bound_empirical(example1, exp_law, table1):
     # sup |Tv - Tw| <= C sup |v - w| on a fixed window, C stable under
     # grid refinement of the probe
-    eps = ctx1.epsilon
+    eps = table1.x[-1]
     for n in (60, 120):
         xs = np.linspace(eps, 0.018, n)
-        base = np.full_like(xs, ctx1.table.Vp[-1])
+        base = np.full_like(xs, table1.Vp[-1])
         delta = 1e-4 * np.sin(np.linspace(0.0, 3.0, n))
-        diffs = [abs(t_reference(ctx1, xs, base + delta, float(x))
-                     - t_reference(ctx1, xs, base, float(x)))
+        diffs = [abs(t_reference(example1, exp_law, table1, xs, base + delta, float(x))
+                     - t_reference(example1, exp_law, table1, xs, base, float(x)))
                  for x in xs[2::7]]
         C = max(diffs) / np.max(np.abs(delta))
         assert np.isfinite(C)

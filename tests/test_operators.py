@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ruinvest.exp_solver import _segment_events
 from ruinvest.model import ModelParams
 from ruinvest.operators import (curvature, deficit, indicator, indicator_bands, infimum,
                                 regime_for_indicator, regime_for_theta, theta_for,
@@ -348,6 +349,24 @@ def test_regime_for_indicator_table_edges():
         for phi in (sign * 2.0, sign * 1e12, math.nan):
             assert regime_for_indicator(phi, p) == near
         assert regime_for_indicator(sign * 1.999, p) == "INT"
+    # each indicator row of the march's event table names the regime the table
+    # gives one ulp past the row's bound, in the row's direction
+    equal = [ModelParams(c=0.02, lam=0.09, mu=mu, r=0.015, sigma=0.1, a=2.0, b=2.0)
+             for mu in (0.02, 0.01)]
+    for p in CASE_TABLE_CONFIGS + equal:
+        bands = indicator_bands(p)
+        checked = 0
+        for regime, (lo, hi) in bands.items():
+            rows, _ = _segment_events(regime, p, 1.0)
+            for name, direction, target in rows:
+                if name not in ("indicator-interior-bound", "indicator-extreme-bound"):
+                    continue
+                level = lo if direction < 0 else hi
+                assert target != regime
+                assert target == regime_for_indicator(np.nextafter(level, direction * np.inf), p)
+                checked += 1
+        # each finite bound is crossed from both of the bands that share it
+        assert checked == 2 * (len(bands) - 1)
 
 
 def test_regime_for_indicator_case_tables(example1, example2):
