@@ -23,7 +23,9 @@ which avoids differencing two O(V_inf) quantities at the far tail.  Stepping
 is a fixed-step semi-implicit trapezoid on a uniform grid (right-hand sides
 live only on grid nodes, where the Volterra history is exact): each step
 freezes theta at the current node's argmin, which makes the step linear in
-the new (w, G) and solvable in closed form.
+the new (w, G) and solvable in closed form.  The history sum is an online
+blocked FFT convolution (`HistorySum`), so the cost per node is flat in the
+node count up to log factors.
 
 The march is the only evaluation of T (the tests check it against a direct
 quadrature); its step is the one setting, the near-zero table is fixed.  The
@@ -33,7 +35,7 @@ stages take plain arguments: eps is the table's last node, the cutoff A is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -60,6 +62,8 @@ NEAR_BLOCK = 256
 NEAR_EPSILON = 1e-3
 NEAR_NODES = 257
 NEAR_RETRIES = 8
+# Lags below HIST_LAGS are summed directly by `HistorySum`; longer ones by FFT.
+HIST_LAGS = 64
 
 
 @dataclass
@@ -141,6 +145,48 @@ def solve_constant_regime_near_zero(params: ModelParams, law: ClaimLaw,
     raise SolverAbort(f"near-zero constant-regime solve lost V' > 0 even at eps={epsilon}")
 
 
+class HistorySum:
+    """Online sums S[k] = sum_{j<k} w[j] F[k-j] for a known kernel F[0..n] and w pushed in order.
+
+    Lags below HIST_LAGS are summed directly when S[k] is read.  Lags in
+    [m, 2m), m = HIST_LAGS 2^l, are added by one FFT product once w fills an
+    aligned block of m nodes, into pending outputs [block end, block end + 2m)
+    (Hairer, Lubich & Schlichte 1985): O(n log^2 n) in all, not O(n^2).
+    """
+
+    def __init__(self, F: np.ndarray):
+        n, lags = F.size - 1, HIST_LAGS
+        self._buf = np.zeros(n + lags)          # HIST_LAGS - 1 zeros, then w
+        self.w = self._buf[lags - 1:]           # w[0..n], filled by `push`
+        head = F[:lags]
+        self._direct = np.pad(head, (0, lags - head.size))[:0:-1].copy()  # F[lags-1], ..., F[1]
+        self._pending = np.zeros(n + 1)
+        self._levels = []                       # (m, spectrum of F[m:2m])
+        m = lags
+        while m <= n:
+            self._levels.append((m, np.fft.rfft(F[m:2 * m], 2 * m)))
+            m *= 2
+        self.fft_products = 0
+
+    def at(self, k: int) -> float:
+        """S[k]; needs w[:k] pushed."""
+        return float(np.dot(self._buf[k:k + HIST_LAGS - 1], self._direct)) + self._pending.item(k)
+
+    def push(self, k: int, value: float) -> None:
+        """Set w[k] and fold in every block that it completes."""
+        self.w[k] = value
+        end = k + 1
+        if end % HIST_LAGS or end >= self._pending.size:
+            return
+        for m, spectrum in self._levels:
+            if end % m:
+                break
+            out = self._pending[end:end + 2 * m - 1]
+            out += np.fft.irfft(np.fft.rfft(self.w[end - m:end], 2 * m) * spectrum,
+                                2 * m)[:out.size]
+            self.fft_products += 1
+
+
 @dataclass
 class WMarch:
     """Accepted-grid history of the continuation march."""
@@ -152,6 +198,7 @@ class WMarch:
     T: np.ndarray           # w' = Tw at nodes
     theta: np.ndarray       # argmin fraction of the infimum
     completion: str
+    work: dict = field(default_factory=dict, init=False)  # nodes, step, fft_products
 
 
 def integrate_w(params: ModelParams, law: ClaimLaw, table: NearZeroTable, x_max: float,
@@ -163,15 +210,16 @@ def integrate_w(params: ModelParams, law: ClaimLaw, table: NearZeroTable, x_max:
     current node's argmin and takes a trapezoidal step of the resulting
     linear-in-w right-hand side; by the envelope property of the infimum the
     frozen-theta step retains second order even on the interior branch.  The
-    jump deficit G and the antiderivative W join the same linear step, so one
-    history convolution per step is the only nonlocal work.  Its w-independent
-    pieces are tabulated outside the step: the near-zero-table quadrature in
-    blocks of NEAR_BLOCK nodes as the march enters them, f' at x - eps in one
-    call; only the O(n) history sum runs per step.
+    jump deficit G joins the same linear step (W, the trapezoid sum of w, is
+    accumulated after the march), so one history convolution per step is the
+    only nonlocal work.  Its w-independent pieces are tabulated outside the
+    step: the near-zero-table quadrature in blocks of NEAR_BLOCK nodes as the
+    march enters them, f' at x - eps in one call; the history sum itself is a
+    `HistorySum`.  The step's scalars are Python floats.
 
-    Aborts if w loses positivity at a node with non-negligible magnitude;
-    stops with completion='derivative-floor' once w underflows the scale of
-    meaningful tail mass.
+    Aborts if w loses positivity at a node with non-negligible magnitude, or
+    if w or G is not finite; stops with completion='derivative-floor' once w
+    underflows the scale of meaningful tail mass.
     """
     p, tab = params, table
     lam = p.lam
@@ -182,98 +230,94 @@ def integrate_w(params: ModelParams, law: ClaimLaw, table: NearZeroTable, x_max:
     xg = eps + h * np.arange(n + 1)
 
     fg = law.pdf(h * np.arange(n + 1))          # f on the uniform offsets
-    frev = fg[:0:-1].copy()                     # f_n, ..., f_1: history weights
     fx = law.pdf(xg)                            # f at the nodes themselves
     f0 = law.density_at_zero
     fp0 = float(law.pdf_derivative(0.0))
     fp_lo = law.pdf_derivative(xg - eps)        # f'(x - eps) at the nodes
     near = np.empty(n + 1)                      # int_0^eps V_gamma' f(x - .)
-    vals = np.empty(n)
 
     def fill_near(lo):
         xs = xg[lo:lo + NEAR_BLOCK]
         near[lo:lo + xs.size] = np.trapezoid(tab.Vp * law.pdf(xs[:, None] - tab.x), tab.x,
                                              axis=-1)
 
-    w = np.empty(n + 1)
-    W = np.empty(n + 1)
+    hist = HistorySum(fg)
     G = np.empty(n + 1)
     T = np.empty(n + 1)
-    dG = np.empty(n + 1)
     theta = np.empty(n + 1)
 
-    w[0] = tab.Vp[-1]
-    W[0] = tab.V[-1]
-    G[0] = tab.M[-1] / lam
-
-    def hist_conv(k1):
-        """History part of int_0^{x_{k1}} vbar(u) f(x_{k1}-u) du.
-
-        Everything except the u = x_{k1} trapezoid term, whose coefficient
-        (h/2) f(0) multiplies the still-unknown w at the new node.  The
-        Euler-Maclaurin end correction (with w' lagged one node on the right)
-        lifts the uniform-grid trapezoid to ~4th order.  The w-independent
-        pieces (the near-zero-table quadrature and f'(x - eps)) are read from
-        tables; only the O(n) history sum is computed here.
-        """
-        v = np.multiply(w[:k1], frev[n - k1:], out=vals[:k1])
-        piece2 = h * (v.sum() - 0.5 * v[0])
-        gp_lo = T[0] * fg[k1] - w[0] * fp_lo[k1]
-        gp_hi = T[k1 - 1] * f0 - w[k1 - 1] * fp0
-        piece2 -= h * h / 12.0 * (gp_hi - gp_lo)
-        return near[k1] + piece2
-
+    # the state at the current node, as Python floats
+    w0, Gk = tab.Vp.item(-1), tab.M.item(-1) / lam
     fill_near(0)
-    T[0], theta[0] = infimum(p, xg[0], w[0], lam * G[0], exclusion)
-    dG[0] = w[0] - fx[0] - near[0]
+    T0, th = infimum(p, xg.item(0), w0, lam * Gk, exclusion)
+    wk, Tk, dGk = w0, T0, w0 - fx.item(0) - near.item(0)
+    hist.push(0, w0)
+    G[0], T[0], theta[0] = Gk, T0, th
 
+    cG = 1.0 - 0.5 * h * f0
     completion = "reached-x-max"
-    w_max = w[0]
+    w_max = w0
     w_floor = 1e-12
-    last = 0
     for k in range(n):
-        x1 = xg[k + 1]
-        if (k + 1) % NEAR_BLOCK == 0:
-            fill_near(k + 1)
-        th = theta[k]
+        k1 = k + 1
+        x1 = xg.item(k1)
+        if k1 % NEAR_BLOCK == 0:
+            fill_near(k1)
         beta1 = 2.0 / (p.sigma**2 * th**2 * x1**2)
         d1 = p.c + p.r * x1 + (p.mu - p.r) * th * x1
-        Hh = hist_conv(k + 1)
+        # Hh: int_0^{x1} vbar(u) f(x1-u) du but for the u = x1 trapezoid term,
+        # (h/2) f(0) times the still-unknown new w.  The Euler-Maclaurin end
+        # correction (w' lagged one node on the right) lifts the uniform-grid
+        # trapezoid to ~4th order.
+        f_k1 = fg.item(k1)
+        piece2 = h * (hist.at(k1) - 0.5 * (w0 * f_k1))
+        gp_lo = T0 * f_k1 - w0 * fp_lo.item(k1)
+        gp_hi = Tk * f0 - wk * fp0
+        piece2 -= h * h / 12.0 * (gp_hi - gp_lo)
+        Hh = near.item(k1) + piece2
         # trapezoid step of the frozen-theta linear system:
         #   w+ = w + h/2 (T_k + beta1 (lam G+ - d1 w+))
         #   G+ = G + h/2 (dG_k + w+ (1 - h f0 / 2) - f(x1) - Hh)
-        cG = 1.0 - 0.5 * h * f0
+        fx1 = fx.item(k1)
         denom = 1.0 + 0.5 * h * beta1 * d1 - 0.25 * h * h * beta1 * lam * cG
-        rhs = (w[k] + 0.5 * h * T[k]
-               + 0.5 * h * beta1 * lam * (G[k] + 0.5 * h * (dG[k] - fx[k + 1] - Hh)))
-        w[k + 1] = rhs / denom
-        dG[k + 1] = w[k + 1] * cG - fx[k + 1] - Hh
-        G[k + 1] = G[k] + 0.5 * h * (dG[k] + dG[k + 1])
-        W[k + 1] = W[k] + 0.5 * h * (w[k] + w[k + 1])
-        T[k + 1], theta[k + 1] = infimum(p, x1, w[k + 1], lam * G[k + 1], exclusion)
+        rhs = (wk + 0.5 * h * Tk
+               + 0.5 * h * beta1 * lam * (Gk + 0.5 * h * (dGk - fx1 - Hh)))
+        w1 = rhs / denom
+        dG1 = w1 * cG - fx1 - Hh
+        G1 = Gk + 0.5 * h * (dGk + dG1)
+        T1, th1 = infimum(p, x1, w1, lam * G1, exclusion)
+        hist.push(k1, w1)
+        G[k1], T[k1], theta[k1] = G1, T1, th1
 
-        last = k + 1
-        w_max = max(w_max, w[k + 1])
+        w_max = max(w_max, w1)
         floor = max(w_floor, 1e-10 * w_max)
-        if w[k + 1] <= floor:
-            if w[k + 1] < -1e-6 * w_max:
+        if not math.isfinite(w1 + G1):
+            raise SolverAbort(f"continuation lost a finite state at x={x1:.6g} "
+                              f"(w={w1:.3g}, G={G1:.3g})", {"x": x1, "w": w1})
+        if not w1 > floor:
+            if w1 < -1e-6 * w_max:
                 raise SolverAbort(
-                    f"continuation lost w > 0 at x={x1:.6g} (w={w[k + 1]:.3g})")
+                    f"continuation lost w > 0 at x={x1:.6g} (w={w1:.3g})")
             completion = "derivative-floor"
             break
-        if deficit(p, x1, w[k + 1], lam * G[k + 1]) <= 0:
-            if w[k + 1] <= 1e-6 * w_max:
+        if deficit(p, x1, w1, lam * G1) <= 0:
+            if w1 <= 1e-6 * w_max:
                 completion = "deficit-zero"
                 break
             raise SolverAbort(
                 f"jump-drift deficit lost positivity at x={x1:.6g} with "
-                f"w={w[k + 1]:.3g}; structural failure, not tail underflow")
+                f"w={w1:.3g}; structural failure, not tail underflow")
+        wk, Gk, dGk, Tk, th = w1, G1, dG1, T1, th1
 
-    if completion == "deficit-zero":
-        last -= 1  # the break node's curvature is cancellation noise
-    sl = slice(0, last + 1)
-    return WMarch(x=xg[sl], w=w[sl], W=W[sl], G=G[sl], T=T[sl], theta=theta[sl],
-                  completion=completion)
+    # a deficit-zero break node's curvature is cancellation noise
+    sl = slice(0, k1 if completion == "deficit-zero" else k1 + 1)
+    w = hist.w[sl]
+    # W[k+1] = W[k] + h/2 (w[k] + w[k+1]), accumulated in node order
+    W = np.cumsum(np.concatenate([[tab.V[-1]], 0.5 * h * (w[:-1] + w[1:])]))
+    march = WMarch(x=xg[sl], w=w, W=W, G=G[sl], T=T[sl], theta=theta[sl],
+                   completion=completion)
+    march.work = {"nodes": w.size, "step": h, "fft_products": hist.fft_products}
+    return march
 
 
 def assemble_solution(params: ModelParams, table: NearZeroTable, march: WMarch) -> SolutionCurve:
@@ -304,7 +348,7 @@ def assemble_solution(params: ModelParams, table: NearZeroTable, march: WMarch) 
     V_inf, tail = extrapolate_tail(x, Vp, float(V[-1]), str(regime[-1]), p,
                                    completion=march.completion)
     meta = {"epsilon": float(tab.x[-1]), "scheme": "trapezoid-frozen-theta", "tail": tail,
-            "completion": march.completion}
+            "completion": march.completion, "continuation": dict(march.work)}
     return SolutionCurve(x=x, V=V, Vp=Vp, Vpp=Vpp, J=J, phi=phi, theta_star=theta,
                          regime=regime, segments=segments, V_inf=V_inf, params=p,
                          meta=meta)

@@ -98,8 +98,9 @@ class ClaimLaw:
         """
         s = np.asarray(s, dtype=float)
         eps = 1e-6 * np.maximum(1.0, s)
-        central = (self.pdf(s + eps) - self.pdf(s - eps)) / (2 * eps)
-        onesided = (self.pdf(s + eps) - self.pdf(s)) / eps
+        up = self.pdf(s + eps)
+        central = (up - self.pdf(s - eps)) / (2 * eps)
+        onesided = (up - self.pdf(s)) / eps
         return np.where(s - eps >= 0, central, onesided)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -3,8 +3,9 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from ruinvest.exp_solver import SolverAbort, solve
-from ruinvest.general_solver import general_solve, integrate_w, solve_constant_regime_near_zero
-from ruinvest.model import ExponentialClaims, ModelParams
+from ruinvest.general_solver import (HIST_LAGS, HistorySum, general_solve, integrate_w,
+                                     solve_constant_regime_near_zero)
+from ruinvest.model import GeneralClaims, ModelParams
 from ruinvest.operators import infimum, vertex_exclusion
 from ruinvest.series import handoff_point, series_coefficients, series_eval
 
@@ -156,6 +157,13 @@ def test_exponential_equivalence_example1(example1, exp_law, curve1):
     rel = np.abs(gen.value(xs) - curve1.value(xs)) / np.abs(curve1.value(xs))
     assert rel.max() <= 1e-5
     assert [s.regime for s in gen.segments][:4] == ["A", "B", "A", "INT"]
+    # work counters: every march node is a curve node from eps on, and the
+    # FFT products number O(n / HIST_LAGS), not O(n)
+    work = gen.meta["continuation"]
+    assert set(work) == {"nodes", "step", "fft_products"}
+    assert work["nodes"] == np.count_nonzero(gen.x >= gen.meta["epsilon"]) > 40_000
+    assert work["step"] == pytest.approx(0.0005, rel=1e-3)
+    assert work["nodes"] / HIST_LAGS <= work["fft_products"] <= 2 * work["nodes"] / HIST_LAGS
 
 
 def test_assemble_smoothness_at_epsilon(example1, exp_law):
@@ -210,6 +218,40 @@ def test_lipschitz_bound_empirical(example1, exp_law, table1):
         assert C < 1e4
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_non_finite_density_aborts_with_diagnostics(example1):
+    # a density that turns NaN at large s makes w NaN; the march stops with
+    # diagnostics instead of handing NaN columns to the curve's interpolants
+    def pdf(s):
+        return np.where(s < 5.0, np.exp(-s), np.nan)
+    law = GeneralClaims(pdf=pdf, cdf=lambda s: 1.0 - np.exp(-s), mean=1.0,
+                        pdf_derivative=lambda s: -pdf(s))
+    with pytest.raises(SolverAbort) as err:
+        general_solve(example1, law, x_max=8.0)
+    assert set(err.value.diagnostics) == {"x", "w"}
+    assert not np.isfinite(err.value.diagnostics["w"])
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 1000, 4097])
+def test_history_sum_matches_convolve(n, exp_law, mixture_law, erlang_law):
+    # each S[k] is read before w[k] is pushed, as the march reads it, and
+    # matches the direct sum to roundoff in the size of its terms
+    rng = np.random.default_rng(n)
+    for law in (exp_law, mixture_law, erlang_law):
+        F = law.pdf(0.0005 * np.arange(n + 1))
+        w = rng.uniform(0.1, 2.0, n + 1)
+        hist = HistorySum(F)
+        got = np.empty(n + 1)
+        for k in range(n + 1):
+            got[k] = hist.at(k)
+            hist.push(k, w[k])
+        lagged = np.concatenate([[0.0], F[1:]])
+        want = np.convolve(w, lagged)[:n + 1]
+        scale = np.convolve(np.abs(w), np.abs(lagged))[:n + 1]
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        assert np.array_equal(hist.w, w)
+
+
 def test_general_solve_rejects_equal_rates(exp_law):
     p = ModelParams(c=0.02, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0)
     with pytest.raises(SolverAbort):
@@ -224,12 +266,16 @@ def test_general_solve_rejects_x_max_below_start(example1, exp_law):
     assert "x_max" in str(err.value) and "eps" in str(err.value)
 
 
-# example 1; digests recorded at commit 3c87c69, before the w-independent
-# history terms were tabulated in blocks (the change is bit-identical)
+# example 1.  All three digests were recorded at commit 3c87c69, before the
+# w-independent history terms were tabulated in blocks (a bit-identical
+# change).  The exp_law and erlang_law digests were re-recorded when the
+# history sum became the online FFT convolution `HistorySum`: it sums in
+# another order, which moves V and J by <= 5e-16 and Vp, Vpp and theta by
+# <= 2.4e-12 relative on these two cases.  The mixture digest did not move.
 GENERAL_SHA256 = {
-    ("exp_law", 11.0): "1b8d10738db3e82b13ec6b869f7981d3a01432fe90848d30f2fbf5d638ecf6c7",
+    ("exp_law", 11.0): "a6989f6cc163669aad7d6e9e90447141aeb7f1cb2d23403f4fe95832b55c40f7",
     ("mixture_law", 8.0): "246d34d6a021cc3c1bc6e322d1d522228f4f274fd06cba9b197f3411c78df4db",
-    ("erlang_law", 4.0): "cc0ae9da7ba697826d68602a79af64c8c8078cd05018a5730a56408ccf25980d",
+    ("erlang_law", 4.0): "e32b7e9a100ab2dd1daa4a6f77fa1f852f5448ce9bb2f9c0ddcd007dee7ecbf8",
 }
 
 

@@ -123,3 +123,20 @@ def test_numerical_pdf_derivative_step_is_per_element(erlang_law):
     assert batch[0] == erlang_law.pdf_derivative(0.5)
     assert batch[1] == erlang_law.pdf_derivative(40.0)
     assert batch[0] == pytest.approx(4.0 * np.exp(-1.0) * (1.0 - 2.0 * 0.5), abs=1e-9)
+
+
+def test_numerical_pdf_derivative_calls_pdf_three_times():
+    # f(s + eps) feeds both the central and the one-sided quotient; it is
+    # evaluated once, and the result is the two quotients' formula bit for bit
+    def f(s):
+        return np.where(s >= 0, 4.0 * s * np.exp(-2.0 * s), 0.0)
+    calls = []
+    law = GeneralClaims(pdf=lambda s: calls.append(np.size(s)) or f(s),
+                        cdf=lambda s: 1.0 - np.exp(-2.0 * s) * (1.0 + 2.0 * s), mean=1.0)
+    s = np.array([0.0, 5e-7, 1e-6, 0.5, 40.0])
+    got = law.pdf_derivative(s)
+    assert calls == [s.size] * 3
+    eps = 1e-6 * np.maximum(1.0, s)
+    want = np.where(s - eps >= 0, (f(s + eps) - f(s - eps)) / (2 * eps),
+                    (f(s + eps) - f(s)) / eps)
+    assert np.array_equal(got, want)
