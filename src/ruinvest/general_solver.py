@@ -23,9 +23,8 @@ which avoids differencing two O(V_inf) quantities at the far tail.  Stepping
 is a fixed-step semi-implicit trapezoid on a uniform grid (right-hand sides
 live only on grid nodes, where the Volterra history is exact): each step
 freezes theta at the current node's argmin, which makes the step linear in
-the new (w, G) and solvable in closed form.  The history sum is an online
-blocked FFT convolution (`HistorySum`), so the cost per node is flat in the
-node count up to log factors.
+the new (w, G) and solvable in closed form.  The history sum is the online
+FFT convolution `HistorySum`, whose cost per node is flat up to log factors.
 
 The march is the only evaluation of T (the tests check it against a direct
 quadrature); its step is the one setting, the near-zero table is fixed.  The
@@ -35,7 +34,7 @@ stages take plain arguments: eps is the table's last node, the cutoff A is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -158,14 +157,10 @@ class HistorySum:
         n, lags = F.size - 1, HIST_LAGS
         self._buf = np.zeros(n + lags)          # HIST_LAGS - 1 zeros, then w
         self.w = self._buf[lags - 1:]           # w[0..n], filled by `push`
-        head = F[:lags]
-        self._direct = np.pad(head, (0, lags - head.size))[:0:-1].copy()  # F[lags-1], ..., F[1]
+        self._direct = np.pad(F[:lags], (0, max(lags - F.size, 0)))[:0:-1].copy()  # F[lags-1:0:-1]
         self._pending = np.zeros(n + 1)
-        self._levels = []                       # (m, spectrum of F[m:2m])
-        m = lags
-        while m <= n:
-            self._levels.append((m, np.fft.rfft(F[m:2 * m], 2 * m)))
-            m *= 2
+        self._levels = [(m, np.fft.rfft(F[m:2 * m], 2 * m))    # (m, spectrum of F[m:2m])
+                        for m in (lags * 2**l for l in range((n // lags).bit_length()))]
         self.fft_products = 0
 
     def at(self, k: int) -> float:
@@ -198,7 +193,7 @@ class WMarch:
     T: np.ndarray           # w' = Tw at nodes
     theta: np.ndarray       # argmin fraction of the infimum
     completion: str
-    work: dict = field(default_factory=dict, init=False)  # nodes, step, fft_products
+    fft_products: int = 0   # FFT products of the history sum
 
 
 def integrate_w(params: ModelParams, law: ClaimLaw, table: NearZeroTable, x_max: float,
@@ -235,6 +230,12 @@ def integrate_w(params: ModelParams, law: ClaimLaw, table: NearZeroTable, x_max:
     fp0 = float(law.pdf_derivative(0.0))
     fp_lo = law.pdf_derivative(xg - eps)        # f'(x - eps) at the nodes
     near = np.empty(n + 1)                      # int_0^eps V_gamma' f(x - .)
+    # a non-finite kernel value would spread through a whole FFT product
+    bad = np.concatenate([s[~np.isfinite(v)] for s, v in
+                          ((h * np.arange(n + 1), fg), (xg, fx), (xg - eps, fp_lo))])
+    if bad.size:
+        raise SolverAbort(f"claim density or its derivative is not finite at s={bad.min():.6g}",
+                          {"s": float(bad.min())})
 
     def fill_near(lo):
         xs = xg[lo:lo + NEAR_BLOCK]
@@ -292,8 +293,7 @@ def integrate_w(params: ModelParams, law: ClaimLaw, table: NearZeroTable, x_max:
         w_max = max(w_max, w1)
         floor = max(w_floor, 1e-10 * w_max)
         if not math.isfinite(w1 + G1):
-            raise SolverAbort(f"continuation lost a finite state at x={x1:.6g} "
-                              f"(w={w1:.3g}, G={G1:.3g})", {"x": x1, "w": w1})
+            raise SolverAbort(f"continuation lost a finite state at x={x1:.6g}", {"x": x1, "w": w1})
         if not w1 > floor:
             if w1 < -1e-6 * w_max:
                 raise SolverAbort(
@@ -314,10 +314,8 @@ def integrate_w(params: ModelParams, law: ClaimLaw, table: NearZeroTable, x_max:
     w = hist.w[sl]
     # W[k+1] = W[k] + h/2 (w[k] + w[k+1]), accumulated in node order
     W = np.cumsum(np.concatenate([[tab.V[-1]], 0.5 * h * (w[:-1] + w[1:])]))
-    march = WMarch(x=xg[sl], w=w, W=W, G=G[sl], T=T[sl], theta=theta[sl],
-                   completion=completion)
-    march.work = {"nodes": w.size, "step": h, "fft_products": hist.fft_products}
-    return march
+    return WMarch(x=xg[sl], w=w, W=W, G=G[sl], T=T[sl], theta=theta[sl],
+                  completion=completion, fft_products=hist.fft_products)
 
 
 def assemble_solution(params: ModelParams, table: NearZeroTable, march: WMarch) -> SolutionCurve:
@@ -348,7 +346,9 @@ def assemble_solution(params: ModelParams, table: NearZeroTable, march: WMarch) 
     V_inf, tail = extrapolate_tail(x, Vp, float(V[-1]), str(regime[-1]), p,
                                    completion=march.completion)
     meta = {"epsilon": float(tab.x[-1]), "scheme": "trapezoid-frozen-theta", "tail": tail,
-            "completion": march.completion, "continuation": dict(march.work)}
+            "completion": march.completion, "continuation": {
+                "nodes": x1.size, "step": float(np.ptp(x1)) / max(x1.size - 1, 1),
+                "fft_products": march.fft_products}}
     return SolutionCurve(x=x, V=V, Vp=Vp, Vpp=Vpp, J=J, phi=phi, theta_star=theta,
                          regime=regime, segments=segments, V_inf=V_inf, params=p,
                          meta=meta)

@@ -220,15 +220,32 @@ def test_lipschitz_bound_empirical(example1, exp_law, table1):
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_non_finite_density_aborts_with_diagnostics(example1):
-    # a density that turns NaN at large s makes w NaN; the march stops with
-    # diagnostics instead of handing NaN columns to the curve's interpolants
+    # a density that turns NaN at large s is refused before the march, at the
+    # first non-finite claim size, instead of handing NaN columns to the
+    # curve's interpolants (or naming a node that an FFT product reaches first)
     def pdf(s):
         return np.where(s < 5.0, np.exp(-s), np.nan)
     law = GeneralClaims(pdf=pdf, cdf=lambda s: 1.0 - np.exp(-s), mean=1.0,
                         pdf_derivative=lambda s: -pdf(s))
     with pytest.raises(SolverAbort) as err:
         general_solve(example1, law, x_max=8.0)
+    assert set(err.value.diagnostics) == {"s"}
+    assert 5.0 <= err.value.diagnostics["s"] < 5.001
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_non_finite_state_aborts_with_diagnostics(example1):
+    # NaN only strictly between the grid's claim sizes (multiples of h) passes
+    # the kernel check; it reaches w through the near-zero-table quadrature,
+    # which evaluates f off the grid, and the per-node check stops the march
+    def pdf(s):
+        return np.where((s > 5.0002) & (s < 5.0003), np.nan, np.exp(-s))
+    law = GeneralClaims(pdf=pdf, cdf=lambda s: 1.0 - np.exp(-s), mean=1.0,
+                        pdf_derivative=lambda s: -np.exp(-s))
+    with pytest.raises(SolverAbort) as err:
+        general_solve(example1, law, x_max=8.0)
     assert set(err.value.diagnostics) == {"x", "w"}
+    assert 5.0002 < err.value.diagnostics["x"] < 5.0014
     assert not np.isfinite(err.value.diagnostics["w"])
 
 
