@@ -6,7 +6,9 @@ output file records the run-manifest hash; identical config and seed produce
 byte-identical CSV artifacts.
 
 Exit codes: 0 success, 1 validation failure or a verify the curve cannot
-answer, 2 solver abort, 3 verification failure.
+answer, 2 solver abort, 3 verification failure.  A SolverAbort anywhere in a
+subcommand ends it with exit 2 and abort.json, the abort's message and
+diagnostics, in the output directory.
 """
 from __future__ import annotations
 
@@ -18,10 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
-from .curve import MANIFEST_TAG, REGIME_INTERIOR, SolutionCurve, manifest_tag
+from .curve import REGIME_INTERIOR, SolutionCurve, manifest_tag, write_json, write_table
 from .exp_solver import SolveOptions, SolverAbort, solve
 from .model import ExponentialClaims, ModelParams, validate
 from .operators import indicator_bands, start_regime
@@ -128,10 +128,7 @@ def _prologue(args):
 
 
 def cmd_solve(args, cfg, params, law, manifest, out) -> int:
-    try:
-        curve = _solve_curve(params, law, args)
-    except SolverAbort as exc:
-        return _abort(out, manifest, exc)
+    curve = _solve_curve(params, law, args)
     curve.to_csv(out / "curve.csv", manifest.hash)
     curve.to_json(out / "curve.json", manifest.sidecar())
     print(f"wrote {out/'curve.csv'} ({len(curve.x)} nodes), V_inf = {curve.V_inf:.8g}")
@@ -142,12 +139,9 @@ def cmd_solve(args, cfg, params, law, manifest, out) -> int:
 
 def cmd_policy(args, cfg, params, law, manifest, out) -> int:
     sidecar = _solved_sidecar(out, cfg, args)
-    try:
-        # a matching solve is re-read, not re-solved: no recomputation drift
-        curve = (_solve_curve(params, law, args) if sidecar is None
-                 else SolutionCurve.from_csv(out / "curve.csv"))
-    except SolverAbort as exc:
-        return _abort(out, manifest, exc)
+    # a matching solve is re-read, not re-solved: no recomputation drift
+    curve = (_solve_curve(params, law, args) if sidecar is None
+             else SolutionCurve.from_csv(out / "curve.csv"))
 
     thresholds = {"a": params.a, "minus_b": -params.b,
                   "convex_split": 0.5 * (params.a - params.b)}
@@ -159,20 +153,13 @@ def cmd_policy(args, cfg, params, law, manifest, out) -> int:
     # event-located switch points, sharper than the node grid
     switch_points = curve.switch_points if sidecar is None else sidecar["switch_points"]
 
-    with open(out / "policy.csv", "w") as fh:
-        fh.write(f"{MANIFEST_TAG}{manifest.hash}\n")
-        for key, val in sorted(thresholds.items()):
-            fh.write(f"# threshold {key} = {val:.17g}\n")
-        for i, xi in enumerate(switch_points, 1):
-            fh.write(f"# switch x{i} = {xi:.17g}\n")
-        fh.write("x,phi,theta_star,regime\n")
-        for i in range(len(curve.x)):
-            fh.write("%.17g,%.17g,%.17g,%s\n"
-                     % (curve.x[i], curve.phi[i], curve.theta_star[i], curve.regime[i]))
-    with open(out / "policy.json", "w") as fh:
-        json.dump({"thresholds": thresholds, "switch_points": switch_points,
-                   "manifest": manifest.sidecar()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    comments = ([f"threshold {key} = {val:.17g}" for key, val in sorted(thresholds.items())]
+                + [f"switch x{i} = {xi:.17g}" for i, xi in enumerate(switch_points, 1)])
+    write_table(out / "policy.csv", manifest.hash, "x,phi,theta_star,regime",
+                "%.17g,%.17g,%.17g,%s", (curve.x, curve.phi, curve.theta_star, curve.regime),
+                comments)
+    write_json(out / "policy.json", {"thresholds": thresholds, "switch_points": switch_points},
+               manifest.sidecar())
     print(f"wrote {out/'policy.csv'}; switch points: "
           + (", ".join(f"{x:.6g}" for x in switch_points) or "none"))
     return EXIT_OK
@@ -190,10 +177,7 @@ def cmd_verify(args, cfg, params, law, manifest, out) -> int:
                     for x in x0s]
         label = "lundberg"
     else:
-        try:
-            curve = _solve_curve(params, law, args)
-        except SolverAbort as exc:
-            return _abort(out, manifest, exc)
+        curve = _solve_curve(params, law, args)
         x0s = [1.0, 5.0, 10.0]
         mode = curve.meta["tail"]["mode"]
         if max(x0s) > curve.x[-1] or mode in ("open", "q-below-one"):
@@ -206,27 +190,21 @@ def cmd_verify(args, cfg, params, law, manifest, out) -> int:
         expected = [float(curve.survival(x)) for x in x0s]
         label = "V/V_inf"
 
-    all_pass = True
-    with open(out / "verify.csv", "w") as fh:
-        fh.write(f"{MANIFEST_TAG}{manifest.hash}\n")
-        fh.write("x0,expected,p_hat,ci_half,pass\n")
-        for x0, exp_val in zip(x0s, expected):
-            row = report.lookup(x0, policy.label)
-            ok = abs(row["p_hat"] - exp_val) <= 2.0 * row["ci_half"]
-            all_pass &= ok
-            fh.write("%.17g,%.17g,%.17g,%.17g,%d\n"
-                     % (x0, exp_val, row["p_hat"], row["ci_half"], int(ok)))
-            print(f"  x0={x0:<6g} {label}={exp_val:.5f}  p_hat={row['p_hat']:.5f} "
-                  f"+/- {row['ci_half']:.5f}  {'pass' if ok else 'FAIL'}")
+    rows = [report.lookup(x0, policy.label) for x0 in x0s]
+    passed = [abs(r["p_hat"] - e) <= 2.0 * r["ci_half"] for r, e in zip(rows, expected)]
+    for x0, e, r, ok in zip(x0s, expected, rows, passed):
+        print(f"  x0={x0:<6g} {label}={e:.5f}  p_hat={r['p_hat']:.5f} "
+              f"+/- {r['ci_half']:.5f}  {'pass' if ok else 'FAIL'}")
+    write_table(out / "verify.csv", manifest.hash, "x0,expected,p_hat,ci_half,pass",
+                "%.17g,%.17g,%.17g,%.17g,%d",
+                (x0s, expected, [r["p_hat"] for r in rows], [r["ci_half"] for r in rows],
+                 passed))
     report.to_json(out / "verify.json", manifest.sidecar())
-    return EXIT_OK if all_pass else EXIT_VERIFY
+    return EXIT_OK if all(passed) else EXIT_VERIFY
 
 
 def cmd_compare(args, cfg, params, law, manifest, out) -> int:
-    try:
-        curve = _solve_curve(params, law, args)
-    except SolverAbort as exc:
-        return _abort(out, manifest, exc)
+    curve = _solve_curve(params, law, args)
 
     policies = [
         FeedbackPolicy(curve, params, label="feedback-optimal"),
@@ -288,21 +266,10 @@ def _options_echo(args) -> dict:
 
 def _abort(out: Path, manifest: RunManifest, exc: SolverAbort) -> int:
     """Write abort.json with the abort's diagnostics, report it, return EXIT_SOLVER."""
-    with open(out / "abort.json", "w") as fh:
-        json.dump({"error": str(exc),
-                   "diagnostics": {k: _jsonable(v) for k, v in exc.diagnostics.items()},
-                   "manifest": manifest.sidecar()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "abort.json", {"error": str(exc), "diagnostics": exc.diagnostics},
+               manifest.sidecar())
     print(f"solver abort: {exc}", file=sys.stderr)
     return EXIT_SOLVER
-
-
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -331,6 +298,9 @@ def main(argv: Optional[list] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except SolverAbort as exc:  # raised by the subcommand, after the prologue
+        *_, manifest, out = run
+        return _abort(out, manifest, exc)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
-"""Solution curves of the HJB equation and their serialisation.
+"""Solution curves of the HJB equation, and the writers of every artifact.
 
 A solved curve tabulates (x, V, V', V'', J, phi, theta_star, regime) on the
 integrator's grid together with the regime segmentation, the extrapolated
-limit V(inf), and residual diagnostics.  Curves serialise to a CSV table plus
-a JSON sidecar; the survival probability is V(x)/V(inf).
+limit V(inf), and residual diagnostics; the survival probability is
+V(x)/V(inf).  Every artifact, a curve's or another, is a CSV table written by
+`write_table` or a JSON sidecar written by `write_json`.
 """
 from __future__ import annotations
 
@@ -30,6 +31,30 @@ CSV_BLOCK = 4096      # rows formatted per write
 def manifest_tag(line: str) -> Optional[str]:
     """Hash on an artifact's leading MANIFEST_TAG line, or None."""
     return line[len(MANIFEST_TAG):].strip() if line.startswith(MANIFEST_TAG) else None
+
+
+def write_table(path, manifest_hash: str, header: str, row: str, columns, comments=()) -> None:
+    """CSV artifact: the manifest line if a hash is given, a `# c` line per
+    comment, the header, then `row % values` per entry of the columns."""
+    columns = [np.asarray(a) for a in columns]
+    row += "\n"
+    with open(path, "w") as fh:
+        if manifest_hash:
+            fh.write(f"{MANIFEST_TAG}{manifest_hash}\n")
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), CSV_BLOCK):  # formatted from Python scalars
+            cols = [a[lo:lo + CSV_BLOCK].tolist() for a in columns]
+            fh.write("".join([row % r for r in zip(*cols)]))
+
+
+def write_json(path, d: dict, manifest: Optional[dict] = None) -> None:
+    """JSON artifact: d plus `manifest` if one is given, sorted keys, indent 2
+    and a trailing newline; numpy arrays and scalars are written as tolist()."""
+    with open(path, "w") as fh:
+        json.dump(d if manifest is None else {**d, "manifest": manifest}, fh, indent=2,
+                  sort_keys=True, default=lambda v: v.tolist())
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -95,16 +120,9 @@ class SolutionCurve:
     # -- serialisation ------------------------------------------------------
 
     def to_csv(self, path, manifest_hash: str = "") -> None:
-        row = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
-        with open(path, "w") as fh:
-            if manifest_hash:
-                fh.write(f"{MANIFEST_TAG}{manifest_hash}\n")
-            fh.write(CSV_HEADER + "\n")
-            for lo in range(0, len(self.x), CSV_BLOCK):
-                cols = [a[lo:lo + CSV_BLOCK].tolist()
-                        for a in (self.x, self.V, self.Vp, self.Vpp, self.J, self.phi,
-                                  self.theta_star, self.regime)]
-                fh.write("".join([row % r for r in zip(*cols)]))
+        write_table(path, manifest_hash, CSV_HEADER, "%.17g," * 7 + "%s",
+                    (self.x, self.V, self.Vp, self.Vpp, self.J, self.phi, self.theta_star,
+                     self.regime))
 
     @classmethod
     def from_csv(cls, path) -> "SolutionCurve":
@@ -149,9 +167,4 @@ class SolutionCurve:
         return d
 
     def to_json(self, path, manifest: Optional[dict] = None) -> None:
-        d = self.sidecar()
-        if manifest is not None:
-            d["manifest"] = manifest
-        with open(path, "w") as fh:
-            json.dump(d, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.sidecar(), manifest)

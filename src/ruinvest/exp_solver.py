@@ -355,8 +355,8 @@ def _start(params: ModelParams, m: float):
     exp = series_coefficients(params, m, regime_fraction(params, regime0), K=SERIES_TERMS)
     if params.mu == params.r and exp.D[2] <= 0:
         return exp, REGIME_ZERO, 1e-8, np.array([1.0, params.lam / params.c, 1.0])
-    x_eps = handoff_point(exp, params, m)
-    V0, Vp0, _, J0 = series_eval(exp, x_eps, params, m)
+    x_eps = handoff_point(exp, params)
+    V0, Vp0, _, J0 = series_eval(exp, x_eps, params)
     return exp, regime0, x_eps, np.array([V0, Vp0, V0 - J0])
 
 
@@ -421,12 +421,7 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
                               {"x": nodes[states[1] <= 0][0]})
         _append_segment(nodes, states, regime, params, m, xs_all, cols)
 
-        if sol.status == 1:
-            x_end = float(sol.t_events[i0][0])
-            y = sol.sol(x_end)
-        else:
-            x_end = sol.t[-1]
-            y = sol.y[:, -1]
+        x_end, y = sol.t[-1], sol.y[:, -1]  # an event's root, as the march appended it
         if regime == REGIME_ZERO:
             y[1] = _zero_vp(params, x_end, y)
         segments.append(RegimeSegment(x, x_end, regime, ev_name))
@@ -506,7 +501,7 @@ def _append_segment(nodes, states, regime, params, m, xs_all, cols):
     cols["regime"].append(np.full(nodes.shape, regime, dtype=object))
 
 
-def _series_prefix(params, m, exp: SeriesExpansion, x_eps, regime0):
+def _series_prefix(params, exp: SeriesExpansion, x_eps, regime0):
     """Rows on [0, x_eps) from the series, including the x = 0 limits.
 
     A ZERO start has the x = 0 row only.
@@ -515,7 +510,7 @@ def _series_prefix(params, m, exp: SeriesExpansion, x_eps, regime0):
     if regime0 != REGIME_ZERO:
         xs = np.concatenate([xs, np.geomspace(x_eps / 64.0, x_eps, 16)[:-1]])
     D1 = params.lam / params.c
-    rows = [(1.0, D1, D1 * exp.D[2], 0.0)] + [series_eval(exp, x, params, m) for x in xs[1:]]
+    rows = [(1.0, D1, D1 * exp.D[2], 0.0)] + [series_eval(exp, x, params) for x in xs[1:]]
     V, Vp, Vpp, J = np.array(rows).T
     phi = np.empty_like(xs)
     phi[0] = start_indicator(params)
@@ -528,7 +523,7 @@ def _series_prefix(params, m, exp: SeriesExpansion, x_eps, regime0):
 
 def _assemble(params, m, exp, x_eps, xs_all, cols, segments, events_log, march, completion,
               opts):
-    xs0, rows0 = _series_prefix(params, m, exp, x_eps, segments[0].regime)
+    xs0, rows0 = _series_prefix(params, exp, x_eps, segments[0].regime)
     x = np.concatenate([xs0] + xs_all)
     data = {k: np.concatenate([rows0[k], *cols[k]]) for k in cols}
     keep = np.concatenate([[True], np.diff(x) > 0])

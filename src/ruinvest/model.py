@@ -226,7 +226,7 @@ def validate(params: ModelParams, law: ClaimLaw, oracle_mode: bool = False) -> V
     # density must integrate to 1 over (0, inf) within quadrature tolerance
     try:
         total, _ = quad(lambda s: float(law.pdf(s)), 0.0, np.inf, limit=200)
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:  # a NaN integral fails too
             v.append(f"claim density integrates to {total:.8f}, not 1 within 1e-6")
     except Exception as exc:  # non-integrable user density
         v.append(f"claim density quadrature failed: {exc}")

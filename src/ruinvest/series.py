@@ -71,7 +71,7 @@ def series_coefficients(params: ModelParams, m: float, gamma: float, K: int = 40
     return SeriesExpansion(gamma=gamma, mu_bar=mb, sigma_bar=sb, D=D, K=K)
 
 
-def series_eval(exp: SeriesExpansion, x: float, params: ModelParams, m: float):
+def series_eval(exp: SeriesExpansion, x: float, params: ModelParams):
     """(V, Vp, Vpp, J) of the truncated series at x.
 
     J is recovered from the regime equation itself: on the constant-gamma
@@ -89,7 +89,7 @@ def series_eval(exp: SeriesExpansion, x: float, params: ModelParams, m: float):
     return V, Vp, Vpp, J
 
 
-def handoff_point(exp: SeriesExpansion, params: ModelParams, m: float) -> float:
+def handoff_point(exp: SeriesExpansion, params: ModelParams) -> float:
     """Largest x where the series is trustworthy, clamped to [HANDOFF_LO, HANDOFF_HI].
 
     Two rules, both required:
@@ -106,7 +106,7 @@ def handoff_point(exp: SeriesExpansion, params: ModelParams, m: float) -> float:
     D, K = exp.D, exp.K
 
     def trunc_ok(x):
-        V, Vp, Vpp, _ = series_eval(exp, x, params, m)
+        V, Vp, Vpp, _ = series_eval(exp, x, params)
         lastV = abs(D[1] * D[K] / K) * x**K
         lastVp = abs(D[1] * D[K]) * x ** (K - 1)
         lastVpp = abs(D[1] * (K - 1) * D[K]) * x ** (K - 2)
@@ -122,7 +122,7 @@ def handoff_point(exp: SeriesExpansion, params: ModelParams, m: float) -> float:
     if params.mu != params.r:
         want = start_regime(params)
         for xq in np.geomspace(HANDOFF_LO, x_eps, 200):
-            V, Vp, Vpp, J = series_eval(exp, xq, params, m)
+            V, Vp, Vpp, J = series_eval(exp, xq, params)
             phi = indicator(params, xq, Vp, deficit(params, xq, Vp, params.lam * (V - J)))
             if regime_for_indicator(phi, params) != want:
                 x_eps = max(HANDOFF_LO, xq / 2.0)

@@ -23,7 +23,6 @@ survival(x) = V(x)/V(inf) and rank policies under common claim streams.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curve import MANIFEST_TAG, SolutionCurve
+from .curve import SolutionCurve, write_json, write_table
 from .model import ClaimLaw, ModelParams
 
 __all__ = [
@@ -268,22 +267,12 @@ class SimulationReport:
         raise KeyError((x0, policy_label))
 
     def to_csv(self, path, manifest_hash: str = "") -> None:
-        with open(path, "w") as fh:
-            if manifest_hash:
-                fh.write(f"{MANIFEST_TAG}{manifest_hash}\n")
-            fh.write("x0,policy,p_hat,ci_half,n,censored_frac\n")
-            for r in self.rows:
-                fh.write("%.17g,%s,%.17g,%.17g,%d,%.17g\n"
-                         % (r["x0"], r["policy"], r["p_hat"], r["ci_half"],
-                            r["n"], r["censored_frac"]))
+        keys = ("x0", "policy", "p_hat", "ci_half", "n", "censored_frac")
+        write_table(path, manifest_hash, ",".join(keys), "%.17g,%s,%.17g,%.17g,%d,%.17g",
+                    [[r[k] for r in self.rows] for k in keys])
 
     def to_json(self, path, manifest: Optional[dict] = None) -> None:
-        d = {"rows": self.rows, "config": self.config_echo}
-        if manifest is not None:
-            d["manifest"] = manifest
-        with open(path, "w") as fh:
-            json.dump(d, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {"rows": self.rows, "config": self.config_echo}, manifest)
 
 
 def _simulate(x0_list, policies, params, law, cfg: SimConfig, echo: dict) -> SimulationReport:

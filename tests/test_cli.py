@@ -31,6 +31,17 @@ MC_SHA256 = {
     "example1-compare": "4b73e55988f150cdb2154fa98fd6a9871e845960304dc5d5b489c2ac974d3924",
 }
 
+# SHA-256 of the other artifacts the tests below write, measured at commit
+# 173c333 with numpy 2.4.6 and scipy 1.17.1; policy.csv and policy.json are the
+# same whether policy re-reads a solve or solves afresh
+ARTIFACT_SHA256 = {
+    "example1-curve.json": "bbfdaba13b020a2ec053e898c750b889bf8210027ebcaeed2be5d8a9f7cf861b",
+    "example1-policy.csv": "f35dd93ac5050e5db3d734c67a3faccedfe037179c94c7baad3a926a8f44fd21",
+    "example1-policy.json": "87ea10ddc0ffec99a169b1b6a769cbd23ba1fbcfa72af91e49cef8a7bf4c689b",
+    "example1-verify.json": "dca935a6d0ddd532d1d770faa557d44fedbcc4e2e0b232f35d15595def82b277",
+    "xmax-abort.json": "223ccd072038a347a3008afbf54d08f4c7e4a9788d5265b996027a86a1386005",
+}
+
 
 def test_parse_config_example1():
     cfg = parse_config(CONFIGS / "example1.cfg")
@@ -63,6 +74,7 @@ def test_solve_writes_artifacts(tmp_path):
     header = [l for l in (tmp_path / "curve.csv").read_text().splitlines()
               if not l.startswith("#")][0]
     assert header == "x,V,Vp,Vpp,J,phi,theta_star,regime"
+    assert _sha256(tmp_path / "curve.json") == ARTIFACT_SHA256["example1-curve.json"]
 
 
 def test_solve_deterministic_bytes(tmp_path):
@@ -91,6 +103,8 @@ def test_policy_roundtrip_no_drift(tmp_path, monkeypatch, solve_extra):
     th_curve = _read_csv_column(tmp_path / "curve.csv", "theta_star")
     th_policy = _read_csv_column(tmp_path / "policy.csv", "theta_star")
     assert th_curve == th_policy
+    for name in ("policy.csv", "policy.json"):
+        assert _sha256(tmp_path / name) == ARTIFACT_SHA256[f"example1-{name}"]
 
 
 def test_policy_resolves_stale_curve(tmp_path):
@@ -133,6 +147,8 @@ def test_policy_thresholds_example1(tmp_path):
     assert f"# threshold extreme_bound = {40.0/19.0:.17g}" in text
     meta = json.loads((tmp_path / "policy.json").read_text())
     assert len(meta["switch_points"]) == 3
+    for name in ("policy.csv", "policy.json"):
+        assert _sha256(tmp_path / name) == ARTIFACT_SHA256[f"example1-{name}"]
 
 
 def test_policy_thresholds_omitted_for_equal_bounds(tmp_path):
@@ -171,6 +187,7 @@ def test_solver_abort_exit_code_and_artifact(tmp_path, capsys):
     assert abort["manifest"]["subcommand"] == "solve"
     assert abort["manifest"]["options"]["xmax"] == 1e-5
     assert capsys.readouterr().err.startswith("solver abort: x_max=1e-05")
+    assert _sha256(tmp_path / "abort.json") == ARTIFACT_SHA256["xmax-abort.json"]
 
 
 def test_oracle_mode_verify(tmp_path):
@@ -209,6 +226,7 @@ def test_verify_example1_small_sample(tmp_path):
     assert _sha256(tmp_path / "verify.csv") == MC_SHA256["example1-verify"]
     rows = json.loads((tmp_path / "verify.json").read_text())["rows"]
     assert all(r["path_steps"] > r["iterations"] > 0 for r in rows)
+    assert _sha256(tmp_path / "verify.json") == ARTIFACT_SHA256["example1-verify.json"]
 
 
 def test_verify_refuses_x0_beyond_curve(tmp_path, monkeypatch, capsys):

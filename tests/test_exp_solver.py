@@ -34,8 +34,8 @@ def _scalar_events(g, directions):
 
 def test_rhs_constant_matches_series_at_handoff(example1):
     se = series_coefficients(example1, M, example1.a)
-    x_eps = handoff_point(se, example1, M)
-    V, Vp, Vpp, J = series_eval(se, x_eps, example1, M)
+    x_eps = handoff_point(se, example1)
+    V, Vp, Vpp, J = series_eval(se, x_eps, example1)
     vpp = curvature("A", example1, x_eps, Vp, example1.lam * (V - J))
     assert vpp == pytest.approx(Vpp, rel=1e-8)
 
@@ -53,10 +53,10 @@ def test_rhs_constant_third_order_consistency(example1):
     d = 1e-5
     vpp = {}
     for xx in (x - d, x + d):
-        V, Vp, Vpp, J = series_eval(se, xx, example1, M)
+        V, Vp, Vpp, J = series_eval(se, xx, example1)
         vpp[xx] = curvature("A", example1, xx, Vp, example1.lam * (V - J))
     fd_vppp = (vpp[x + d] - vpp[x - d]) / (2 * d)
-    V, Vp, Vpp, J = series_eval(se, x, example1, M)
+    V, Vp, Vpp, J = series_eval(se, x, example1)
     mb, sb2 = rc.mu_bar, rc.sigma_bar**2
     ode_vppp = -((x**2 / M + 2 * (1 + mb / sb2) * x + 2 * example1.c / sb2) * Vpp
                  + 2 * (mb * x / (M * sb2) + (mb - example1.lam + example1.c / M) / sb2) * Vp) / x**2
@@ -158,9 +158,9 @@ def test_series_handoff_consistency(example1):
     # integrate the regime ODE from x_eps/2 to 2 x_eps and compare with the
     # series there (both inside the series validity radius)
     se = series_coefficients(example1, M, example1.a)
-    x_eps = handoff_point(se, example1, M)
+    x_eps = handoff_point(se, example1)
     x0, x1 = x_eps / 2.0, min(2.0 * x_eps, 0.021)  # stay inside the first regime
-    V0, Vp0, Vpp0, J0 = series_eval(se, x0, example1, M)
+    V0, Vp0, Vpp0, J0 = series_eval(se, x0, example1)
     rc = regime_constants(example1, example1.a)
 
     def rhs(x, y):
@@ -170,7 +170,7 @@ def test_series_handoff_consistency(example1):
         return [Vp, vpp, Vp - D / M]
 
     sol = solve_ivp(rhs, (x0, x1), [V0, Vp0, V0 - J0], rtol=1e-12, atol=1e-14)
-    V1, Vp1, Vpp1, J1 = series_eval(se, x1, example1, M)
+    V1, Vp1, Vpp1, J1 = series_eval(se, x1, example1)
     assert sol.y[0][-1] == pytest.approx(V1, rel=1e-7)
     assert sol.y[1][-1] == pytest.approx(Vp1, rel=1e-7)
 
@@ -179,8 +179,8 @@ def test_detect_switch_standalone(example1):
     # march the starting regime with only its row of the event table and
     # locate the first crossing
     se = series_coefficients(example1, M, example1.a)
-    x_eps = handoff_point(se, example1, M)
-    V0, Vp0, Vpp0, J0 = series_eval(se, x_eps, example1, M)
+    x_eps = handoff_point(se, example1)
+    V0, Vp0, Vpp0, J0 = series_eval(se, x_eps, example1)
     rc = regime_constants(example1, example1.a)
 
     def rhs(x, y):
@@ -339,7 +339,7 @@ def test_rk45_march_hjb_segments_match_solve_ivp(example1, curve1):
     lo = next(s.lo for s in curve1.segments if s.regime == "INT")
     i = int(np.searchsorted(curve1.x, lo))
     starts = [("A", x_eps, 44.0, series_eval(series_coefficients(example1, M, example1.a),
-                                              x_eps, example1, M)),
+                                              x_eps, example1)),
               ("INT", lo, lo + 0.3, (curve1.V[i], curve1.Vp[i], None, curve1.J[i]))]
     options = dict(rtol=1e-10, atol=[1e-12, 1e-14, 1e-14], max_step=0.5)
     for regime, x0, x1, (V, Vp, _, J) in starts:
@@ -502,7 +502,7 @@ def test_solver_refuses_zero_interest():
 
 def test_solver_rejects_x_max_below_handoff(example1):
     # the march starts at the series handoff point x_eps = 0.0111 of example 1
-    x_eps = handoff_point(series_coefficients(example1, M, example1.a), example1, M)
+    x_eps = handoff_point(series_coefficients(example1, M, example1.a), example1)
     with pytest.raises(SolverAbort) as err:
         solve(example1, M, SolveOptions(x_max=1e-5))
     assert err.value.diagnostics == {"x_max": 1e-5, "x_eps": x_eps}

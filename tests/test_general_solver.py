@@ -51,7 +51,7 @@ def test_near_zero_initial_data(table1, example1):
 def test_near_zero_matches_exponential_series(table1, example1):
     se = series_coefficients(example1, M, example1.a)
     for i in range(1, len(table1.x), 16):
-        V, Vp, Vpp, _ = series_eval(se, table1.x[i], example1, M)
+        V, Vp, Vpp, _ = series_eval(se, table1.x[i], example1)
         assert table1.V[i] == pytest.approx(V, rel=1e-6)
         assert table1.Vp[i] == pytest.approx(Vp, rel=1e-6)
         assert table1.Vpp[i] == pytest.approx(Vpp, rel=1e-6, abs=1e-6)
@@ -220,11 +220,12 @@ def test_lipschitz_bound_empirical(example1, exp_law, table1):
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_non_finite_density_aborts_with_diagnostics(example1):
-    # a density that turns NaN at large s is refused before the march, at the
+    # a density that is NaN on [5, 5.001), a band validate's quadrature misses
+    # (a NaN integral is refused there), is refused before the march, at the
     # first non-finite claim size, instead of handing NaN columns to the
     # curve's interpolants (or naming a node that an FFT product reaches first)
     def pdf(s):
-        return np.where(s < 5.0, np.exp(-s), np.nan)
+        return np.where((s >= 5.0) & (s < 5.001), np.nan, np.exp(-s))
     law = GeneralClaims(pdf=pdf, cdf=lambda s: 1.0 - np.exp(-s), mean=1.0,
                         pdf_derivative=lambda s: -pdf(s))
     with pytest.raises(SolverAbort) as err:

@@ -40,6 +40,16 @@ def test_bad_density_normalisation_rejected(example1):
     assert any("integrates" in v for v in rep.violations)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_nan_density_integral_rejected(example1):
+    # NaN beyond s = 5 makes quad's integral NaN, which is no unit mass
+    law = GeneralClaims(pdf=lambda s: np.where(s < 5.0, np.exp(-s), np.nan),
+                        cdf=lambda s: 1 - np.exp(-s), mean=1.0)
+    rep = validate(example1, law)
+    assert not rep.ok
+    assert any("integrates to nan" in v for v in rep.violations)
+
+
 def test_regime_constants_example1(example1):
     rc = regime_constants(example1, 1.0)
     assert rc.mu_bar == pytest.approx(0.02)

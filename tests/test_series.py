@@ -16,14 +16,14 @@ def test_leading_coefficients_example1(example1):
     assert se.D[3] == pytest.approx(0.75)
     # V's coefficients are C_k = D_k / k: V' from the D_k is V's slope
     x, h = 0.01, 1e-6
-    V = lambda x: series_eval(se, x, example1, M)[0]
+    V = lambda x: series_eval(se, x, example1)[0]
     assert (V(x + h) - V(x - h)) / (2 * h) == pytest.approx(
-        series_eval(se, x, example1, M)[1], rel=1e-9)
+        series_eval(se, x, example1)[1], rel=1e-9)
 
 
 def test_boundary_values_example1(example1):
     se = series_coefficients(example1, M, example1.a)
-    V, Vp, Vpp, J = series_eval(se, 1e-12, example1, M)
+    V, Vp, Vpp, J = series_eval(se, 1e-12, example1)
     assert V == pytest.approx(1.0, abs=1e-10)
     assert Vp == pytest.approx(4.5, abs=1e-10)
     assert Vpp == pytest.approx(11.25, abs=1e-8)
@@ -47,8 +47,8 @@ def test_series_satisfies_regime_equation(example1):
     se = series_coefficients(example1, M, example1.a)
     rc = regime_constants(example1, example1.a)
     for x in (1e-4, 1e-3, 5e-3):
-        V, Vp, Vpp, J = series_eval(se, x, example1, M)
-        Jq, _ = quad(lambda z: series_eval(se, x - z, example1, M)[0]
+        V, Vp, Vpp, J = series_eval(se, x, example1)
+        Jq, _ = quad(lambda z: series_eval(se, x - z, example1)[0]
                      * np.exp(-z / M) / M, 0.0, x, limit=200,
                      epsabs=1e-13, epsrel=1e-12)
         assert J == pytest.approx(Jq, abs=1e-10)
@@ -63,7 +63,7 @@ def test_handoff_clamps_linear_series(example1):
     D = np.zeros(41)
     D[1] = 4.5
     se = SeriesExpansion(gamma=example1.a, mu_bar=0.02, sigma_bar=0.1, D=D, K=40)
-    assert handoff_point(se, example1, M) == pytest.approx(0.1)
+    assert handoff_point(se, example1) == pytest.approx(0.1)
 
 
 def test_handoff_shrinks_with_coefficient_growth(example1):
@@ -74,7 +74,7 @@ def test_handoff_shrinks_with_coefficient_growth(example1):
         D[2:] *= scale
         boosted = SeriesExpansion(gamma=se.gamma, mu_bar=se.mu_bar, sigma_bar=se.sigma_bar,
                                   D=D, K=se.K)
-        xs.append(handoff_point(boosted, example1, M))
+        xs.append(handoff_point(boosted, example1))
     assert xs[0] >= xs[1] >= xs[2]
 
 
@@ -82,7 +82,7 @@ def test_handoff_respects_first_switch_example1(example1):
     # the maximal-long branch leaves the case table at x1 ~ 0.0219; the
     # handoff must stay strictly below it
     se = series_coefficients(example1, M, example1.a)
-    x_eps = handoff_point(se, example1, M)
+    x_eps = handoff_point(se, example1)
     assert 1e-6 <= x_eps <= 0.015
     # regression fixture (recorded after first verified computation)
     assert x_eps == pytest.approx(0.01110973430469762, rel=1e-6)
