@@ -110,7 +110,7 @@ def _prologue(args):
     Returns (cfg, params, law, manifest, out), or None once the refusal is on
     stderr.  Oracle mode's r = 0 passes validation for verify, which runs the
     simulator alone, and for solve, which then refuses it; policy and compare
-    validate without it.
+    validate without it.  verify and compare refuse fewer than one path.
     """
     cfg = parse_config(args.config)
     params, law = build_model(cfg)
@@ -120,6 +120,9 @@ def _prologue(args):
         return None
     if args.cmd == "solve" and args.oracle_mode:
         print("oracle mode is a simulator feature; solve requires r > 0", file=sys.stderr)
+        return None
+    if args.cmd in ("verify", "compare") and args.n_paths < 1:
+        print(f"--n-paths must be at least 1, got {args.n_paths}", file=sys.stderr)
         return None
     manifest = RunManifest(args.cmd, cfg, _options_echo(args), args.seed)
     out = Path(args.out_dir)

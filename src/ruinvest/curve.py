@@ -3,8 +3,10 @@
 A solved curve tabulates (x, V, V', V'', J, phi, theta_star, regime) on the
 integrator's grid together with the regime segmentation, the extrapolated
 limit V(inf), and residual diagnostics; the survival probability is
-V(x)/V(inf).  Every artifact, a curve's or another, is a CSV table written by
-`write_table` or a JSON sidecar written by `write_json`.
+V(x)/V(inf).  Between nodes V is scipy 1.17's PchipInterpolator, computed
+here without scipy from the same formulas.  Every artifact, a curve's or
+another, is a CSV table written by `write_table` or a JSON sidecar written by
+`write_json`.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = ["RegimeSegment", "SolutionCurve", "segments_from_regimes", "manifest_tag"]
 
@@ -57,6 +58,30 @@ def write_json(path, d: dict, manifest: Optional[dict] = None) -> None:
         fh.write("\n")
 
 
+def _pchip_coefficients(x, y):
+    """(x, c): scipy 1.17's PchipInterpolator as PPoly's (4, n-1) coefficient
+    block, c[3] the constant term.  Fritsch-Carlson derivatives (the weighted
+    harmonic mean of the adjacent slopes, 0 at a sign change) give the
+    CubicHermiteSpline; two nodes give the line."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    d = np.full_like(y, m[0])
+    if len(x) > 2:
+        keep = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+        w1, w2 = 2*h[1:] + h[:-1], h[1:] + 2*h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1/m[:-1] + w2/m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(keep, 1.0 / whmean, 0.0)
+        # ends: one-sided three-point slopes kept shape-preserving (Moler's pchiptx)
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2*h0 + h1)*m0 - h0*m1) / (h0 + h1)
+        cap = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.*np.abs(m0))
+        d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(cap, 3.*m0, end))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return x, np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
 @dataclass(frozen=True)
 class RegimeSegment:
     """One maximal interval on which a single regime is active."""
@@ -94,15 +119,29 @@ class SolutionCurve:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._V_interp = PchipInterpolator(self.x, self.V, extrapolate=False)
+        # PchipInterpolator's refusals; value() builds the coefficients on first use
+        x, V = np.asarray(self.x, dtype=float), np.asarray(self.V, dtype=float)
+        if x.ndim != 1 or x.shape != V.shape or len(x) < 2:
+            raise ValueError("`x` and `V` must be 1-D, of equal length and at least 2 long.")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(V))):
+            raise ValueError("`x` and `V` must contain only finite values.")
+        if np.any(np.diff(x) <= 0):
+            raise ValueError("`x` must be strictly increasing sequence.")
+        self._pchip = None
 
     # -- evaluation ---------------------------------------------------------
 
     def value(self, xq):
-        """V at xq (pchip between nodes, V at the last node beyond the grid)."""
+        """V at xq (pchip between nodes, V at the last node beyond the grid):
+        PchipInterpolator(x, V, extrapolate=False) at the clipped xq, bit for bit."""
         xq = np.asarray(xq, dtype=float)
-        out = self._V_interp(np.clip(xq, self.x[0], self.x[-1]))
-        return np.where(xq > self.x[-1], self.V[-1], out)
+        self._pchip = self._pchip or _pchip_coefficients(self.x, self.V)
+        x, c = self._pchip
+        xc = np.clip(xq, x[0], x[-1])
+        i = np.clip(np.searchsorted(x, xc, side="right") - 1, 0, len(x) - 2)
+        s = xc - x[i]
+        out = c[3, i] + c[2, i] * s + c[1, i] * (s * s) + c[0, i] * (s * s * s)
+        return np.where(xq > x[-1], self.V[-1], out)
 
     def survival(self, xq):
         """Survival probability V(xq)/V(inf)."""

@@ -15,12 +15,13 @@ The march starts from the near-zero asymptotic series of the initial regime
 (`operators.start_regime`), tracks the policy indicator phi, and switches
 regimes where phi leaves the regime's band (`operators.indicator_bands`):
 each row of a regime's event table names the regime across the crossed bound.
-The march owns its Dormand-Prince 5(4) step loop: scipy's RK45 only
-validates the tolerances and picks the first step, and the loop copies scipy
-1.17's step control (the oracle tests against solve_ivp catch a drifted
-scipy).  It evaluates all of a regime's events in one fused function
-per step, localises a crossing on the step's interpolant, and evaluates the
-output nodes in blocks of steps, bit-identical to scipy's solve_ivp.
+The march owns its Dormand-Prince 5(4) stepper and imports no scipy: the
+tableau, the option checks, the first-step rule, the step control and the
+event root finder (Brent's method) copy scipy 1.17's RK45 and brentq (the
+oracle tests against solve_ivp and brentq catch a drifted scipy).  It
+evaluates all of a regime's events in one fused function per step, localises
+a crossing on the step's interpolant, and evaluates the output nodes in
+blocks of steps, bit-identical to scipy's solve_ivp.
 
 When mu = r the drift is theta-free and there is no interior regime: the
 largest-|theta| endpoint is optimal while V'' > 0 and theta = 0 (ZERO) while
@@ -35,12 +36,12 @@ needed.  The public J-based contracts are unaffected.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.optimize import OptimizeResult, brentq
 
 from .curve import (REGIME_INTERIOR, REGIME_LONG, REGIME_SHORT, REGIME_ZERO,
                     RegimeSegment, SolutionCurve)
@@ -186,34 +187,125 @@ def _completion_scale(params: ModelParams) -> float:
     return 1e-9 * params.lam / params.c
 
 
-# scipy's RK45 tableau (Dormand & Prince 5(4)) and scipy 1.17's step control
-_A = [RK45.A[s, :s] for s in range(1, RK45.n_stages)]
-_C = RK45.C[1:].tolist()
+# scipy 1.17's RK45 (Dormand & Prince 5(4), dense output with Shampine's c6),
+# copied expression for expression, and its step control
+N_STAGES = 6
+C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
+              [44/45, -56/15, 32/9, 0, 0], [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+              [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_A = [A[s, :s] for s in range(1, N_STAGES)]
+_C = C[1:].tolist()
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
-_ERR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
+_ERR_EXPONENT = -1 / (4 + 1)  # the error estimator has order 4
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _BLOCK = 1024  # accepted steps per dense-output block
 
 
-def _rk45_march(fun, t_span, y0, events, directions, **options):
+def _first_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol, atol):
+    """scipy's select_initial_step (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
+    interval_length = abs(t_bound - t0)
+    if interval_length == 0.0:
+        return 0.0
+    scale, root_n = atol + np.abs(y0) * rtol, y0.size ** 0.5  # norms are RMS norms
+    d0, d1 = np.linalg.norm(y0 / scale) / root_n, np.linalg.norm(f0 / scale) / root_n
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval_length)
+    f1 = np.asarray(fun(t0 + h0 * direction, y0 + h0 * direction * f0), dtype=float)
+    d2 = np.linalg.norm((f1 - f0) / scale) / root_n / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** -_ERR_EXPONENT)
+    return min(100 * h0, h1, interval_length, max_step)
+
+
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """scipy 1.17's brentq (Brent 1973), its C loop line for line, with the
+    refusals of its wrapper: a NaN value, no sign change, no convergence."""
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)  # a good short step, or bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _rk45_march(fun, t_span, y0, events, directions, rtol=1e-3, atol=1e-6, max_step=np.inf):
     """solve_ivp(fun, t_span, y0, "RK45", dense_output=True) with terminal events.
 
     Returns solve_ivp's t, y, sol, t_events, nfev and status bit for bit, its
-    message on failure, and `rejected`, the rejected step attempts.  scipy's
-    RK45 only validates the options and picks the first step; the steps copy
-    scipy 1.17's RungeKutta._step_impl and rk_step, same numpy calls on the
-    same shapes (the test_rk45_march_* oracles catch a drifted scipy).
-    `events(t, y)` gives all event values at once, `directions[i]` is +1
-    (rising) or -1 (falling).  A sign change counts as in solve_ivp (a zero at
-    either end counts); brentq roots each fired event on the step's
-    interpolant, and the earliest root ends the march.
+    message on failure, and `rejected`, the rejected step attempts.  Set-up
+    and steps copy scipy 1.17's RK45 (checks, first step, _step_impl, rk_step)
+    with the same numpy calls on the same shapes (the test_rk45_march_*
+    oracles against solve_ivp catch a drifted scipy).  `events(t, y)` gives
+    all event values at once, `directions[i]` is +1 (rising) or -1
+    (falling).  A sign change counts as in solve_ivp (a zero at either end
+    counts); _brentq roots each fired event on the step's interpolant, and
+    the earliest root ends the march.
     """
     t0, tf = map(float, t_span)
-    init = RK45(fun, t0, y0, tf, **options)
-    rtol, atol, max_step, nfev = init.rtol, init.atol, init.max_step, init.nfev
-    direction, h_abs, t, y = float(init.direction), init.h_abs, t0, init.y
-    K = np.empty((RK45.n_stages + 1, y.size))
-    K[0] = init.f
-    KT = [K[:s].T for s in range(1, RK45.n_stages + 2)]
+    y = np.asarray(y0).astype(float, copy=False)
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    if max_step <= 0:
+        raise ValueError("`max_step` must be positive.")
+    if np.any(rtol < 100 * _EPS):
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.", stacklevel=2)
+        rtol = np.maximum(rtol, 100 * _EPS)
+    atol = np.asarray(atol)
+    if atol.ndim > 0 and atol.shape != (y.size,):
+        raise ValueError("`atol` has wrong shape.")
+    if np.any(atol < 0):
+        raise ValueError("`atol` must be positive.")
+    direction = float(np.sign(tf - t0)) if tf != t0 else 1.0
+    K = np.empty((N_STAGES + 1, y.size))
+    K[0] = fun(t0, y)
+    h_abs = _first_step(fun, t0, y, tf, max_step, K[0], direction, rtol, atol)
+    t, nfev = t0, 2
+    KT = [K[:s].T for s in range(1, N_STAGES + 2)]
     steps = _DenseSteps(y.size)
     t_events = [[] for _ in directions]
     g = events(t, y)
@@ -230,11 +322,11 @@ def _rk45_march(fun, t_span, y0, events, directions, **options):
             h_abs = abs(h)
             for s, (a, c) in enumerate(zip(_A, _C)):
                 K[s + 1] = fun(t + c * h, y + np.dot(KT[s], a) * h)
-            y_new = y + h * np.dot(KT[-2], RK45.B)
+            y_new = y + h * np.dot(KT[-2], B)
             K[-1] = fun(t + h, y_new)
-            nfev += RK45.n_stages
+            nfev += N_STAGES
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = np.dot(KT[-1], RK45.E) * h / scale
+            err = np.dot(KT[-1], E) * h / scale
             error_norm = math.sqrt(err.dot(err)) / err.size**0.5
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0
@@ -253,12 +345,12 @@ def _rk45_march(fun, t_span, y0, events, directions, **options):
         fired = [i for i, d in enumerate(directions)
                  if (g[i] <= 0 <= g_new[i] if d > 0 else g[i] >= 0 >= g_new[i])]
         if fired:
-            Q = KT[-1].dot(RK45.P)
+            Q = KT[-1].dot(P)
 
             def sol(s):  # RkDenseOutput of this step at a scalar s
                 return h * np.dot(Q, np.cumprod(np.tile((s - t_old) / h, 4))) + y_old
-            roots = [brentq(lambda s, i=i: events(s, sol(s))[i], t_old, t,
-                            xtol=4 * _EPS, rtol=4 * _EPS) for i in fired]
+            roots = [_brentq(lambda s, i=i: events(s, sol(s))[i], t_old, t,
+                             xtol=4 * _EPS, rtol=4 * _EPS) for i in fired]
             k = roots.index(min(roots))
             t, y, status = roots[k], sol(roots[k]), 1
             t_events[fired[k]].append(t)
@@ -269,10 +361,10 @@ def _rk45_march(fun, t_span, y0, events, directions, **options):
             steps.add(t_old, h, y_old, K)
         K[0] = K[-1]
     steps.finish(t, y)
-    return OptimizeResult(t=steps.t, y=steps.y.T, sol=steps, nfev=nfev, rejected=rejected,
-                          t_events=[np.asarray(te) for te in t_events],
-                          status=status, success=status >= 0,
-                          message=RK45.TOO_SMALL_STEP if status == -1 else None)
+    return SimpleNamespace(t=steps.t, y=steps.y.T, sol=steps, nfev=nfev, rejected=rejected,
+                           t_events=[np.asarray(te) for te in t_events],
+                           status=status, success=status >= 0,
+                           message=TOO_SMALL_STEP if status == -1 else None)
 
 
 class _DenseSteps:
@@ -287,7 +379,7 @@ class _DenseSteps:
 
     def __init__(self, n):
         self.n, self._rows, self._Q = 0, [], []
-        self._K = np.empty((_BLOCK, RK45.n_stages + 1, n))
+        self._K = np.empty((_BLOCK, N_STAGES + 1, n))
 
     def add(self, t_old, h, y_old, K):
         i = self.n % _BLOCK
@@ -298,12 +390,12 @@ class _DenseSteps:
         self._K[i] = K
         self.n += 1
         if i == _BLOCK - 1:
-            self._Q.append(np.matmul(self._K.transpose(0, 2, 1), RK45.P))
+            self._Q.append(np.matmul(self._K.transpose(0, 2, 1), P))
 
     def finish(self, t_end, y_end):
         """Close the last block; t and y gain the march's end point."""
         if self.n % _BLOCK:
-            self._Q.append(np.matmul(self._K[:self.n % _BLOCK].transpose(0, 2, 1), RK45.P))
+            self._Q.append(np.matmul(self._K[:self.n % _BLOCK].transpose(0, 2, 1), P))
         rows = np.concatenate([np.empty((0, 2 + y_end.size)), *self._rows])[:self.n]
         del self._K, self._rows
         self.t, self.h = np.append(rows[:, 0], t_end), rows[:, 1]

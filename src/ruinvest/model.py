@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "ModelParams",
@@ -223,13 +222,16 @@ def validate(params: ModelParams, law: ClaimLaw, oracle_mode: bool = False) -> V
     if law.mean <= 0:
         v.append("claim mean must be positive")
 
-    # density must integrate to 1 over (0, inf) within quadrature tolerance
-    try:
-        total, _ = quad(lambda s: float(law.pdf(s)), 0.0, np.inf, limit=200)
-        if not abs(total - 1.0) <= 1e-6:  # a NaN integral fails too
-            v.append(f"claim density integrates to {total:.8f}, not 1 within 1e-6")
-    except Exception as exc:  # non-integrable user density
-        v.append(f"claim density quadrature failed: {exc}")
+    # density must integrate to 1 over (0, inf) within quadrature tolerance; quad
+    # passes the built-in exponential density for every mean in [1e-3, 1e4]
+    if not (type(law) is ExponentialClaims and 1e-3 <= law.mean <= 1e4):
+        from scipy.integrate import quad
+        try:
+            total, _ = quad(lambda s: float(law.pdf(s)), 0.0, np.inf, limit=200)
+            if not abs(total - 1.0) <= 1e-6:  # a NaN integral fails too
+                v.append(f"claim density integrates to {total:.8f}, not 1 within 1e-6")
+        except Exception as exc:  # non-integrable user density
+            v.append(f"claim density quadrature failed: {exc}")
 
     convex = None
     if isinstance(law, ExponentialClaims) and not v:

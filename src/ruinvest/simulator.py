@@ -285,6 +285,8 @@ def _simulate(x0_list, policies, params, law, cfg: SimConfig, echo: dict) -> Sim
         "euler_dt": dt, "rng_seed": cfg.rng_seed, **echo,
     })
     n, seed = cfg.n_paths, cfg.rng_seed
+    if n < 0:
+        raise ValueError(f"n_paths must be non-negative, got {n}")
     if n == 0:
         return report  # empty report: no rows
     tags = [policy.fingerprint() for policy in policies]

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +245,47 @@ def test_verify_refuses_x0_beyond_curve(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ("cannot verify: x0 up to 10, last node x=5, tail mode "
                                        "open; V/V_inf is no survival probability there, raise "
                                        "--xmax\n")
+
+
+@pytest.mark.parametrize("cmd", ["verify", "compare"])
+@pytest.mark.parametrize("n_paths", ["0", "-5"])
+def test_path_count_below_one_refused(tmp_path, capsys, cmd, n_paths):
+    out = tmp_path / "out"
+    rc = main([cmd, "--config", str(CONFIGS / "example1.cfg"), "--out-dir", str(out),
+               "--n-paths", n_paths])
+    assert rc == 1
+    assert not out.exists()  # refused before anything is solved or written
+    assert capsys.readouterr().err == f"--n-paths must be at least 1, got {n_paths}\n"
+
+
+# solve, policy and a small verify on example 1, then a general law's validation
+SCIPY_PROBE = """
+import json, sys
+import numpy as np
+from ruinvest.cli import main
+from ruinvest.model import GeneralClaims, ModelParams, validate
+cfg, out = sys.argv[1:]
+codes = [main([cmd, "--config", cfg, "--out-dir", out, *extra]) for cmd, extra in
+         (("solve", []), ("policy", []), ("verify", ["--n-paths", "64"]))]
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+law = GeneralClaims(pdf=lambda s: np.exp(-s), cdf=lambda s: 1 - np.exp(-s), mean=1.0)
+ok = validate(ModelParams(0.02, 0.09, 0.02, 0.015, 0.1, 1.0, 20.0), law).ok
+print(json.dumps({"codes": codes, "scipy": loaded, "general_ok": ok,
+                  "quad": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_exponential_commands_import_no_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(CONFIGS / "example1.cfg"),
+                          str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout.splitlines()[-1])
+    assert got["codes"][:2] == [0, 0] and got["codes"][2] in (0, 3)
+    assert got["scipy"] == []
+    assert got["general_ok"] and got["quad"]  # a general law is still integrated by quad
 
 
 @pytest.mark.slow

@@ -1,11 +1,14 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
+from ruinvest import exp_solver
 from ruinvest.curve import SolutionCurve
-from ruinvest.exp_solver import (SolveOptions, SolverAbort, _rhs_for, _rk45_march,
+from ruinvest.exp_solver import (SolveOptions, SolverAbort, _brentq, _rhs_for, _rk45_march,
                                  _segment_events, _segment_nodes, extrapolate_tail, solve)
 from ruinvest.model import ExponentialClaims, ModelParams, regime_constants
 from ruinvest.operators import curvature, indicator_bands, start_regime
@@ -322,6 +325,58 @@ def test_rk45_march_dense_output_bits():
     assert np.array_equal(got.sol(grid), ref.sol(grid))
     for s in grid[::7]:
         assert np.array_equal(got.sol(s), ref.sol(s))
+
+
+# ---------------------------------------------------------------------------
+# the event root finder against scipy's brentq
+# ---------------------------------------------------------------------------
+
+_EPS4 = 4 * np.finfo(float).eps
+
+# (name, f(x, p), bracket of the root at p): p seeds the shape
+BRENT_FAMILIES = [
+    ("smooth", lambda x, p: np.sin(x) - p, lambda p: (np.arcsin(p) - 0.5, np.arcsin(p) + 0.3)),
+    ("cubic", lambda x, p: (x - p) ** 3 + 1e-3 * (x - p), lambda p: (p - 2.0, p + 3.0)),
+    ("steep", lambda x, p: np.tanh(200.0 * (x - p)), lambda p: (p - 1.0, p + 0.5)),
+    ("power", lambda x, p: x ** 7 - p, lambda p: (0.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("name, f, bracket", BRENT_FAMILIES, ids=[b[0] for b in BRENT_FAMILIES])
+def test_brentq_matches_scipy_bits(name, f, bracket):
+    rng = np.random.default_rng(14)
+    for p in rng.uniform(0.05, 0.95, 40):
+        a, b = bracket(p)
+        for lo, hi in ((a, b), (b, a)):
+            calls = []
+
+            def g(x):
+                calls.append(x)
+                return float(f(x, p))
+            got = _brentq(g, lo, hi, xtol=_EPS4, rtol=_EPS4)
+            n = len(calls)
+            assert got == brentq(g, lo, hi, xtol=_EPS4, rtol=_EPS4)
+            assert calls[:n] == calls[n:]  # the same abscissas, in the same order
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, 0.0, 1.0, xtol=_EPS4, rtol=_EPS4)
+    with pytest.raises(ValueError, match="is NaN"):
+        _brentq(lambda x: math.nan, 0.0, 1.0, xtol=_EPS4, rtol=_EPS4)
+    with pytest.raises(RuntimeError, match="Failed to converge after 2 iterations"):
+        _brentq(lambda x: x ** 3 - 2.0, 0.0, 3.0, xtol=_EPS4, rtol=_EPS4, maxiter=2)
+
+
+def test_brentq_matches_scipy_on_example1_events(monkeypatch, example1):
+    # every event the example 1 solve roots is rooted again by scipy's brentq
+    seen = []
+
+    def both(f, a, b, **tol):
+        got = _brentq(f, a, b, **tol)
+        seen.append((got, brentq(f, a, b, **tol)))
+        return got
+    monkeypatch.setattr(exp_solver, "_brentq", both)
+    curve = solve(example1, M)
+    assert len(seen) >= len(curve.segments) - 1 == 3
+    assert all(got == ref for got, ref in seen)
 
 
 def _hjb_step_grid(t, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ruinvest.model import (ExponentialClaims, GeneralClaims, ModelParams,
+from ruinvest.model import (ExponentialClaims, GeneralClaims, ModelParams, ValidationReport,
                             convex_start_condition, regime_constants, validate)
 
 
@@ -48,6 +48,30 @@ def test_nan_density_integral_rejected(example1):
     rep = validate(example1, law)
     assert not rep.ok
     assert any("integrates to nan" in v for v in rep.violations)
+
+
+class _QuadExponential(ExponentialClaims):
+    """The built-in density under another type, so validate integrates it."""
+
+
+def test_exponential_unit_mass_skip_matches_quad(example1):
+    # on [1e-3, 1e4] validate takes quad's verdict on the exponential density
+    # as known; the subclass shows what quad says
+    for m in np.geomspace(1e-3, 1e4, 281):
+        assert validate(example1, ExponentialClaims(m)) == validate(example1, _QuadExponential(m))
+        assert validate(example1, ExponentialClaims(m)).ok
+
+
+# outside [1e-3, 1e4] quad still runs; reports as before the skip existed
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("m, violations, convex", [
+    (1e-5, ["claim density integrates to 0.00000000, not 1 within 1e-6"], None),
+    (6e4, [], True),
+    (1e6, ["claim density integrates to -0.00000100, not 1 within 1e-6"], None),
+])
+def test_exponential_outside_skip_range_keeps_quad_report(example1, m, violations, convex):
+    rep = validate(example1, ExponentialClaims(m))
+    assert rep == ValidationReport(ok=not violations, violations=violations, convex_start=convex)
 
 
 def test_regime_constants_example1(example1):

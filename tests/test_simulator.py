@@ -107,6 +107,12 @@ def test_zero_paths_gives_empty_report(example1):
     assert rep.rows == []
 
 
+def test_negative_paths_refused(example1):
+    with pytest.raises(ValueError, match="n_paths must be non-negative, got -5"):
+        estimate_survival([1.0], ConstantPolicy(0.0, example1), example1,
+                          ExponentialClaims(1.0), SimConfig(n_paths=-5))
+
+
 def test_feedback_policy_admissibility(example1, curve1):
     pol = FeedbackPolicy(curve1, example1)
     rng = np.random.default_rng(2)
