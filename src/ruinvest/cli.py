@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,7 +111,8 @@ def _prologue(args):
     Returns (cfg, params, law, manifest, out), or None once the refusal is on
     stderr.  Oracle mode's r = 0 passes validation for verify, which runs the
     simulator alone, and for solve, which then refuses it; policy and compare
-    validate without it.  verify and compare refuse fewer than one path.
+    validate without it.  A --tol outside (0, inf), a NaN --xmax and, for
+    verify and compare, fewer than one path are refused.
     """
     cfg = parse_config(args.config)
     params, law = build_model(cfg)
@@ -120,6 +122,12 @@ def _prologue(args):
         return None
     if args.cmd == "solve" and args.oracle_mode:
         print("oracle mode is a simulator feature; solve requires r > 0", file=sys.stderr)
+        return None
+    if not 0 < args.tol < math.inf:
+        print(f"--tol must be finite and positive, got {args.tol}", file=sys.stderr)
+        return None
+    if args.xmax is not None and math.isnan(args.xmax):
+        print("--xmax must be a number, got nan", file=sys.stderr)
         return None
     if args.cmd in ("verify", "compare") and args.n_paths < 1:
         print(f"--n-paths must be at least 1, got {args.n_paths}", file=sys.stderr)

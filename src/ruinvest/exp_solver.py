@@ -15,13 +15,13 @@ The march starts from the near-zero asymptotic series of the initial regime
 (`operators.start_regime`), tracks the policy indicator phi, and switches
 regimes where phi leaves the regime's band (`operators.indicator_bands`):
 each row of a regime's event table names the regime across the crossed bound.
-The march owns its Dormand-Prince 5(4) stepper and imports no scipy: the
-tableau, the option checks, the first-step rule, the step control and the
-event root finder (Brent's method) copy scipy 1.17's RK45 and brentq (the
-oracle tests against solve_ivp and brentq catch a drifted scipy).  It
+The march owns its forward-only Dormand-Prince 5(4) stepper and imports no
+scipy: the tableau, the option checks, the first-step rule, the step control
+and the event root finder (Brent's method) copy scipy 1.17's RK45 and brentq
+(the oracle tests against solve_ivp and brentq catch a drifted scipy).  It
 evaluates all of a regime's events in one fused function per step, localises
-a crossing on the step's interpolant, and evaluates the output nodes in
-blocks of steps, bit-identical to scipy's solve_ivp.
+a crossing on the step's interpolant, and evaluates the increasing output
+nodes in blocks of steps, bit-identical to scipy's solve_ivp.
 
 When mu = r the drift is theta-free and there is no interior regime: the
 largest-|theta| endpoint is optimal while V'' > 0 and theta = 0 (ZERO) while
@@ -39,7 +39,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -76,9 +76,9 @@ class SolveOptions:
     x_max: Optional[float] = None       # default 200 * c / lambda
     rtol: float = 1e-10
     atol: float = 1e-12
-    # caps the output spacing at (x_max - x_eps) / output_nodes; every solver
-    # step is a node as well, so a curve has more rows than this
-    output_nodes: int = 900
+    # a constant, not a node count: the output spacing is capped at
+    # (x_max - x_eps) / output_nodes, and every solver step is a node as well
+    output_nodes: ClassVar[int] = 900
 
     def resolved_x_max(self, params: ModelParams) -> float:
         return self.x_max if self.x_max is not None else 200.0 * params.c / params.lam
@@ -212,15 +212,16 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _BLOCK = 1024  # accepted steps per dense-output block
 
 
-def _first_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol, atol):
-    """scipy's select_initial_step (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
-    interval_length = abs(t_bound - t0)
+def _first_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
+    """scipy's select_initial_step (Hairer, Norsett & Wanner, Solving ODEs I, II.4),
+    forward in t."""
+    interval_length = t_bound - t0
     if interval_length == 0.0:
         return 0.0
     scale, root_n = atol + np.abs(y0) * rtol, y0.size ** 0.5  # norms are RMS norms
     d0, d1 = np.linalg.norm(y0 / scale) / root_n, np.linalg.norm(f0 / scale) / root_n
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval_length)
-    f1 = np.asarray(fun(t0 + h0 * direction, y0 + h0 * direction * f0), dtype=float)
+    f1 = np.asarray(fun(t0 + h0, y0 + h0 * f0), dtype=float)
     d2 = np.linalg.norm((f1 - f0) / scale) / root_n / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** -_ERR_EXPONENT)
@@ -272,54 +273,46 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _rk45_march(fun, t_span, y0, events, directions, rtol=1e-3, atol=1e-6, max_step=np.inf):
-    """solve_ivp(fun, t_span, y0, "RK45", dense_output=True) with terminal events.
+def _rk45_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
+    """solve_ivp(fun, t_span, y0, "RK45", dense_output=True) with terminal events,
+    forward in t only (t_span[0] <= t_span[1]).
 
-    Returns solve_ivp's t, y, sol, t_events, nfev and status bit for bit, its
-    message on failure, and `rejected`, the rejected step attempts.  Set-up
-    and steps copy scipy 1.17's RK45 (checks, first step, _step_impl, rk_step)
-    with the same numpy calls on the same shapes (the test_rk45_march_*
-    oracles against solve_ivp catch a drifted scipy).  `events(t, y)` gives
-    all event values at once, `directions[i]` is +1 (rising) or -1
-    (falling).  A sign change counts as in solve_ivp (a zero at either end
-    counts); _brentq roots each fired event on the step's interpolant, and
-    the earliest root ends the march.
+    Returns solve_ivp's t, y, sol, nfev and status bit for bit, its message on
+    failure, `rejected`, the rejected step attempts, and `event`, the index of
+    the event that ended the march (None if none did).  Set-up and steps copy
+    scipy 1.17's RK45 (checks, first step, _step_impl, rk_step) with the same
+    numpy calls on the same shapes (the test_rk45_march_* oracles against
+    solve_ivp catch a drifted scipy).  `events(t, y)` gives all event values
+    at once, `directions[i]` is +1 (rising) or -1 (falling).  A sign change
+    counts as in solve_ivp (a zero at either end counts); _brentq roots each
+    fired event on the step's interpolant, and the earliest root ends the march.
     """
     t0, tf = map(float, t_span)
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    if max_step <= 0:
-        raise ValueError("`max_step` must be positive.")
     if np.any(rtol < 100 * _EPS):
         warnings.warn("At least one element of `rtol` is too small. "
                       f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.", stacklevel=2)
         rtol = np.maximum(rtol, 100 * _EPS)
     atol = np.asarray(atol)
-    if atol.ndim > 0 and atol.shape != (y.size,):
-        raise ValueError("`atol` has wrong shape.")
     if np.any(atol < 0):
         raise ValueError("`atol` must be positive.")
-    direction = float(np.sign(tf - t0)) if tf != t0 else 1.0
     K = np.empty((N_STAGES + 1, y.size))
     K[0] = fun(t0, y)
-    h_abs = _first_step(fun, t0, y, tf, max_step, K[0], direction, rtol, atol)
+    h_abs = _first_step(fun, t0, y, tf, max_step, K[0], rtol, atol)
     t, nfev = t0, 2
     KT = [K[:s].T for s in range(1, N_STAGES + 2)]
     steps = _DenseSteps(y.size)
-    t_events = [[] for _ in directions]
     g = events(t, y)
-    status, rejected = None, 0
+    status, event, rejected = None, None, 0
     while status is None:
-        min_step = 10 * abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(np.nextafter(t, np.inf) - t)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
         step_rejected = False
         while h_abs >= min_step:
-            t_new = t + h_abs * direction
-            if direction * (t_new - tf) > 0:
-                t_new = tf
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, tf)
+            h = h_abs = t_new - t
             for s, (a, c) in enumerate(zip(_A, _C)):
                 K[s + 1] = fun(t + c * h, y + np.dot(KT[s], a) * h)
             y_new = y + h * np.dot(KT[-2], B)
@@ -340,7 +333,7 @@ def _rk45_march(fun, t_span, y0, events, directions, rtol=1e-3, atol=1e-6, max_s
             status = -1
             break
         t_old, y_old, t, y = t, y, t_new, y_new
-        status = 0 if direction * (t - tf) >= 0 else None
+        status = 0 if t >= tf else None
         g_new = events(t, y)
         fired = [i for i, d in enumerate(directions)
                  if (g[i] <= 0 <= g_new[i] if d > 0 else g[i] >= 0 >= g_new[i])]
@@ -352,8 +345,7 @@ def _rk45_march(fun, t_span, y0, events, directions, rtol=1e-3, atol=1e-6, max_s
             roots = [_brentq(lambda s, i=i: events(s, sol(s))[i], t_old, t,
                              xtol=4 * _EPS, rtol=4 * _EPS) for i in fired]
             k = roots.index(min(roots))
-            t, y, status = roots[k], sol(roots[k]), 1
-            t_events[fired[k]].append(t)
+            t, y, status, event = roots[k], sol(roots[k]), 1, fired[k]
         g = g_new
         if t == t_old and steps.n:  # a root on the previous step's end
             y = y_old
@@ -362,8 +354,7 @@ def _rk45_march(fun, t_span, y0, events, directions, rtol=1e-3, atol=1e-6, max_s
         K[0] = K[-1]
     steps.finish(t, y)
     return SimpleNamespace(t=steps.t, y=steps.y.T, sol=steps, nfev=nfev, rejected=rejected,
-                           t_events=[np.asarray(te) for te in t_events],
-                           status=status, success=status >= 0,
+                           event=event, status=status,
                            message=TOO_SMALL_STEP if status == -1 else None)
 
 
@@ -372,9 +363,10 @@ class _DenseSteps:
 
     Step i starts at t[i] from y[i] and spans h[i]; its interpolant is
     RkDenseOutput's h Q p + y[i], p the powers of (t - t[i])/h[i], Q = K^T P.
-    A block of _BLOCK steps gets its Q from one stacked matmul, and is
-    evaluated by one matmul per group of steps holding equally many points (a
-    stacked matmul gives np.dot(Q, p)'s bits only for p of the same shape).
+    A block of _BLOCK steps gets its Q from one stacked matmul.  A query is an
+    increasing 1-D array of nodes, evaluated (shape (n_states, len(t))) by one
+    matmul per block and group of steps holding equally many nodes (a stacked
+    matmul gives np.dot(Q, p)'s bits only for p of the same shape).
     """
 
     def __init__(self, n):
@@ -402,11 +394,6 @@ class _DenseSteps:
         self.y = np.vstack([rows[:, 2:], y_end])
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return self(t[None])[:, 0]
-        order = np.argsort(t)
-        t = t[order]
         step = np.clip(np.searchsorted(self.t, t, side="left") - 1, 0, self.n - 1)
         x = (t - self.t[step]) / self.h[step]
         out = np.empty((self.y.shape[1], len(t)))
@@ -421,7 +408,7 @@ class _DenseSteps:
                 i = b * _BLOCK + js
                 y = self.h[i, None, None] * np.matmul(Q[js], p)
                 y += self.y[i, :, None]
-                out[:, order[idx]] = y.transpose(1, 0, 2)
+                out[:, idx] = y.transpose(1, 0, 2)
         return out
 
 
@@ -470,7 +457,7 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
     require_valid(params, ExponentialClaims(m))
     x_max = opts.resolved_x_max(params)
     exp, regime, x_eps, y = _start(params, m)
-    if x_max <= x_eps:
+    if not x_max > x_eps:  # NaN included: the march only runs forward
         raise SolverAbort(f"x_max={x_max:.6g} is not beyond the handoff point x_eps={x_eps:.6g}",
                           {"x_max": x_max, "x_eps": float(x_eps)})
 
@@ -499,12 +486,9 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
         march.append({"regime": regime, "steps": len(sol.t) - 1, "rhs_evals": int(sol.nfev),
                       "rejected": sol.rejected})
 
-        ev_name, target = "reached-x-max", None
-        if sol.status == 1:
-            i0 = next(i for i, te in enumerate(sol.t_events) if len(te))
-            ev_name, _, target = rows[i0]
+        ev_name, _, target = ("reached-x-max", None, None) if sol.event is None else rows[sol.event]
         switch = sol.status == 1 and ev_name not in _COMPLETIONS + _ABORTS
-        nodes = _segment_nodes(sol.t, x, sol.t[-1], out_dx, hug_lo=n_switch > 0, hug_hi=switch)
+        nodes = _segment_nodes(sol.t, out_dx, hug_lo=n_switch > 0, hug_hi=switch)
         states = sol.sol(nodes)
         if regime == REGIME_ZERO:
             states[1] = _zero_vp(params, nodes, states)
@@ -545,18 +529,15 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
                      completion, opts)
 
 
-def _segment_nodes(t, lo, hi, out_dx, hug_lo=False, hug_hi=False):
-    """Solver steps t refined so that output spacing stays below out_dx.
+def _segment_nodes(t, out_dx, hug_lo=False, hug_hi=False):
+    """A segment's step grid t (increasing, from its start lo = t[0] to its end
+    hi = t[-1]) refined so that output spacing stays below out_dx.
 
     A few nodes hug an endpoint that is a regime switch, so one-sided
     difference quotients there read the integrator's dense output rather than
     interpolation between widely spaced nodes.
     """
-    t = t[(t >= lo) & (t <= hi)]
-    if t[0] != lo:
-        t = np.concatenate([[lo], t])
-    if t[-1] != hi:
-        t = np.concatenate([t, [hi]])
+    lo, hi = t[0], t[-1]
     gap = np.diff(t)  # a gap wider than out_dx gets np.linspace's points, bit for bit
     count = np.where(gap > out_dx, np.ceil(gap / out_dx), 1.0).astype(int)
     gap_of = np.repeat(np.arange(len(gap)), count)

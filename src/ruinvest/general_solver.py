@@ -101,19 +101,18 @@ def solve_constant_regime_near_zero(params: ModelParams, law: ClaimLaw,
     f0 = law.density_at_zero
     vpp0 = (lam / c) * (lam / c - f0 - mb / c)
 
-    epsilon, n_nodes = NEAR_EPSILON, NEAR_NODES
-    for _ in range(NEAR_RETRIES + 1):
-        h = epsilon / (n_nodes - 1)
-        x = np.linspace(0.0, epsilon, n_nodes)
+    for epsilon in (NEAR_EPSILON / 2**i for i in range(NEAR_RETRIES + 1)):
+        h = epsilon / (NEAR_NODES - 1)
+        x = np.linspace(0.0, epsilon, NEAR_NODES)
         fg = law.pdf(x)
-        V = np.empty(n_nodes)
-        Vp = np.empty(n_nodes)
-        Vpp = np.empty(n_nodes)
-        M = np.empty(n_nodes)
+        V = np.empty(NEAR_NODES)
+        Vp = np.empty(NEAR_NODES)
+        Vpp = np.empty(NEAR_NODES)
+        M = np.empty(NEAR_NODES)
         V[0], Vp[0], Vpp[0], M[0] = 1.0, lam / c, vpp0, lam
 
         ok = True
-        for k in range(n_nodes - 1):
+        for k in range(NEAR_NODES - 1):
             xk1 = x[k + 1]
             beta = 2.0 / (sb2 * xk1**2)
             d = c + mb * xk1
@@ -140,8 +139,8 @@ def solve_constant_regime_near_zero(params: ModelParams, law: ClaimLaw,
             Vpp = np.gradient(Vp, x, edge_order=2)
             Vpp[0] = vpp0
             return NearZeroTable(gamma=gamma, x=x, V=V, Vp=Vp, Vpp=Vpp, M=M)
-        epsilon *= 0.5
-    raise SolverAbort(f"near-zero constant-regime solve lost V' > 0 even at eps={epsilon}")
+    raise SolverAbort(f"near-zero constant-regime solve lost V' > 0 even at eps={epsilon}",
+                      {"epsilon": epsilon})
 
 
 class HistorySum:
@@ -358,7 +357,10 @@ def general_solve(params: ModelParams, law: ClaimLaw, x_max: Optional[float] = N
                   step: float = 0.0005) -> SolutionCurve:
     """Full general-claims pipeline: near-zero solve, continuation, assembly.
 
-    Raises SolverAbort unless x_max lies beyond eps, where the march starts."""
+    Raises ValueError unless step is finite and positive, and SolverAbort
+    unless x_max lies beyond eps, where the march starts."""
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step}")
     require_valid(params, law)
     if params.mu == params.r:
         raise SolverAbort("the continuation path requires mu != r; "

@@ -258,6 +258,24 @@ def test_path_count_below_one_refused(tmp_path, capsys, cmd, n_paths):
     assert capsys.readouterr().err == f"--n-paths must be at least 1, got {n_paths}\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "nan", "--tol must be finite and positive, got nan"),
+    ("--tol", "inf", "--tol must be finite and positive, got inf"),
+    ("--tol", "-1", "--tol must be finite and positive, got -1.0"),
+    ("--tol", "0", "--tol must be finite and positive, got 0.0"),
+    ("--xmax", "nan", "--xmax must be a number, got nan"),
+], ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "xmax-nan"])
+def test_bad_tolerance_or_xmax_refused(tmp_path, capsys, flag, value, message):
+    # refused with the flag named, before anything is solved, written or warned
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(CONFIGS / "example1.cfg"), "--out-dir", str(out),
+               flag, value])
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == message + "\n"
+
+
 # solve, policy and a small verify on example 1, then a general law's validation
 SCIPY_PROBE = """
 import json, sys

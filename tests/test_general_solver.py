@@ -5,7 +5,7 @@ from scipy.interpolate import PchipInterpolator
 from ruinvest.exp_solver import SolverAbort, solve
 from ruinvest.general_solver import (HIST_LAGS, HistorySum, general_solve, integrate_w,
                                      solve_constant_regime_near_zero)
-from ruinvest.model import GeneralClaims, ModelParams
+from ruinvest.model import ExponentialClaims, GeneralClaims, ModelParams
 from ruinvest.operators import infimum, vertex_exclusion
 from ruinvest.series import handoff_point, series_coefficients, series_eval
 
@@ -75,6 +75,21 @@ def test_near_zero_mixture_runs(example1, mixture_law):
     want = (example1.lam / example1.c) * (example1.lam / example1.c - f0
                                           - (example1.r + (example1.mu - example1.r)) / example1.c)
     assert tab.Vpp[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_near_zero_halves_eps_until_vp_stays_positive(example1):
+    # claims of mean 1e-4 turn V' negative before 1e-3: one halving suffices
+    tab = solve_constant_regime_near_zero(example1, ExponentialClaims(1e-4), example1.a)
+    assert tab.x[-1] == 5e-4
+    assert np.all(tab.Vp > 0)
+
+
+def test_near_zero_abort_names_last_eps_tried(example1):
+    # eight halvings of 1e-3 all lose V' > 0; the abort reports the last
+    # eps tried, 1e-3/256 (the table solve is called directly, without validate)
+    with pytest.raises(SolverAbort, match=r"eps=3\.90625e-06$") as err:
+        solve_constant_regime_near_zero(example1, ExponentialClaims(1e-7), example1.a)
+    assert err.value.diagnostics == {"epsilon": 1e-3 / 256}
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +297,12 @@ def test_general_solve_rejects_x_max_below_start(example1, exp_law):
         general_solve(example1, exp_law, x_max=1e-4)
     assert err.value.diagnostics == {"x_max": 1e-4, "epsilon": 1e-3}
     assert "x_max" in str(err.value) and "eps" in str(err.value)
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan])
+def test_general_solve_rejects_bad_step(example1, exp_law, step):
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        general_solve(example1, exp_law, x_max=1.0, step=step)
 
 
 # example 1.  All three digests were recorded at commit 3c87c69, before the
