@@ -35,6 +35,8 @@ EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 
+TOL_MIN = 100 * sys.float_info.epsilon  # the march's rtol floor
+
 CONFIG_KEYS = {"c", "lambda", "mu", "r", "sigma", "a", "b", "claim.kind", "claim.mean"}
 
 
@@ -111,8 +113,9 @@ def _prologue(args):
     Returns (cfg, params, law, manifest, out), or None once the refusal is on
     stderr.  Oracle mode's r = 0 passes validation for verify, which runs the
     simulator alone, and for solve, which then refuses it; policy and compare
-    validate without it.  A --tol outside (0, inf), a NaN --xmax and, for
-    verify and compare, fewer than one path are refused.
+    validate without it.  A --tol outside (0, inf) or below the march's rtol
+    floor of 100 eps, a non-finite --xmax and, for verify and compare, fewer
+    than one path are refused.
     """
     cfg = parse_config(args.config)
     params, law = build_model(cfg)
@@ -126,8 +129,12 @@ def _prologue(args):
     if not 0 < args.tol < math.inf:
         print(f"--tol must be finite and positive, got {args.tol}", file=sys.stderr)
         return None
-    if args.xmax is not None and math.isnan(args.xmax):
-        print("--xmax must be a number, got nan", file=sys.stderr)
+    if args.tol < TOL_MIN:
+        print(f"--tol must be at least 100 eps ({TOL_MIN:.3g}), got {args.tol}", file=sys.stderr)
+        return None
+    if args.xmax is not None and not math.isfinite(args.xmax):
+        print(f"--xmax must be {'a number' if math.isnan(args.xmax) else 'finite'}, "
+              f"got {args.xmax}", file=sys.stderr)
         return None
     if args.cmd in ("verify", "compare") and args.n_paths < 1:
         print(f"--n-paths must be at least 1, got {args.n_paths}", file=sys.stderr)

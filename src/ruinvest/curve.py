@@ -3,8 +3,8 @@
 A solved curve tabulates (x, V, V', V'', J, phi, theta_star, regime) on the
 integrator's grid together with the regime segmentation, the extrapolated
 limit V(inf), and residual diagnostics; the survival probability is
-V(x)/V(inf).  Between nodes V is scipy 1.17's PchipInterpolator, computed
-here without scipy from the same formulas.  Every artifact, a curve's or
+V(x)/V(inf).  Between nodes V is the cubic Hermite on the solver's own
+(x, V, V') in each interval.  Every artifact, a curve's or
 another, is a CSV table written by `write_table` or a JSON sidecar written by
 `write_json`.
 """
@@ -58,30 +58,6 @@ def write_json(path, d: dict, manifest: Optional[dict] = None) -> None:
         fh.write("\n")
 
 
-def _pchip_coefficients(x, y):
-    """(x, c): scipy 1.17's PchipInterpolator as PPoly's (4, n-1) coefficient
-    block, c[3] the constant term.  Fritsch-Carlson derivatives (the weighted
-    harmonic mean of the adjacent slopes, 0 at a sign change) give the
-    CubicHermiteSpline; two nodes give the line."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    h = x[1:] - x[:-1]
-    m = (y[1:] - y[:-1]) / h
-    d = np.full_like(y, m[0])
-    if len(x) > 2:
-        keep = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
-        w1, w2 = 2*h[1:] + h[:-1], h[1:] + 2*h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1/m[:-1] + w2/m[1:]) / (w1 + w2)
-            d[1:-1] = np.where(keep, 1.0 / whmean, 0.0)
-        # ends: one-sided three-point slopes kept shape-preserving (Moler's pchiptx)
-        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
-        end = ((2*h0 + h1)*m0 - h0*m1) / (h0 + h1)
-        cap = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.*np.abs(m0))
-        d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(cap, 3.*m0, end))
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    return x, np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
-
-
 @dataclass(frozen=True)
 class RegimeSegment:
     """One maximal interval on which a single regime is active."""
@@ -119,29 +95,35 @@ class SolutionCurve:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # PchipInterpolator's refusals; value() builds the coefficients on first use
+        # value() reads x, V and Vp, so refuse what it could not interpolate
         x, V = np.asarray(self.x, dtype=float), np.asarray(self.V, dtype=float)
+        Vp = np.asarray(self.Vp, dtype=float)
         if x.ndim != 1 or x.shape != V.shape or len(x) < 2:
             raise ValueError("`x` and `V` must be 1-D, of equal length and at least 2 long.")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(V))):
-            raise ValueError("`x` and `V` must contain only finite values.")
+        if Vp.shape != x.shape:
+            raise ValueError("`Vp` must have the shape of `x`.")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(V)) and np.all(np.isfinite(Vp))):
+            raise ValueError("`x`, `V` and `Vp` must contain only finite values.")
         if np.any(np.diff(x) <= 0):
             raise ValueError("`x` must be strictly increasing sequence.")
-        self._pchip = None
 
     # -- evaluation ---------------------------------------------------------
 
     def value(self, xq):
-        """V at xq (pchip between nodes, V at the last node beyond the grid):
-        PchipInterpolator(x, V, extrapolate=False) at the clipped xq, bit for bit."""
+        """V at xq: the cubic Hermite on (x, V, V') in each interval, V at the
+        first node below the grid and at the last node beyond it."""
         xq = np.asarray(xq, dtype=float)
-        self._pchip = self._pchip or _pchip_coefficients(self.x, self.V)
-        x, c = self._pchip
+        x, V, Vp = self.x, self.V, self.Vp
         xc = np.clip(xq, x[0], x[-1])
         i = np.clip(np.searchsorted(x, xc, side="right") - 1, 0, len(x) - 2)
+        h = x[i + 1] - x[i]
         s = xc - x[i]
-        out = c[3, i] + c[2, i] * s + c[1, i] * (s * s) + c[0, i] * (s * s * s)
-        return np.where(xq > x[-1], self.V[-1], out)
+        d0, d1 = Vp[i], Vp[i + 1]
+        m = (V[i + 1] - V[i]) / h
+        c2 = (3.0 * m - 2.0 * d0 - d1) / h
+        c3 = (d0 + d1 - 2.0 * m) / (h * h)
+        out = V[i] + s * (d0 + s * (c2 + s * c3))
+        return np.where(xq > x[-1], V[-1], out)
 
     def survival(self, xq):
         """Survival probability V(xq)/V(inf)."""

@@ -53,9 +53,12 @@ __all__ = [
     "general_solve",
 ]
 
-# Nodes per block of the near-zero-table quadrature; each block's temporaries
-# are NEAR_BLOCK x (table nodes) doubles, so 256 keeps them near 0.5 MB.
-NEAR_BLOCK = 256
+# Nodes per block of the near-zero-table quadrature.  Each block's temporaries
+# are NEAR_BLOCK x (table nodes) doubles, about 129 KB at 64, which glibc
+# serves from reused heap chunks; at 256 (0.5 MB) each block faulted fresh
+# pages unless an earlier free had raised glibc's mmap threshold.  32 adds
+# per-block overhead for no fewer faults.
+NEAR_BLOCK = 64
 # The near-zero table: NEAR_NODES uniform nodes on [0, NEAR_EPSILON], the
 # interval halved at most NEAR_RETRIES times if V' loses positivity on it.
 NEAR_EPSILON = 1e-3

@@ -27,10 +27,12 @@ def _sha256(path):
 
 
 # SHA-256 of the Monte Carlo artifacts of the tests below, measured at commit
-# e2e3582 with numpy 2.4.6 and scipy 1.17.1; engine speedups keep these bytes
+# e2e3582 with numpy 2.4.6 and scipy 1.17.1; engine speedups keep these bytes.
+# example1-verify was re-recorded when `expected` moved from PCHIP to the
+# cubic Hermite on (V, V'); its MC columns kept their bytes
 MC_SHA256 = {
     "oracle-verify": "ba00f140eb23b3ab42edb7f3530dbc9f4df0ed332d4717eea46b805a2db82f5e",
-    "example1-verify": "2942562eb097b198b0b62ab78b0ca9969f99a918e5e410c248648b75d173bf78",
+    "example1-verify": "676a06652d6aa3d380922867a461bd2dadeaa1f2e0f56a70ff64c26f189c43cd",
     "example1-compare": "4b73e55988f150cdb2154fa98fd6a9871e845960304dc5d5b489c2ac974d3924",
 }
 
@@ -264,13 +266,18 @@ def test_path_count_below_one_refused(tmp_path, capsys, cmd, n_paths):
     ("--tol", "inf", "--tol must be finite and positive, got inf"),
     ("--tol", "-1", "--tol must be finite and positive, got -1.0"),
     ("--tol", "0", "--tol must be finite and positive, got 0.0"),
+    ("--tol", "1e-15", "--tol must be at least 100 eps (2.22e-14), got 1e-15"),
     ("--xmax", "nan", "--xmax must be a number, got nan"),
-], ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "xmax-nan"])
+    ("--xmax", "inf", "--xmax must be finite, got inf"),
+    ("--xmax", "-inf", "--xmax must be finite, got -inf"),
+], ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "tol-tiny", "xmax-nan", "xmax-inf",
+        "xmax-neg-inf"])
 def test_bad_tolerance_or_xmax_refused(tmp_path, capsys, flag, value, message):
-    # refused with the flag named, before anything is solved, written or warned
+    # refused with the flag named, before anything is solved, written or warned;
+    # "--flag=value", as argparse takes "-inf" for an option otherwise
     out = tmp_path / "out"
     rc = main(["solve", "--config", str(CONFIGS / "example1.cfg"), "--out-dir", str(out),
-               flag, value])
+               f"{flag}={value}"])
     assert rc == 1
     assert not out.exists()
     assert capsys.readouterr().err == message + "\n"

@@ -1,68 +1,42 @@
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 from ruinvest.curve import SolutionCurve
-from ruinvest.exp_solver import solve
+from ruinvest.general_solver import general_solve
 
 
-def _curve(x, V):
+def _curve(x, V, Vp=None):
     z = np.zeros(len(x))
-    return SolutionCurve(x=np.asarray(x, dtype=float), V=np.asarray(V, dtype=float), Vp=z,
-                         Vpp=z, J=z, phi=z, theta_star=z, regime=np.full(len(x), "A"),
-                         segments=[], V_inf=1.0)
+    return SolutionCurve(x=np.asarray(x, dtype=float), V=np.asarray(V, dtype=float),
+                         Vp=z if Vp is None else np.asarray(Vp, dtype=float), Vpp=z, J=z, phi=z,
+                         theta_star=z, regime=np.full(len(x), "A"), segments=[], V_inf=1.0)
 
 
-def _pchip_value(curve, xq):
-    """SolutionCurve.value as written with scipy's PchipInterpolator."""
-    xq = np.asarray(xq, dtype=float)
-    ref = PchipInterpolator(curve.x, curve.V, extrapolate=False)
-    return np.where(xq > curve.x[-1], curve.V[-1], ref(np.clip(xq, curve.x[0], curve.x[-1])))
+def test_value_reproduces_a_cubic_from_its_own_slopes():
+    rng = np.random.default_rng(16)
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.3, 40))])
+    c = rng.normal(0.0, 1.0, 4)
+    cubic = np.polynomial.Polynomial(c)
+    curve = _curve(x, cubic(x), cubic.deriv()(x))
+    xq = np.concatenate([x, x[0] + (x[-1] - x[0]) * rng.random(4000)])
+    err = np.max(np.abs(curve.value(xq) - cubic(xq)))
+    assert err <= 1e-14 * np.max(np.abs(curve.V))
+    assert np.array_equal(curve.value(x[:-1]), curve.V[:-1])  # a node's own V, bit for bit
+    # V at the first node below the grid, at the last node beyond it
+    assert np.array_equal(curve.value([x[0] - 1.0, x[-1] + 1e-9, 1e6]),
+                          [curve.V[0], curve.V[-1], curve.V[-1]])
+    assert np.ndim(curve.value(x[7] + 1e-3)) == 0
 
 
-def _probe_points(x, rng):
-    """Every node, random interior points, both ends, and points off the grid."""
-    span = x[-1] - x[0]
-    inner = x[0] + span * rng.random(4000)
-    between = x[:-1] + (x[1:] - x[:-1]) * rng.random(len(x) - 1)
-    outside = [x[0] - 1.0, x[0] - 1e-9, np.nextafter(x[-1], np.inf), x[-1] + 1.0, 1e6]
-    return np.concatenate([x, inner, between, [x[0], x[-1]], outside])
-
-
-@pytest.fixture(scope="module")
-def example_curves(example1, example2, example3):
-    return [solve(p, 1.0) for p in (example1, example2, example3)]
-
-
-def test_value_matches_pchip_bits_on_example_curves(example_curves):
-    rng = np.random.default_rng(14)
-    for curve in example_curves:
-        xq = _probe_points(curve.x, rng)
-        assert np.array_equal(curve.value(xq), _pchip_value(curve, xq))
-        for s in xq[::97]:  # scalar calls give the same bits
-            assert curve.value(s) == _pchip_value(curve, s)
-            assert np.ndim(curve.value(s)) == 0
-
-
-def test_value_matches_pchip_bits_on_small_curves():
-    rng = np.random.default_rng(15)
-    # two nodes: scipy's linear case; three and four nodes hit both end rules
-    shapes = [([0.0, 2.0], [1.0, 3.5]),
-              ([0.0, 0.5, 2.0], [1.0, 1.2, 3.5]),
-              ([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 3.1, 5.0]),
-              ([0.0, 1.0, 1.5, 4.0], [2.0, 1.0, 1.0, 4.0]),  # a flat run and a turn
-              ([0.0, 1.0, 2.0], [0.0, 1.0, -9.0]),  # end slopes capped at 3 m0
-              ([0.0, 1.0, 2.0], [-9.0, 1.0, 0.0])]
-    for x, V in shapes:
-        curve = _curve(x, V)
-        xq = _probe_points(curve.x, rng)
-        assert np.array_equal(curve.value(xq), _pchip_value(curve, xq))
-    # random wiggly data exercises every branch of the derivative rule
-    x = np.cumsum(rng.uniform(0.01, 1.0, 300))
-    for V in (np.cumsum(rng.normal(0.0, 1.0, 300)), np.round(rng.normal(0.0, 1.0, 300))):
-        curve = _curve(x, V)
-        xq = _probe_points(curve.x, rng)
-        assert np.array_equal(curve.value(xq), _pchip_value(curve, xq))
+def test_solver_slopes_keep_every_piece_monotone(curve1, curve2, curve3, example1, exp_law):
+    # Fritsch & Carlson's condition on every interval: a rising secant m and
+    # both end slopes in [0, 3m].  A failing interval is a solver defect:
+    # value() has no fallback
+    for curve in (curve1, curve2, curve3, general_solve(example1, exp_law, x_max=11.0)):
+        m = np.diff(curve.V) / np.diff(curve.x)
+        d0, d1 = curve.Vp[:-1], curve.Vp[1:]
+        ok = (m > 0) & (d0 >= 0) & (d1 >= 0) & (d0 <= 3 * m) & (d1 <= 3 * m)
+        assert ok.all(), f"not monotone from x={curve.x[np.argmin(ok)]}"
 
 
 @pytest.mark.parametrize("x, V, match", [
@@ -74,8 +48,20 @@ def test_value_matches_pchip_bits_on_small_curves():
     ([0.0, 1.0, 2.0], [1.0, 2.0], "equal length"),
 ])
 def test_constructor_refuses_what_pchip_refuses(x, V, match):
+    # the refusals of PchipInterpolator(x, V); value() still needs them
     with pytest.raises(ValueError, match=match):
         _curve(x, V)
+
+
+@pytest.mark.parametrize("Vp, match", [
+    ([1.0, np.nan, 1.0], "finite"),
+    ([1.0, 1.0, -np.inf], "finite"),
+    ([1.0, 1.0], "shape"),
+    ([[1.0, 1.0, 1.0]], "shape"),
+], ids=["nan", "inf", "short", "2-d"])
+def test_constructor_refuses_a_slope_value_cannot_read(Vp, match):
+    with pytest.raises(ValueError, match=match):
+        _curve([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], Vp)
 
 
 def test_from_csv_refuses_a_repeated_node(tmp_path, curve1):

@@ -728,3 +728,20 @@ def test_march_work_counts_in_sidecar(curve1):
     assert [seg["rejected"] for seg in march] == [3, 0, 2, 2]
     for seg in march:
         assert seg["rhs_evals"] == 2 + 6 * (seg["steps"] + seg["rejected"])
+
+
+@pytest.mark.parametrize("which", ["example1", "example2", "example3"])
+def test_survival_between_nodes_matches_segment_ode(request, which):
+    # survival at seeded points between nodes against the segment's own ODE,
+    # integrated by DOP853 from the left node's (V, V', V - J)
+    p, curve = request.getfixturevalue(which), request.getfixturevalue("curve" + which[-1])
+    rng = np.random.default_rng(16)
+    xq = rng.uniform(curve.meta["x_eps"], 20.0, 300)
+    left = np.searchsorted(curve.x, xq, side="right") - 1
+    ref = np.empty_like(xq)
+    for j, (x, i) in enumerate(zip(xq, left)):
+        y0 = [curve.V[i], curve.Vp[i], curve.V[i] - curve.J[i]]
+        run = solve_ivp(_rhs_for(str(curve.regime[i]), p, M), (curve.x[i], x), y0,
+                        method="DOP853", rtol=1e-13, atol=1e-16)
+        ref[j] = run.y[0, -1] / curve.V_inf
+    assert np.max(np.abs(curve.survival(xq) / ref - 1.0)) <= 2e-8

@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
@@ -327,8 +333,8 @@ def test_general_solve_bytes_pinned(request, example1, curve_sha256, law_name, x
 
 def test_continuation_observed_order(example1, exp_law, curve1):
     # halving the step cuts the gap to the fast path by >= 4x (second order);
-    # at step 0.0005 the gap flattens near 2.5e-6 (ratio ~2.75), the floor set
-    # by the fast path and the near-zero table, so that step is left out
+    # at step 0.0005 the gap flattens near 1.6e-6 (ratio ~3.8), the floor set
+    # by the continuation itself, so that step is left out
     xs = np.linspace(0.0, 6.0, 300)
     ref = curve1.value(xs)
     gaps = [np.max(np.abs(general_solve(example1, exp_law, x_max=6.0, step=s).value(xs) - ref)
@@ -336,3 +342,30 @@ def test_continuation_observed_order(example1, exp_law, curve1):
             for s in (0.004, 0.002, 0.001)]
     assert gaps[0] / gaps[1] >= 4.0
     assert gaps[1] / gaps[2] >= 4.0
+
+
+# two general_solve calls in a fresh process; ru_minflt of the second
+FAULT_PROBE = """
+import resource
+from ruinvest.general_solver import general_solve
+from ruinvest.model import ExponentialClaims, ModelParams
+p = ModelParams(c=0.02, lam=0.09, mu=0.02, r=0.015, sigma=0.1, a=1.0, b=20.0)
+general_solve(p, ExponentialClaims(1.0), x_max=11.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+general_solve(p, ExponentialClaims(1.0), x_max=11.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
+def test_near_zero_blocks_reuse_heap_memory():
+    # the near-zero blocks' temporaries are small enough for glibc to serve
+    # from reused heap chunks, so a repeated solve faults few fresh pages
+    # (about 40k faults at NEAR_BLOCK = 256)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout.split()[-1]) < 10_000
