@@ -115,7 +115,7 @@ def _prologue(args):
     simulator alone, and for solve, which then refuses it; policy and compare
     validate without it.  A --tol outside (0, inf) or below the march's rtol
     floor of 100 eps, a non-finite --xmax and, for verify and compare, fewer
-    than one path are refused.
+    than one path or thread and a negative seed are refused.
     """
     cfg = parse_config(args.config)
     params, law = build_model(cfg)
@@ -136,9 +136,12 @@ def _prologue(args):
         print(f"--xmax must be {'a number' if math.isnan(args.xmax) else 'finite'}, "
               f"got {args.xmax}", file=sys.stderr)
         return None
-    if args.cmd in ("verify", "compare") and args.n_paths < 1:
-        print(f"--n-paths must be at least 1, got {args.n_paths}", file=sys.stderr)
-        return None
+    if args.cmd in ("verify", "compare"):
+        for flag, value, floor in (("--n-paths", args.n_paths, 1), ("--threads", args.threads, 1),
+                                   ("--seed", args.seed, 0)):
+            if value < floor:
+                print(f"{flag} must be at least {floor}, got {value}", file=sys.stderr)
+                return None
     manifest = RunManifest(args.cmd, cfg, _options_echo(args), args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -103,6 +103,13 @@ class ClaimLaw:
         return np.where(s - eps >= 0, central, onesided)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` claim sizes, drawn element by element from `rng`.
+
+        Calls of sizes a and then b return the draws of one call of size
+        a + b; the simulator's claim tables draw in row blocks and rely on
+        this.  A sampler that breaks it still gives valid estimates, but not
+        the bits of a single draw.
+        """
         raise NotImplementedError
 
     @property

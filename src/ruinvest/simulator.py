@@ -17,6 +17,12 @@ expression whatever the input order, so the result is bit-identical to the
 unsorted call and only the search gets faster.  Each report row also carries
 the engine's work: loop iterations and path-steps, summed over chunks.
 
+Each (x0, chunk) draws one claim table, sized for the horizon (k_cols
+columns of epochs and of sizes), but keeps only its first CLAIM_COLS
+columns; a path that needs a later one has the table re-drawn from the same
+stream with twice as many.  Kept values have the bits of the full table, so
+estimates do not depend on how many columns are kept.
+
 Estimates validate the solved curves through the verification identity
 survival(x) = V(x)/V(inf) and rank policies under common claim streams.
 """
@@ -53,6 +59,12 @@ VOL_STEP_FRAC = 0.1
 # paths per chunk; the chunk index keys the random streams, so a change here
 # re-draws every estimate
 CHUNK_PATHS = 16_384
+
+# claim-table columns kept at first (example 1 has 630; feedback reads at
+# most column 85, const(a) column 138 at 16,384 paths) and rows per generator
+# call (temporaries of about 1 MB)
+CLAIM_COLS = 128
+CLAIM_BLOCK = 256
 
 # from this many surpluses on, FeedbackPolicy looks them up in sorted order:
 # np.interp's guessed search then hits, which outweighs the sort
@@ -147,22 +159,45 @@ class SimConfig:
         return horizon, barrier, dt
 
 
-def _claim_table(params, law, horizon, seed, x0_key, chunk_id, n):
-    """Claim epochs and sizes, (n, columns) each, for one (x0, chunk).
+class _ClaimTable:
+    """Claim epochs and sizes of one (x0, chunk), the first columns of each.
 
     The stream is keyed by (seed, x0, chunk) only, never by the policy, so
-    every policy run on the table sees the same claim scenarios.
+    every policy run on the table sees the same claim scenarios.  It is one
+    (n, k_cols) draw of inter-arrival times, then n * k_cols sizes, made
+    CLAIM_BLOCK rows per generator call so that the full table is never held.
     """
-    lam_t = params.lam * horizon
-    k_cols = int(lam_t + 10.0 * math.sqrt(lam_t) + 30)
-    rng = np.random.default_rng([seed, 17, x0_key, chunk_id])
-    epochs = rng.exponential(1.0 / params.lam, (n, k_cols))
-    np.cumsum(epochs, axis=1, out=epochs)  # inter-arrival times -> epochs
-    sizes = law.sample(rng, n * k_cols).reshape(n, k_cols)
-    return epochs, sizes
+
+    def __init__(self, params, law, horizon, seed, x0_key, chunk_id, n):
+        lam_t = params.lam * horizon
+        self.k_cols = int(lam_t + 10.0 * math.sqrt(lam_t) + 30)
+        self._lam, self._law, self._n = params.lam, law, n
+        self._key = [seed, 17, x0_key, chunk_id]
+        self._draw(min(CLAIM_COLS, self.k_cols))
+
+    def _draw(self, cols):
+        n, k_cols = self._n, self.k_cols
+        rng = np.random.default_rng(self._key)
+        self.epochs = np.empty((n, cols))
+        self.sizes = np.empty((n, cols))
+        blocks = [(lo, min(CLAIM_BLOCK, n - lo)) for lo in range(0, n, CLAIM_BLOCK)]
+        for lo, m in blocks:  # inter-arrival times -> epochs, kept columns only
+            gaps = rng.exponential(1.0 / self._lam, (m, k_cols))
+            np.cumsum(gaps[:, :cols], axis=1, out=self.epochs[lo:lo + m])
+        for lo, m in blocks:
+            self.sizes[lo:lo + m] = self._law.sample(rng, m * k_cols).reshape(m, k_cols)[:, :cols]
+
+    def widen(self) -> bool:
+        """Re-draw keeping twice the columns, at most k_cols; False once all
+        k_cols are kept."""
+        cols = self.epochs.shape[1]
+        if cols >= self.k_cols:
+            return False
+        self._draw(min(2 * cols, self.k_cols))
+        return True
 
 
-def _run_chunk(x0, policy, params, horizon, barrier, dt, epochs, sizes, rng_diff):
+def _run_chunk(x0, policy, params, horizon, barrier, dt, table, rng_diff):
     """One policy's paths over a claim table; returns outcome counts
     (ruined, survived, censored, diffusion-ruined) and the work done
     (loop iterations, path-steps).
@@ -173,7 +208,8 @@ def _run_chunk(x0, policy, params, horizon, barrier, dt, epochs, sizes, rng_diff
     step.  Every other policy takes volatility-capped Euler steps.
     """
     p = params
-    n, k_cols = epochs.shape
+    epochs, sizes = table.epochs, table.sizes
+    n, cols = epochs.shape
     exact = isinstance(policy, ConstantPolicy) and policy._theta == 0.0
     X = np.full(n, float(x0))
     t = np.zeros(n)
@@ -225,8 +261,11 @@ def _run_chunk(x0, policy, params, horizon, barrier, dt, epochs, sizes, rng_diff
             r, k = rows[idx], ptr[idx]
             X[idx] -= sizes[r, k]
             k += 1
-            if k.max() >= k_cols:
-                raise RuntimeError("claim columns exhausted; horizon too long for table")
+            if k.max() >= cols:  # a path needs a column not kept yet
+                if not table.widen():
+                    raise RuntimeError("claim columns exhausted; horizon too long for table")
+                epochs, sizes = table.epochs, table.sizes
+                cols = epochs.shape[1]
             ptr[idx] = k
             t_claim[idx] = epochs[r, k]
         # some path ended, or X holds a nan and the masks must decide
@@ -293,9 +332,9 @@ def _simulate(x0_list, policies, params, law, cfg: SimConfig, echo: dict) -> Sim
     for x0_key, x0 in enumerate(map(float, x0_list)):
 
         def work(cid):
-            epochs, sizes = _claim_table(params, law, horizon, seed, x0_key, cid,
-                                         min(CHUNK_PATHS, n - cid * CHUNK_PATHS))
-            return [_run_chunk(x0, policy, params, horizon, barrier, dt, epochs, sizes,
+            table = _ClaimTable(params, law, horizon, seed, x0_key, cid,
+                                min(CHUNK_PATHS, n - cid * CHUNK_PATHS))
+            return [_run_chunk(x0, policy, params, horizon, barrier, dt, table,
                                np.random.default_rng([seed, 23, tag, x0_key, cid]))
                     for policy, tag in zip(policies, tags)]
 

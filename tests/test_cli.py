@@ -260,6 +260,19 @@ def test_path_count_below_one_refused(tmp_path, capsys, cmd, n_paths):
     assert capsys.readouterr().err == f"--n-paths must be at least 1, got {n_paths}\n"
 
 
+@pytest.mark.parametrize("cmd", ["verify", "compare"])
+@pytest.mark.parametrize("flag, value, floor", [("--threads", "0", 1), ("--threads", "-3", 1),
+                                                ("--seed", "-1", 0)])
+def test_thread_count_or_seed_below_floor_refused(tmp_path, capsys, cmd, flag, value, floor):
+    # refused with the flag named, before anything is solved or written
+    out = tmp_path / "out"
+    rc = main([cmd, "--config", str(CONFIGS / "example1.cfg"), "--out-dir", str(out),
+               "--n-paths", "64", f"{flag}={value}"])
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"{flag} must be at least {floor}, got {value}\n"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag, value, message", [
     ("--tol", "nan", "--tol must be finite and positive, got nan"),

@@ -144,6 +144,17 @@ def test_general_claims_inverse_transform_sampler():
     assert draws.mean() == pytest.approx(1.0, abs=0.03)
 
 
+@pytest.mark.parametrize("law", ["exponential", "bisection"])
+def test_sample_draws_element_by_element(law, erlang_law):
+    # calls of sizes a and then b return one call of size a + b, bit for bit:
+    # the simulator's claim tables draw in row blocks and rely on it
+    law = ExponentialClaims(2.0) if law == "exponential" else erlang_law
+    whole = law.sample(np.random.default_rng(21), 1_000)
+    rng = np.random.default_rng(21)
+    parts = [law.sample(rng, k) for k in (1, 0, 376, 623)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
 def test_mixture_law_mean(mixture_law):
     rng = np.random.default_rng(5)
     draws = mixture_law.sample(rng, 40_000)

@@ -1,15 +1,17 @@
 import math
 import threading
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from ruinvest import simulator
 from ruinvest.model import ExponentialClaims, ModelParams
-from ruinvest.simulator import (CHUNK_PATHS, SORTED_LOOKUP_MIN, VOL_STEP_FRAC, ConstantPolicy,
-                                FeedbackPolicy, Policy, SimConfig, compare_policies,
-                                estimate_survival, lundberg_ruin_probability)
+from ruinvest.simulator import (CHUNK_PATHS, CLAIM_COLS, SORTED_LOOKUP_MIN, VOL_STEP_FRAC,
+                                ConstantPolicy, FeedbackPolicy, Policy, SimConfig,
+                                compare_policies, estimate_survival, lundberg_ruin_probability)
 
 ORACLE = ModelParams(c=0.2, lam=0.09, mu=0.0, r=0.0, sigma=0.1, a=1.0, b=1.0)
 LAW = ExponentialClaims(1.0)
@@ -364,3 +366,87 @@ def test_censoring_warns(example1):
         rep = estimate_survival([0.0, 2.0], ConstantPolicy(0.0, ORACLE), ORACLE, LAW,
                                 SimConfig(n_paths=20_000, rng_seed=77))
     assert all(row["censored_frac"] == 0.0 for row in rep.rows)
+
+
+def _full_draw(params, law, horizon, seed, x0_key, chunk_id, n):
+    """The whole (n, k_cols) claim table in two generator calls: the layout
+    that the kept columns must reproduce."""
+    lam_t = params.lam * horizon
+    k_cols = int(lam_t + 10.0 * math.sqrt(lam_t) + 30)
+    rng = np.random.default_rng([seed, 17, x0_key, chunk_id])
+    epochs = np.cumsum(rng.exponential(1.0 / params.lam, (n, k_cols)), axis=1)
+    return epochs, law.sample(rng, n * k_cols).reshape(n, k_cols)
+
+
+@pytest.mark.parametrize("block", [1, 7, 300, simulator.CLAIM_BLOCK])
+def test_claim_table_keeps_the_full_draws_bits(example1, monkeypatch, block):
+    # every kept column, before and after each re-draw, is the full draw's
+    monkeypatch.setattr(simulator, "CLAIM_BLOCK", block)
+    monkeypatch.setattr(simulator, "CLAIM_COLS", 3)
+    epochs, sizes = _full_draw(example1, LAW, 200.0, 77, 2, 1, 300)
+    table = simulator._ClaimTable(example1, LAW, 200.0, 77, 2, 1, 300)
+    assert table.k_cols == epochs.shape[1] == 90
+    kept = [table.epochs.shape[1]]
+    while table.widen():
+        kept.append(table.epochs.shape[1])
+        cols = kept[-1]
+        assert table.epochs.tobytes() == np.ascontiguousarray(epochs[:, :cols]).tobytes()
+        assert table.sizes.tobytes() == np.ascontiguousarray(sizes[:, :cols]).tobytes()
+    assert kept == [3, 6, 12, 24, 48, 90]
+    assert not table.widen() and table.epochs.shape == (300, 90)  # all kept: no more
+
+
+def test_claim_columns_exhausted_still_raised(example1, monkeypatch):
+    # a path that needs a column past k_cols ends the run, as with a full table
+    monkeypatch.setattr(simulator, "CLAIM_COLS", 1)
+    table = simulator._ClaimTable(example1, LAW, 200.0, 77, 0, 0, 50)
+    table.k_cols = 2
+    with pytest.raises(RuntimeError, match="claim columns exhausted"):
+        simulator._run_chunk(1.0, ConstantPolicy(0.0, example1), example1, 200.0, 100.0,
+                             0.1, table, np.random.default_rng(0))
+    assert table.epochs.shape == (50, 2)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_redrawn_tables_give_the_same_rows(example1, curve1, monkeypatch, threads):
+    # with one column kept at first every table re-draws several times; each
+    # row, its work counters included, keeps the default run's values
+    widen, calls = simulator._ClaimTable.widen, []
+
+    def counted(table):
+        calls.append(table.epochs.shape[1])
+        return widen(table)
+
+    monkeypatch.setattr(simulator._ClaimTable, "widen", counted)
+    monkeypatch.setattr(simulator, "CHUNK_PATHS", 400)  # 600 paths make two chunks
+    policies = [FeedbackPolicy(curve1, example1), ConstantPolicy(example1.a, example1, "const(a)")]
+    for n_paths in (400, 600):
+        cfg = SimConfig(n_paths=n_paths, rng_seed=77, horizon=200.0, upper_barrier=100.0,
+                        threads=threads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the short horizon censors
+            rows = {}
+            for cols in (CLAIM_COLS, 1):
+                monkeypatch.setattr(simulator, "CLAIM_COLS", cols)
+                calls.clear()
+                rows[cols] = [estimate_survival([1.0, 5.0], pol, example1, LAW, cfg).rows
+                              for pol in policies]
+                tables = 2 * 2 * -(-n_paths // 400)  # policies x x0 x chunks
+                assert calls.count(1) == (tables if cols == 1 else 0)
+        assert len(calls) >= 4 * tables  # 1 -> 2 -> 4 -> 8 -> 16 at least
+        assert rows[1] == rows[CLAIM_COLS]
+
+
+def test_claim_table_memory_bound(example1):
+    # one full chunk of example 1 at the default horizon 400/lambda keeps
+    # 2 x 16,384 x 128 doubles (33.6 MB); the full 630 columns took 165 MB
+    horizon, _, _ = SimConfig().resolved(example1, [10.0])
+    tracemalloc.start()
+    try:
+        table = simulator._ClaimTable(example1, LAW, horizon, 1, 0, 0, CHUNK_PATHS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.k_cols == 630
+    assert table.epochs.shape == table.sizes.shape == (CHUNK_PATHS, 128)
+    assert peak < 40e6, peak
