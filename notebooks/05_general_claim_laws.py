@@ -40,7 +40,9 @@ cur = general_solve(params, mixture, x_max=30.0)
 print("\nmixture of exponentials (mean 1.5):")
 print("  regime chain:", " -> ".join(s.regime for s in cur.segments))
 print(f"  switch points: {[f'{x:.4f}' for x in cur.switch_points]}")
-print(f"  V(inf) = {cur.V_inf:.4f}; survival(5) = {float(cur.survival(5.0)):.4f}")
+# V(inf) is V at x_max = 30; the tail mode says whether the mass beyond is bounded
+print(f"  V(inf) = {cur.V_inf:.4f} (tail {cur.meta['tail']['mode']}); "
+      f"survival(5) = {float(cur.survival(5.0)):.4f}")
 print("""
 The heavier claim tail stretches the maximal-short stretch (the volatility
 gamble stays attractive longer) and lowers survival at every surplus level

@@ -201,7 +201,7 @@ def cmd_verify(args, cfg, params, law, manifest, out) -> int:
         curve = _solve_curve(params, law, args)
         x0s = [1.0, 5.0, 10.0]
         mode = curve.meta["tail"]["mode"]
-        if max(x0s) > curve.x[-1] or mode in ("open", "q-below-one"):
+        if max(x0s) > curve.x[-1] or mode == "open":
             print(f"cannot verify: x0 up to {max(x0s):g}, last node x={curve.x[-1]:.6g}, tail "
                   f"mode {mode}; V/V_inf is no survival probability there, raise --xmax",
                   file=sys.stderr)

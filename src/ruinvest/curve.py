@@ -1,8 +1,9 @@
 """Solution curves of the HJB equation, and the writers of every artifact.
 
 A solved curve tabulates (x, V, V', V'', J, phi, theta_star, regime) on the
-integrator's grid together with the regime segmentation, the extrapolated
-limit V(inf), and residual diagnostics; the survival probability is
+integrator's grid together with the regime segmentation, the limit V(inf)
+(V at the last node; the sidecar's tail entry bounds the mass beyond it or
+says it is open), and residual diagnostics; the survival probability is
 V(x)/V(inf).  Between nodes V is the cubic Hermite on the solver's own
 (x, V, V') in each interval.  Every artifact, a curve's or
 another, is a CSV table written by `write_table` or a JSON sidecar written by
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -147,14 +147,10 @@ class SolutionCurve:
 
     @classmethod
     def from_csv(cls, path) -> "SolutionCurve":
-        """Re-read a curve table; segments are rebuilt from the regime column.
-
-        V_inf is read from the sidecar beside it (curve.json for curve.csv) if
-        that carries the table's manifest hash, else it is V at the last node.
-        """
+        """Re-read a curve table; segments are rebuilt from the regime column
+        and V_inf is V at the last node, as every solver sets it."""
         with open(path) as fh:
             line = fh.readline()
-            tag = manifest_tag(line)
             while line.startswith("#"):
                 line = fh.readline()  # ends on the column header
             start = fh.tell()
@@ -162,13 +158,8 @@ class SolutionCurve:
                                                        ndmin=2, unpack=True)
             fh.seek(start)
             regime = np.loadtxt(fh, dtype=str, delimiter=",", usecols=7, ndmin=1)
-        sidecar = Path(path).with_suffix(".json")
-        meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-        if meta.get("manifest", {}).get("hash") != tag:
-            meta = {}  # the sidecar of another solve
         return cls(x=x, V=V, Vp=Vp, Vpp=Vpp, J=J, phi=phi, theta_star=theta, regime=regime,
-                   segments=segments_from_regimes(x, regime, "end"),
-                   V_inf=float(meta.get("V_inf", V[-1])))
+                   segments=segments_from_regimes(x, regime, "end"), V_inf=float(V[-1]))
 
     def sidecar(self) -> dict:
         """JSON-serialisable metadata: limit, switch points, diagnostics."""

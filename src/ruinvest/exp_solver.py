@@ -16,9 +16,10 @@ The march starts from the near-zero asymptotic series of the initial regime
 regimes where phi leaves the regime's band (`operators.indicator_bands`):
 each row of a regime's event table names the regime across the crossed bound.
 The march owns its forward-only Dormand-Prince 5(4) stepper and imports no
-scipy: the tableau, the option checks, the first-step rule, the step control
-and the event root finder (Brent's method) copy scipy 1.17's RK45 and brentq
-(the oracle tests against solve_ivp and brentq catch a drifted scipy).  It
+scipy: the tableau, the first-step rule, the step control and the event
+root finder (Brent's method) copy scipy 1.17's RK45 and brentq
+(the oracle tests against solve_ivp and brentq catch a drifted scipy); the
+option checks are `solve`'s, made once before the march.  It
 evaluates all of a regime's events in one fused function per step, localises
 a crossing on the step's interpolant, and evaluates the increasing output
 nodes in blocks of steps, bit-identical to scipy's solve_ivp.
@@ -36,16 +37,14 @@ needed.  The public J-based contracts are unaffected.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import ClassVar, Optional
 
 import numpy as np
 
-from .curve import (REGIME_INTERIOR, REGIME_LONG, REGIME_SHORT, REGIME_ZERO,
-                    RegimeSegment, SolutionCurve)
-from .model import ExponentialClaims, ModelParams, regime_constants, require_valid
+from .curve import REGIME_INTERIOR, REGIME_ZERO, RegimeSegment, SolutionCurve
+from .model import ExponentialClaims, ModelParams, require_valid
 from .operators import (curvature, curvature_fn, deficit, indicator, indicator_bands,
                         regime_fraction, start_indicator, start_regime, theta_for,
                         vertex_exclusion)
@@ -280,24 +279,19 @@ def _rk45_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
     Returns solve_ivp's t, y, sol, nfev and status bit for bit, its message on
     failure, `rejected`, the rejected step attempts, and `event`, the index of
     the event that ended the march (None if none did).  Set-up and steps copy
-    scipy 1.17's RK45 (checks, first step, _step_impl, rk_step) with the same
+    scipy 1.17's RK45 (y0 check, first step, _step_impl, rk_step) with the same
     numpy calls on the same shapes (the test_rk45_march_* oracles against
-    solve_ivp catch a drifted scipy).  `events(t, y)` gives all event values
-    at once, `directions[i]` is +1 (rising) or -1 (falling).  A sign change
-    counts as in solve_ivp (a zero at either end counts); _brentq roots each
-    fired event on the step's interpolant, and the earliest root ends the march.
+    solve_ivp catch a drifted scipy); rtol and atol are `solve`'s to check.
+    `events(t, y)` gives all event values at once, `directions[i]` is +1
+    (rising) or -1 (falling).  A sign change counts as in solve_ivp (a zero
+    at either end counts); _brentq roots each fired event on the step's
+    interpolant, and the earliest root ends the march.
     """
     t0, tf = map(float, t_span)
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    if np.any(rtol < 100 * _EPS):
-        warnings.warn("At least one element of `rtol` is too small. "
-                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.", stacklevel=2)
-        rtol = np.maximum(rtol, 100 * _EPS)
     atol = np.asarray(atol)
-    if np.any(atol < 0):
-        raise ValueError("`atol` must be positive.")
     K = np.empty((N_STAGES + 1, y.size))
     K[0] = fun(t0, y)
     h_abs = _first_step(fun, t0, y, tf, max_step, K[0], rtol, atol)
@@ -443,19 +437,27 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
     """Solve the HJB equation for exponential claims with mean m.
 
     Returns the normalised solution (V(0) = 1) with its regime segmentation;
-    survival probabilities are V(x)/V_inf.  The march ends (meta "completion")
-    at x_max ("reached-x-max"), where V' reaches VP_FLOOR ("derivative-floor"),
-    or, in the interior regime, where V' falls to the cancellation level
-    1e-9 lambda/c ("cancellation-floor"): below it the deficit
-    I = lambda(V-J) - (c+rx)V' that sets V'' and theta* has lost its digits.
-    Raises SolverAbort when x_max does not lie beyond the series handoff
+    survival probabilities are V(x)/V_inf, V_inf being V at the last node
+    (`extrapolate_tail` states the tail's bound).  The march ends (meta
+    "completion") at x_max ("reached-x-max"), where V' reaches VP_FLOOR
+    ("derivative-floor"), or, in the interior regime, where V' falls to the
+    cancellation level 1e-9 lambda/c ("cancellation-floor"): below it the
+    deficit I = lambda(V-J) - (c+rx)V' that sets V'' and theta* has lost its
+    digits.  Raises ValueError, naming the field, for an rtol outside
+    [100 eps, inf), an atol that is negative or not finite, or an x_max of
+    +inf, and SolverAbort when x_max does not lie beyond the series handoff
     point x_eps, on event oscillation (more than MAX_SWITCHES regime
     changes), loss of monotonicity, I reaching zero above the cancellation
     level, or an indicator falling below the vertex-exclusion cutoff.
     """
     opts = options or SolveOptions()
     require_valid(params, ExponentialClaims(m))
+    for name, value, lo in (("rtol", opts.rtol, 100 * _EPS), ("atol", opts.atol, 0.0)):
+        if not lo <= value < math.inf:
+            raise ValueError(f"{name} must be finite and at least {lo:.3g}, got {value}")
     x_max = opts.resolved_x_max(params)
+    if x_max == math.inf:
+        raise ValueError("x_max must be finite, got inf")
     exp, regime, x_eps, y = _start(params, m)
     if not x_max > x_eps:  # NaN included: the march only runs forward
         raise SolverAbort(f"x_max={x_max:.6g} is not beyond the handoff point x_eps={x_eps:.6g}",
@@ -623,57 +625,33 @@ def _assemble(params, m, exp, x_eps, xs_all, cols, segments, events_log, march, 
 
 
 # ---------------------------------------------------------------------------
-# tail extrapolation
+# tail closure
 # ---------------------------------------------------------------------------
 
 def extrapolate_tail(x, Vp, V_end, terminal_regime, params: ModelParams,
                      completion: str = "reached-x-max", m: Optional[float] = None):
-    """(V_inf, diagnostics) from the far-field decay of V'.
+    """(V_inf, tail): V_inf is V_end, V at the last node x_end, and the tail
+    dict bounds the survival mass beyond x_end (mode "converged") or says it
+    has no bound (mode "open", "tail_mass_bound" None).
 
-    On a terminal constant regime V' ~ d x^(-q) with q = 2 mu_bar/sigma_bar^2
-    of that regime; d is fitted over the last decade of nodes and the tail
-    integral d X_max^(1-q)/(q-1) is added.  A terminal no-investment segment,
-    or an interior one of general claims, uses the maximal-long constants for
-    q.  When the march already ran V' down to a floor the tail is below every
-    tolerance, V_inf = V(X_max) and "tail_mass_bound" bounds the mass left out.
-
-    For exponential claims with mean m a terminal interior segment (stopped at
-    the cancellation floor or at x_max) is in the interest-only far field:
-    the investment term dies out and V' ~ C x^k e^(-x/m) with k = lambda/r - 1.
-    Since ln(t/x) <= t/x - 1, for k >= 0 that tail integrates to at most
-    V'_end m / (1 - k m / x_end).  V_inf = V(x_end) and that bound is reported
-    (mode "open" with an infinite bound if x_end <= k m, where the form does
-    not yet decay).
+    For exponential claims with mean m, an end in the interior regime, or in
+    ZERO at x_max, is in the interest-only far field (Sundt & Teugels 1995):
+    V' ~ C x^k e^(-x/m), k = lambda/r - 1, and since ln(t/x) <= t/x - 1 the
+    mass is at most V'_end / (1/m - k/x_end), open while x_end <= k m (k >= 0).
+    Else a march that ran V' down to a floor ("derivative-floor",
+    "deficit-zero", V'_end <= 10 VP_FLOOR) is bounded by V'_end, and any
+    other end at x_max (a terminal A or B, a general-claims end) is open.
     """
-    x = np.asarray(x)
-    Vp = np.asarray(Vp)
-    x_end = float(x[-1])
-    v_end = float(Vp[-1])
-    tail: dict = {"terminal_regime": terminal_regime, "completion": completion}
-    if completion == "cancellation-floor" or (
-            m is not None and terminal_regime == REGIME_INTERIOR and completion == "reached-x-max"):
+    x_end, v_end = float(x[-1]), float(Vp[-1])
+    at_cap = completion == "reached-x-max"
+    if completion == "cancellation-floor" or (m is not None and at_cap and (
+            terminal_regime == REGIME_INTERIOR
+            or (terminal_regime == REGIME_ZERO and v_end > 10.0 * VP_FLOOR))):
         rate = 1.0 / m - max(params.lam / params.r - 1.0, 0.0) / x_end
-        if rate > 0:
-            tail.update({"mode": "converged", "tail_mass_bound": v_end / rate})
-        else:
-            tail.update({"mode": "open", "tail_mass_bound": math.inf})
-        return V_end, tail
-    if completion != "reached-x-max" or v_end <= 10.0 * VP_FLOOR:
-        tail.update({"mode": "converged", "tail_mass_bound": v_end})
-        return V_end, tail
-
-    rc = regime_constants(params, regime_fraction(
-        params, REGIME_SHORT if terminal_regime == REGIME_SHORT else REGIME_LONG))
-    q = 2.0 * rc.mu_bar / rc.sigma_bar**2
-    tail["q"] = q
-    if q <= 1.0:
-        tail.update({"mode": "q-below-one",
-                     "warning": "tail exponent <= 1; enlarge x_max or check the regime"})
-        return V_end, tail
-
-    seg_lo = max(x_end / 10.0, x[0])
-    mask = x >= seg_lo
-    d = float(np.median(Vp[mask] * x[mask] ** q))
-    add = d * x_end ** (1.0 - q) / (q - 1.0)
-    tail.update({"mode": "power-law", "d": d, "tail_add": add})
-    return V_end + add, tail
+        bound = v_end / rate if rate > 0 else None
+    elif not at_cap or v_end <= 10.0 * VP_FLOOR:
+        bound = v_end
+    else:
+        bound = None
+    return V_end, {"terminal_regime": terminal_regime, "completion": completion,
+                   "mode": "open" if bound is None else "converged", "tail_mass_bound": bound}

@@ -360,8 +360,8 @@ def general_solve(params: ModelParams, law: ClaimLaw, x_max: Optional[float] = N
                   step: float = 0.0005) -> SolutionCurve:
     """Full general-claims pipeline: near-zero solve, continuation, assembly.
 
-    Raises ValueError unless step is finite and positive, and SolverAbort
-    unless x_max lies beyond eps, where the march starts."""
+    Raises ValueError unless step is finite and positive and x_max finite,
+    and SolverAbort unless x_max lies beyond eps, where the march starts."""
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step}")
     require_valid(params, law)
@@ -369,6 +369,8 @@ def general_solve(params: ModelParams, law: ClaimLaw, x_max: Optional[float] = N
         raise SolverAbort("the continuation path requires mu != r; "
                           "use the exponential-claims solver for mu = r")
     x_max = SolveOptions(x_max=x_max).resolved_x_max(params)
+    if not math.isfinite(x_max):
+        raise ValueError(f"x_max must be finite, got {x_max}")
     table = solve_constant_regime_near_zero(params, law,
                                             regime_fraction(params, start_regime(params)))
     eps = float(table.x[-1])

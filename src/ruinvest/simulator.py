@@ -147,11 +147,18 @@ class SimConfig:
     threads: int = 1
 
     def resolved(self, params: ModelParams, x0_list: Sequence[float]):
+        """(horizon, barrier, dt), defaults filled in; refuses by field name a
+        value the Euler loop would hang on or censor every path with."""
+        if not all(math.isfinite(x0) for x0 in x0_list):
+            raise ValueError(f"x0 must be finite, got {list(x0_list)}")
         horizon = self.horizon if self.horizon is not None else 400.0 / params.lam
         barrier = (self.upper_barrier if self.upper_barrier is not None
                    else 50.0 * max(max(x0_list), 1.0))
         dt_max = 0.01 / params.lam
         dt = self.euler_dt if self.euler_dt is not None else dt_max
+        for name, value in (("euler_dt", dt), ("horizon", horizon), ("upper_barrier", barrier)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if dt > dt_max + 1e-12:
             raise ValueError(f"euler_dt must not exceed 0.01/lambda = {dt_max:g}")
         if barrier < 10.0 * max(x0_list):

@@ -82,6 +82,19 @@ def curve_sha256():
     return digest
 
 
+@pytest.fixture(scope="session")
+def tail_rule():
+    """Asserts the one tail rule: V_inf is V at the last node, bit for bit,
+    and the tail is "converged" with a finite bound or "open" with none."""
+    def check(cur):
+        tail = cur.meta["tail"]
+        assert cur.V_inf == cur.V[-1]
+        assert tail["mode"] in ("converged", "open")
+        bound = tail["tail_mass_bound"]
+        assert bound is None if tail["mode"] == "open" else 0.0 <= bound < np.inf
+    return check
+
+
 def _third_order_check(curve, segment, params, m):
     """Max relative deviation of (V, V') from the third-order linear ODE.
 

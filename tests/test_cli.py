@@ -249,6 +249,24 @@ def test_verify_refuses_x0_beyond_curve(tmp_path, monkeypatch, capsys):
                                        "--xmax\n")
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is no JSON value")
+
+
+@pytest.mark.parametrize("xmax, mode", [("3", "open"), ("4.5", "open"), (None, "converged")],
+                         ids=["xmax-3", "xmax-4.5", "default"])
+def test_curve_sidecar_is_strict_json(tmp_path, xmax, mode):
+    # an open tail has no bound: null, never Infinity, which strict parsers refuse
+    rc = main(["solve", "--config", str(CONFIGS / "example1.cfg"), "--out-dir", str(tmp_path)]
+              + ([f"--xmax={xmax}"] if xmax else []))
+    assert rc == 0
+    text = (tmp_path / "curve.json").read_text()
+    tail = json.loads(text, parse_constant=_refuse_constant)["tail"]
+    assert tail["mode"] == mode
+    assert (tail["tail_mass_bound"] is None) == (mode == "open")
+    assert ('"tail_mass_bound": null' in text) == (mode == "open")
+
+
 @pytest.mark.parametrize("cmd", ["verify", "compare"])
 @pytest.mark.parametrize("n_paths", ["0", "-5"])
 def test_path_count_below_one_refused(tmp_path, capsys, cmd, n_paths):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -449,30 +450,54 @@ def test_hjb_residual_spot_check(example1, curve1):
 
 
 # ---------------------------------------------------------------------------
-# tail extrapolation
+# tail closure: V_inf is V at the last node, with a stated bound or "open"
 # ---------------------------------------------------------------------------
 
-def test_extrapolate_tail_power_law(example1):
-    # exact V' = 3 x^{-2} with q = 2 forced via a custom regime constant:
-    # use parameters whose maximal-long regime gives q = 2 mu_bar/sigma_bar^2 = 2
-    p = ModelParams(c=0.02, lam=0.09, mu=0.02, r=0.015, sigma=np.sqrt(0.02), a=1.0, b=20.0)
-    q = 2.0 * regime_constants(p, 1.0).mu_bar / regime_constants(p, 1.0).sigma_bar**2
-    assert q == pytest.approx(2.0)
+@pytest.mark.parametrize("regime, m", [("A", M), ("B", M), ("INT", None)],
+                         ids=["exp-A", "exp-B", "general-INT"])
+def test_tail_open_at_x_max_without_far_field_form(example1, regime, m):
+    # a terminal constant regime, or an interior end of general claims (no m),
+    # at x_max has no bound: V_inf = V_end and the tail says so
     x = np.geomspace(1.0, 100.0, 400)
-    Vp = 3.0 * x**-2.0
-    V_inf, tail = extrapolate_tail(x, Vp, V_end=10.0, terminal_regime="A", params=p)
-    assert tail["mode"] == "power-law"
-    assert tail["d"] == pytest.approx(3.0, rel=1e-10)
-    assert V_inf == pytest.approx(10.0 + 3.0 / 100.0, rel=1e-10)
-
-
-def test_extrapolate_tail_warns_when_exponent_small():
-    p = ModelParams(c=0.02, lam=0.09, mu=0.02, r=0.015, sigma=0.3, a=1.0, b=20.0)
-    # q = 2*0.02/0.09 < 1
-    x = np.geomspace(1.0, 100.0, 50)
-    V_inf, tail = extrapolate_tail(x, 3.0 * x**-2.0, V_end=10.0, terminal_regime="A", params=p)
-    assert tail["mode"] == "q-below-one"
+    V_inf, tail = extrapolate_tail(x, 3.0 * x**-2.0, V_end=10.0, terminal_regime=regime,
+                                   params=example1, m=m)
     assert V_inf == 10.0
+    assert tail == {"terminal_regime": regime, "completion": "reached-x-max", "mode": "open",
+                    "tail_mass_bound": None}
+
+
+def test_zero_tail_at_x_max_gets_interest_only_bound(example1):
+    # theta = 0 is the interest-only flow: V' = x^k e^(-x/m), k = lambda/r - 1 = 5
+    p = replace(example1, mu=example1.r)
+    x = np.linspace(20.0, 34.0, 50)
+    Vp = x**5 * np.exp(-x / M)
+    V_inf, tail = extrapolate_tail(x, Vp, V_end=10.0, terminal_regime="ZERO", params=p, m=M)
+    assert V_inf == 10.0 and tail["mode"] == "converged"
+    mass = quad(lambda t: t**5 * np.exp(-t / M), 34.0, np.inf)[0]
+    assert mass <= tail["tail_mass_bound"] <= 1.01 * mass
+    # a march that ends in ZERO at x_max (a = b = 1) closes with that bound
+    cur = solve(replace(p, b=1.0), M)
+    assert [(s.regime, s.terminal_event) for s in cur.segments][-1] == (
+        "ZERO", "reached-x-max")
+    assert cur.meta["tail"]["mode"] == "converged"
+    assert cur.Vp[-1] < cur.meta["tail"]["tail_mass_bound"] < 1e-11
+
+
+@pytest.mark.parametrize("regime, completion, vp_end", [
+    ("INT", "derivative-floor", 1e-13), ("INT", "deficit-zero", 1e-8),
+    ("A", "reached-x-max", 1e-12)], ids=["derivative-floor", "deficit-zero", "vp-at-floor"])
+def test_floor_completion_bound_is_last_derivative(example1, regime, completion, vp_end):
+    x = np.linspace(1.0, 30.0, 20)
+    Vp = vp_end * np.exp(30.0 - x)
+    V_inf, tail = extrapolate_tail(x, Vp, V_end=10.0, terminal_regime=regime,
+                                   params=example1, completion=completion)
+    assert V_inf == 10.0
+    assert tail["mode"] == "converged" and tail["tail_mass_bound"] == vp_end
+
+
+def test_examples_follow_tail_rule(curve1, curve2, curve3, tail_rule):
+    for cur in (curve1, curve2, curve3):
+        tail_rule(cur)
 
 
 def test_tail_converged_mode(curve1):
@@ -556,6 +581,24 @@ def test_solver_rejects_x_max_below_handoff(example1):
     assert "x_max" in str(err.value) and "x_eps" in str(err.value)
     with pytest.raises(SolverAbort, match="x_max=nan is not beyond"):
         solve(example1, M, SolveOptions(x_max=math.nan))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, value, message", [
+    ("rtol", 1e-15, "rtol must be finite and at least 2.22e-14, got 1e-15"),
+    ("rtol", 0.0, "rtol must be finite and at least 2.22e-14, got 0.0"),
+    ("rtol", math.nan, "rtol must be finite and at least 2.22e-14, got nan"),
+    ("rtol", math.inf, "rtol must be finite and at least 2.22e-14, got inf"),
+    ("atol", -1e-12, "atol must be finite and at least 0, got -1e-12"),
+    ("atol", math.nan, "atol must be finite and at least 0, got nan"),
+    ("atol", math.inf, "atol must be finite and at least 0, got inf"),
+    ("x_max", math.inf, "x_max must be finite, got inf"),
+], ids=["rtol-tiny", "rtol-zero", "rtol-nan", "rtol-inf", "atol-negative", "atol-nan",
+        "atol-inf", "x_max-inf"])
+def test_bad_solve_options_refused(example1, field, value, message):
+    # refused once, by field name, before the march: no warning, no clamped run
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve(example1, M, SolveOptions(**{field: value}))
 
 
 def test_output_nodes_is_a_constant():
@@ -653,12 +696,10 @@ def test_csv_roundtrip(tmp_path, curve1):
     runs.append((cur.x[lo], cur.x[-1], cur.regime[-1]))
     assert [(s.lo, s.hi, s.regime) for s in back.segments] == runs
     assert [s.terminal_event for s in back.segments] == ["switch"] * (len(runs) - 1) + ["end"]
-    # without a matching sidecar V_inf is V at the last node
+    # V_inf is V at the last node, whatever the sidecar beside the table holds
     assert back.V_inf == cur.V[-1] != cur.V_inf
-    cur.to_json(tmp_path / "curve.json", manifest={"hash": "other"})
-    assert SolutionCurve.from_csv(path).V_inf == cur.V[-1]
     cur.to_json(tmp_path / "curve.json", manifest={"hash": "deadbeef"})
-    assert SolutionCurve.from_csv(path).V_inf == cur.V_inf
+    assert SolutionCurve.from_csv(path).V_inf == cur.V[-1]
     # the table is written in row blocks; the bytes do not depend on them
     lines = path.read_text().splitlines()
     assert len(lines) == 2 + len(cur.x)
@@ -679,7 +720,10 @@ ANCHOR_POS_ALTB = dict(c=0.01551, lam=0.1095, r=0.02674, mu=0.03099, sigma=0.295
 
 # SHA-256 of every column, V_inf and the regimes, recorded at commit 2250894,
 # before the march drove scipy's RK45 stepper itself (the change is
-# bit-identical); (params, x_max, segments as (regime, terminal event))
+# bit-identical); (params, x_max, segments as (regime, terminal event)).
+# example1-x4 was re-recorded when its open tail stopped adding a power-law
+# guess: V_inf 26.267091302350433 -> 25.472375338872542 = V(4), every
+# column unchanged
 BRANCH_SHA256 = {
     "mu=r-B-ZERO": (
         dict(c=0.02, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0), None,
@@ -696,7 +740,7 @@ BRANCH_SHA256 = {
         EXAMPLE1, 4.0,
         [("A", "indicator-extreme-bound"), ("B", "indicator-extreme-bound"),
          ("A", "reached-x-max")],
-        "ae9e0faf7b2823cdf064a3aa60a9efa096a564f0754d19182cbe450b304f15d9"),
+        "030225f5e780cffd74657bfdbe2813b66ec1ae1b4a378eb6f9f5e5dc65ff491a"),
     "example1-x15": (
         EXAMPLE1, 15.0,
         [("A", "indicator-extreme-bound"), ("B", "indicator-extreme-bound"),
@@ -711,10 +755,11 @@ BRANCH_SHA256 = {
 
 
 @pytest.mark.parametrize("case", sorted(BRANCH_SHA256))
-def test_march_branch_bytes_pinned(curve_sha256, case):
+def test_march_branch_bytes_pinned(curve_sha256, tail_rule, case):
     params, x_max, segments, digest = BRANCH_SHA256[case]
     cur = solve(ModelParams(**params), M, SolveOptions(x_max=x_max))
     assert [(s.regime, s.terminal_event) for s in cur.segments] == segments
+    tail_rule(cur)
     assert curve_sha256(cur) == digest
 
 

@@ -227,6 +227,25 @@ def test_barrier_floor_enforced(example1):
                           ExponentialClaims(1.0), cfg)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("euler_dt", 0.0), ("euler_dt", -1e-3), ("euler_dt", math.nan),
+    ("horizon", -5.0), ("horizon", math.nan), ("horizon", math.inf),
+    ("upper_barrier", math.nan), ("upper_barrier", math.inf)])
+def test_sim_config_refuses_non_finite_or_non_positive(example1, field, value):
+    # refused by name before any path: euler_dt 0 or NaN would hang the Euler
+    # loop on its 1e-15 step floor, a NaN barrier would count every path as a
+    # censored survivor, and a NaN or negative horizon fails in int() or log()
+    cfg = SimConfig(n_paths=16, **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive, got"):
+        cfg.resolved(example1, [1.0])
+
+
+@pytest.mark.parametrize("x0", [math.nan, math.inf])
+def test_sim_config_refuses_non_finite_x0(example1, x0):
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        SimConfig(n_paths=16).resolved(example1, [1.0, x0])
+
+
 def test_report_csv_schema(tmp_path, example1):
     cfg = SimConfig(n_paths=300, rng_seed=1, horizon=50.0, upper_barrier=40.0)
     rep = estimate_survival([1.0, 2.0], ConstantPolicy(0.0, example1), example1,
