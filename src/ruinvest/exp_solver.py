@@ -15,24 +15,34 @@ The march starts from the near-zero asymptotic series of the initial regime
 (`operators.start_regime`), tracks the policy indicator phi, and switches
 regimes where phi leaves the regime's band (`operators.indicator_bands`):
 each row of a regime's event table names the regime across the crossed bound.
-The march owns its forward-only Dormand-Prince 5(4) stepper and imports no
-scipy: the tableau, the first-step rule, the step control and the event
-root finder (Brent's method) copy scipy 1.17's RK45 and brentq
-(the oracle tests against solve_ivp and brentq catch a drifted scipy); the
-option checks are `solve`'s, made once before the march.  It
+The march owns its steppers and imports no scipy.
+
+The constant regimes (and ZERO) march (V, V', V-J) with a forward-only
+Dormand-Prince 5(4) stepper: the tableau, the first-step rule, the step
+control and the event root finder (Brent's method) copy scipy 1.17's RK45
+and brentq (the oracle tests against solve_ivp and brentq catch a drifted
+scipy); the option checks are `solve`'s, made once before the march.  It
 evaluates all of a regime's events in one fused function per step, localises
 a crossing on the step's interpolant, and evaluates the increasing output
-nodes in blocks of steps, bit-identical to scipy's solve_ivp.
+nodes in blocks of steps, bit-identical to scipy's solve_ivp.  The deficit
+V-J decays to zero while V and J separately approach V(inf), and
+differencing them at the far tail would lose all significant digits exactly
+where the indicator is needed; the public J-based contracts are unaffected.
+
+The interior regime is stiff: in w = I/V' its equation reads
+w' = lambda - r - (w + c + r x)(1/m + u) with u = V''/V' = -kappa/w,
+kappa = (mu - r)^2/(2 sigma^2), so dw'/dw = -1/m - kappa (c + r x)/w^2 grows
+as w settles at kappa m.  It marches (w, L = ln V', V) by a 3-stage Radau IIA
+step (Hairer & Wanner 1996): the stage Newton iteration acts on the scalar w
+alone, L and V are the quadratures of its stages, and steps are capped at the
+output spacing, so every step end is a node.  w carries I without
+cancellation, so the indicator phi = 2w/((mu - r) x) and theta* keep their
+digits down to the derivative floor.
 
 When mu = r the drift is theta-free and there is no interior regime: the
 largest-|theta| endpoint is optimal while V'' > 0 and theta = 0 (ZERO) while
 V'' < 0.  One march serves both cases, with a curvature row in place of the
 indicator rows.
-
-Internally the integrated state is (V, V', V-J): the deficit V-J decays to
-zero while V and J separately approach V(inf), and differencing them at the
-far tail would lose all significant digits exactly where the indicator is
-needed.  The public J-based contracts are unaffected.
 """
 from __future__ import annotations
 
@@ -46,7 +56,7 @@ import numpy as np
 from .curve import REGIME_INTERIOR, REGIME_ZERO, RegimeSegment, SolutionCurve
 from .model import ExponentialClaims, ModelParams, require_valid
 from .operators import (curvature, curvature_fn, deficit, indicator, indicator_bands,
-                        regime_fraction, start_indicator, start_regime, theta_for,
+                        regime_fraction, slope_fn, start_indicator, start_regime, theta_for,
                         vertex_exclusion)
 from .series import SeriesExpansion, handoff_point, series_coefficients, series_eval
 
@@ -63,7 +73,7 @@ VP_FLOOR = 1e-13      # derivative underflow = completion
 MAX_STEP = 0.5        # integrator step cap
 _EPS = np.finfo(float).eps
 
-_COMPLETIONS = ("derivative-floor", "cancellation-floor")
+_COMPLETIONS = ("derivative-floor",)
 _ABORTS = ("deficit-zero", "indicator-below-exclusion")
 _COLUMNS = ("V", "Vp", "Vpp", "J", "phi", "theta", "regime")
 
@@ -101,6 +111,8 @@ def _zero_vp(params: ModelParams, x, y):
 
 
 def _rhs_for(regime: str, params: ModelParams, m: float):
+    """f(x, y) of A, B or ZERO on y = (V, V', V-J) for `_rk45_march`; the
+    interior regime marches in w (`_interior_w`)."""
     lam = params.lam
     if regime == REGIME_ZERO:
         # V' is slaved to the state, so its slot idles
@@ -118,6 +130,39 @@ def _rhs_for(regime: str, params: ModelParams, m: float):
     return f
 
 
+def _interior_w(params: ModelParams, m: float):
+    """(f, jac) of the interior regime in w = I/V' for `_radau_march`.
+
+    With q = (w + c + r x)/lambda = D/V' and u = V''/V' (`slope_fn`):
+    w' = lambda (1 - q/m - q u) - r and L' = u for L = ln V', so
+    dw'/dw = -1/m + (c + r x) u/w and du/dw = -u/w, as u = -kappa/w.
+    """
+    u = slope_fn(REGIME_INTERIOR, params)
+    lam, c, r, im = params.lam, params.c, params.r, 1.0 / m
+
+    def f(x, w):
+        uw = u(x, w)
+        return lam - r - (w + c + r * x) * (im + uw), uw
+
+    def jac(x, w):
+        uw = u(x, w)
+        return (c + r * x) * uw / w - im, -uw / w
+    return f, jac
+
+
+def _to_w(params: ModelParams, x, y):
+    """(V, V', V-J) -> (w, L, V)."""
+    V, Vp, D = y
+    return (params.lam * D / Vp - (params.c + params.r * x), math.log(Vp), V)
+
+
+def _from_w(params: ModelParams, x, y):
+    """(w, L, V) -> (V, V', V-J) for a node array (or a scalar x)."""
+    w, L, V = y
+    Vp = np.exp(L)
+    return np.array([V, Vp, (w + params.c + params.r * x) * Vp / params.lam])
+
+
 def _segment_events(regime: str, params: ModelParams, m: float):
     """(rows, g): the events ending the given regime's segment.
 
@@ -125,6 +170,8 @@ def _segment_events(regime: str, params: ModelParams, m: float):
     their values at once, in row order, sharing one deficit and indicator
     evaluation per call.  A switch event names the regime that follows: for
     mu != r the one whose band of `indicator_bands` shares the crossed bound.
+    y is the regime's march state: (w, L, V) in the interior regime, where
+    "deficit-zero" is w falling through 0, and (V, V', V-J) in the others.
     The events in _COMPLETIONS and _ABORTS have target None; the former end
     the march, the latter fail it.
     """
@@ -158,18 +205,15 @@ def _segment_events(regime: str, params: ModelParams, m: float):
              next(k for k, band in bands.items() if k != regime and level in band))
             for level in levels]
 
-    if regime == REGIME_INTERIOR:
+    if regime == REGIME_INTERIOR:  # on the state (w, L, V) of `_interior_w`
         (level,) = levels
-        scale = _completion_scale(params)
         A = vertex_exclusion(params)
-        rows += [("cancellation-floor", down, None), ("deficit-zero", down, None),
-                 ("indicator-below-exclusion", down, None), floor]
+        rows += [("deficit-zero", down, None), ("indicator-below-exclusion", down, None), floor]
 
         def g(x, y):
-            V, Vp, D = y.tolist()
-            I = deficit(params, x, Vp, lam * D)
-            phi = indicator(params, x, Vp, I)
-            return (phi - level, Vp - scale, I, abs(phi) - A, Vp - VP_FLOOR)
+            w, L, V = y
+            phi = indicator(params, x, 1.0, w)
+            return (phi - level, w, abs(phi) - A, math.exp(L) - VP_FLOOR)
         return rows, g
 
     def g(x, y):
@@ -177,13 +221,6 @@ def _segment_events(regime: str, params: ModelParams, m: float):
         phi = indicator(params, x, Vp, deficit(params, x, Vp, lam * D))
         return (*[phi - level for level in levels], Vp - VP_FLOOR)
     return rows + [floor], g
-
-
-def _completion_scale(params: ModelParams) -> float:
-    # derivative level below which the interior deficit I = lambda(V-J) - (c+rx)V',
-    # about 1e-3 of its terms in the far field, is cancellation noise; the
-    # interior march ends here
-    return 1e-9 * params.lam / params.c
 
 
 # scipy 1.17's RK45 (Dormand & Prince 5(4), dense output with Shampine's c6),
@@ -272,6 +309,23 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+def _first_event(events, directions, g, g_new, t_old, t, interpolant):
+    """(root, state, row) of the earliest event row fired on the step [t_old, t],
+    or None.  A row fires on a sign change in its direction (+1 rising, -1
+    falling) between its values g and g_new at the step's ends; a zero at
+    either end counts, as in solve_ivp.  interpolant() gives the step's dense
+    output at a scalar, on which _brentq roots each fired row."""
+    fired = [i for i, d in enumerate(directions)
+             if (g[i] <= 0 <= g_new[i] if d > 0 else g[i] >= 0 >= g_new[i])]
+    if not fired:
+        return None
+    sol = interpolant()
+    roots = [_brentq(lambda s, i=i: events(s, sol(s))[i], t_old, t,
+                     xtol=4 * _EPS, rtol=4 * _EPS) for i in fired]
+    k = roots.index(min(roots))
+    return roots[k], sol(roots[k]), fired[k]
+
+
 def _rk45_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
     """solve_ivp(fun, t_span, y0, "RK45", dense_output=True) with terminal events,
     forward in t only (t_span[0] <= t_span[1]).
@@ -329,17 +383,13 @@ def _rk45_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
         t_old, y_old, t, y = t, y, t_new, y_new
         status = 0 if t >= tf else None
         g_new = events(t, y)
-        fired = [i for i, d in enumerate(directions)
-                 if (g[i] <= 0 <= g_new[i] if d > 0 else g[i] >= 0 >= g_new[i])]
-        if fired:
-            Q = KT[-1].dot(P)
 
-            def sol(s):  # RkDenseOutput of this step at a scalar s
-                return h * np.dot(Q, np.cumprod(np.tile((s - t_old) / h, 4))) + y_old
-            roots = [_brentq(lambda s, i=i: events(s, sol(s))[i], t_old, t,
-                             xtol=4 * _EPS, rtol=4 * _EPS) for i in fired]
-            k = roots.index(min(roots))
-            t, y, status, event = roots[k], sol(roots[k]), 1, fired[k]
+        def interpolant():  # RkDenseOutput of this step at a scalar s
+            Q = KT[-1].dot(P)
+            return lambda s: h * np.dot(Q, np.cumprod(np.tile((s - t_old) / h, 4))) + y_old
+        end = _first_event(events, directions, g, g_new, t_old, t, interpolant)
+        if end is not None:
+            (t, y, event), status = end, 1
         g = g_new
         if t == t_old and steps.n:  # a root on the previous step's end
             y = y_old
@@ -406,10 +456,213 @@ class _DenseSteps:
         return out
 
 
+# Radau IIA with 3 stages (order 5, stiffly accurate; Hairer & Wanner 1996,
+# "Solving ODEs II", IV.8) as scipy 1.17's Radau lays it out: the nodes, the
+# error weights E, the eigen-transform T, TI of the inverse tableau (a real
+# eigenvalue and a complex pair) and P, the collocation polynomial's
+# coefficients from the stage increments; A is the tableau itself
+_S6 = 6 ** 0.5
+_RC = ((4 - _S6) / 10, (4 + _S6) / 10, 1.0)
+_RA = (((88 - 7 * _S6) / 360, (296 - 169 * _S6) / 1800, (-2 + 3 * _S6) / 225),
+       ((296 + 169 * _S6) / 1800, (88 + 7 * _S6) / 360, (-2 - 3 * _S6) / 225),
+       ((16 - _S6) / 36, (16 + _S6) / 36, 1 / 9))
+_RE = ((-13 - 7 * _S6) / 3, (-13 + 7 * _S6) / 3, -1 / 3)
+_MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
+_MU_COMPLEX = 3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3)) - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6))
+_RT = ((0.09443876248897524, -0.14125529502095421, 0.03002919410514742),
+       (0.25021312296533332, 0.20412935229379994, -0.38294211275726192),
+       (1.0, 1.0, 0.0))
+_RTI = ((4.17871859155190428, 0.32768282076106237, 0.52337644549944951),
+        (-4.17871859155190428, -0.32768282076106237, 0.47662355450055044),
+        (0.50287263494578682, -2.57192694985560522, 0.59603920482822492))
+_RP = ((13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6),
+       (13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6),
+       (1 / 3, -8 / 3, 10 / 3))
+NEWTON_MAXITER = 6
+
+
+def _radau_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
+    """March (w, L, V) with w' = f(x, w), L' = u(x, w), V' = e^L by Radau IIA,
+    forward in t; returns the fields of `_rk45_march`'s result plus
+    `newton_iters`.
+
+    `fun` is the pair (f, jac): f(x, w) gives (w', u) and jac(x, w) gives
+    (dw'/dw, du/dw), both plain floats.  Only w is implicit: the simplified
+    Newton iteration on its three stages takes one real and one complex
+    scalar division per round, and L and V are the quadratures of the w
+    stages (the Jacobian is triangular).  `newton_iters` counts the rounds
+    of three stage evaluations, the last round at the converged stages
+    included, so nfev = 1 + 3 newton_iters.  The step control is scipy's
+    (error estimate filtered by the real eigenvalue, Gustafsson's predictive
+    factor); atol holds the absolute tolerances of (w, L, V).  Steps never
+    exceed max_step.  Events and their roots are as in `_rk45_march`, rooted
+    on the step's collocation polynomial, which also gives `sol`.  A step
+    whose Newton iteration fails or reaches a non-finite f is halved; below
+    10 ulp(t) the march ends with status -1.
+    """
+    f, jac = fun
+    t, tf = map(float, t_span)
+    w, L, V = map(float, y0)
+    if not (math.isfinite(w) and math.isfinite(L) and math.isfinite(V)):
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    atol_w, atol_L, atol_V = map(float, atol)
+    newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
+    (c0, c1, _), (e0, e1, e2) = _RC, _RE
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = _RA
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = _RTI
+    (t00, t01, t02), (t10, t11, t12), _ = _RT
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = _RP
+
+    def coefficients(a, b, c):  # of s, s^2, s^3 from the stage increments
+        return (p00 * a + p10 * b + p20 * c, p01 * a + p11 * b + p21 * c,
+                p02 * a + p12 * b + p22 * c)
+    fw, fu = f(t, w)
+    nfev, newton, rejected = 1, 0, 0
+    ts, ys, rows = [t], [(w, L, V)], []
+    g = events(t, (w, L, V))
+    h_abs, h_old, err_old, prev = max_step, None, None, None
+    status = event = None
+    while status is None:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs > max_step or h_abs < min_step:
+            h_abs, h_old, err_old = min(max(h_abs, min_step), max_step), None, None
+        dfw, dudw = jac(t, w)
+        sw = atol_w + abs(w) * rtol
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = min(t + h_abs, tf)
+            while t_new - t > max_step:  # the cap holds after rounding too
+                t_new = math.nextafter(t_new, -math.inf)
+            h = t_new - t
+            xa, xb = t + c0 * h, t + c1 * h
+            if prev is None:  # Newton starts from the last step's polynomial
+                z0 = z1 = z2 = 0.0
+            else:
+                pt, ph, pw, q0, q1, q2 = prev
+                z0, z1, z2 = (pw + ((q2 * s + q1) * s + q0) * s - w
+                              for s in ((xa - pt) / ph, (xb - pt) / ph, (t_new - pt) / ph))
+            W0 = r00 * z0 + r01 * z1 + r02 * z2
+            Wc = complex(r10 * z0 + r11 * z1 + r12 * z2, r20 * z0 + r21 * z1 + r22 * z2)
+            mr, mc = _MU_REAL / h, _MU_COMPLEX / h
+            dr, dc = mr - dfw, mc - dfw
+            converged, norm_old, rate = False, None, None
+            for k in range(NEWTON_MAXITER):
+                F0, F1, F2 = f(xa, w + z0)[0], f(xb, w + z1)[0], f(t_new, w + z2)[0]
+                newton, nfev = newton + 1, nfev + 3
+                if not math.isfinite(F0 + F1 + F2):
+                    break
+                d0 = (r00 * F0 + r01 * F1 + r02 * F2 - mr * W0) / dr
+                dC = (complex(r10 * F0 + r11 * F1 + r12 * F2, r20 * F0 + r21 * F1 + r22 * F2)
+                      - mc * Wc) / dc
+                norm = math.sqrt((d0 * d0 + dC.real * dC.real + dC.imag * dC.imag) / 3) / sw
+                if norm_old is not None:
+                    rate = norm / norm_old
+                    if rate >= 1 or rate ** (NEWTON_MAXITER - k) / (1 - rate) * norm > newton_tol:
+                        break
+                W0, Wc = W0 + d0, Wc + dC
+                z0 = t00 * W0 + t01 * Wc.real + t02 * Wc.imag
+                z1 = t10 * W0 + t11 * Wc.real + t12 * Wc.imag
+                z2 = W0 + Wc.real
+                if norm == 0 or rate is not None and rate / (1 - rate) * norm < newton_tol:
+                    converged = True
+                    break
+                norm_old = norm
+            if not converged:
+                h_abs *= 0.5
+                rejected += 1
+                continue
+            # the converged stages: u for the quadratures, and f at the step end
+            (_, u0), (_, u1), (fw_new, u2) = f(xa, w + z0), f(xb, w + z1), f(t_new, w + z2)
+            newton, nfev = newton + 1, nfev + 3
+            zl0 = h * (a00 * u0 + a01 * u1 + a02 * u2)
+            zl1 = h * (a10 * u0 + a11 * u1 + a12 * u2)
+            zl2 = h * (a20 * u0 + a21 * u1 + a22 * u2)
+            v0, v1, v2 = math.exp(L + zl0), math.exp(L + zl1), math.exp(L + zl2)
+            zv0 = h * (a00 * v0 + a01 * v1 + a02 * v2)
+            zv1 = h * (a10 * v0 + a11 * v1 + a12 * v2)
+            zv2 = h * (a20 * v0 + a21 * v1 + a22 * v2)
+            y_new = (w + z2, L + zl2, V + zv2)
+            vp = math.exp(L)
+            err_w = (fw + (e0 * z0 + e1 * z1 + e2 * z2) / h) / dr
+            err_L = (fu + (e0 * zl0 + e1 * zl1 + e2 * zl2) / h + dudw * err_w) / mr
+            err_V = (vp + (e0 * zv0 + e1 * zv1 + e2 * zv2) / h + vp * err_L) / mr
+            err = math.sqrt(((err_w / (atol_w + max(abs(w), abs(y_new[0])) * rtol)) ** 2
+                             + (err_L / (atol_L + max(abs(L), abs(y_new[1])) * rtol)) ** 2
+                             + (err_V / (atol_V + max(abs(V), abs(y_new[2])) * rtol)) ** 2) / 3)
+            safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + k + 1)
+            if err_old is None or err == 0:
+                factor = math.inf if err == 0 else err ** -0.25
+            else:
+                factor = min(1, h_abs / h_old * (err_old / err) ** 0.25) * err ** -0.25
+            if err < 1:
+                h_old, err_old = h_abs, err
+                h_abs *= min(MAX_FACTOR, safety * factor)
+                break
+            h_abs *= max(MIN_FACTOR, safety * factor)
+            rejected += 1
+        if status == -1:
+            break
+        Q = (*coefficients(z0, z1, z2), *coefficients(zl0, zl1, zl2),
+             *coefficients(zv0, zv1, zv2))
+        t_old, y_old, t, y = t, (w, L, V), t_new, y_new
+        prev = (t_old, h, w, *Q[:3])
+        fw, fu, (w, L, V) = fw_new, u2, y
+        status = 0 if t >= tf else None
+        g_new = events(t, y)
+
+        def interpolant():  # the step's collocation polynomial at a scalar x
+            return lambda x: tuple(v + ((q2 * s + q1) * s + q0) * s
+                                   for s in [(x - t_old) / h]
+                                   for v, (q0, q1, q2) in zip(y_old, (Q[:3], Q[3:6], Q[6:])))
+        end = _first_event(events, directions, g, g_new, t_old, t, interpolant)
+        if end is not None:
+            (t, y, event), status = end, 1
+        g = g_new
+        if t == t_old and rows:  # a root on the previous step's end
+            y = y_old
+        else:
+            rows.append((t_old, h, *y_old, *Q))
+            ts.append(t)
+            ys.append(y)
+    steps = _CollocationSteps(ts, ys, rows)
+    return SimpleNamespace(t=steps.t, y=steps.y, sol=steps, nfev=nfev, rejected=rejected,
+                           newton_iters=newton, event=event, status=status,
+                           message=TOO_SMALL_STEP if status == -1 else None)
+
+
+class _CollocationSteps:
+    """`_radau_march`'s accepted steps: step i starts at t[i] from y[:, i],
+    spans h[i], and carries its collocation polynomial y + Q p, p the powers
+    (s, s^2, s^3) of s = (x - t[i])/h[i].  A query is an increasing 1-D array
+    of nodes; a node on a step end reads that end's state."""
+
+    def __init__(self, ts, ys, rows):
+        self.t, self.y = np.array(ts), np.array(ys).T
+        rows = np.array(rows).reshape(-1, 14)
+        self._t, self._h, self._y = rows[:, 0], rows[:, 1], rows[:, 2:5].T
+        self._Q = rows[:, 5:].reshape(-1, 3, 3).transpose(1, 2, 0)  # state, power, step
+
+    def __call__(self, x):
+        i = np.searchsorted(self.t, x)
+        hit = self.t[np.minimum(i, len(self.t) - 1)] == x
+        out = np.empty((3, len(x)))
+        out[:, hit] = self.y[:, i[hit]]
+        k = np.clip(i[~hit] - 1, 0, len(self._h) - 1)
+        s = (x[~hit] - self._t[k]) / self._h[k]
+        Q = self._Q[:, :, k]
+        out[:, ~hit] = self._y[:, k] + ((Q[:, 2] * s + Q[:, 1]) * s + Q[:, 0]) * s
+        return out
+
+
 # `solve` reaches the march through this module attribute, where the
 # benchmark's tracer (perfbench/tracing.py) wraps it to count steps, RHS
 # evaluations and events from the result's t, nfev and status
-solve_ivp = _rk45_march
+def solve_ivp(fun, t_span, y0, events, directions, rtol, atol, max_step, method="RK45"):
+    """One segment's march: `_rk45_march`, or `_radau_march` for method "Radau"."""
+    march = _radau_march if method == "Radau" else _rk45_march
+    return march(fun, t_span, y0, events, directions, rtol, atol, max_step)
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +692,16 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
     Returns the normalised solution (V(0) = 1) with its regime segmentation;
     survival probabilities are V(x)/V_inf, V_inf being V at the last node
     (`extrapolate_tail` states the tail's bound).  The march ends (meta
-    "completion") at x_max ("reached-x-max"), where V' reaches VP_FLOOR
-    ("derivative-floor"), or, in the interior regime, where V' falls to the
-    cancellation level 1e-9 lambda/c ("cancellation-floor"): below it the
-    deficit I = lambda(V-J) - (c+rx)V' that sets V'' and theta* has lost its
-    digits.  Raises ValueError, naming the field, for an rtol outside
-    [100 eps, inf), an atol that is negative or not finite, or an x_max of
-    +inf, and SolverAbort when x_max does not lie beyond the series handoff
-    point x_eps, on event oscillation (more than MAX_SWITCHES regime
-    changes), loss of monotonicity, I reaching zero above the cancellation
-    level, or an indicator falling below the vertex-exclusion cutoff.
+    "completion") at x_max ("reached-x-max") or where V' reaches VP_FLOOR
+    ("derivative-floor").  meta "march" holds one record per segment: its
+    stepper ("rk45", or "radau" in the interior regime, which also counts
+    its Newton rounds), steps, RHS evaluations and rejected attempts.
+    Raises ValueError, naming the field, for an rtol outside [100 eps, inf),
+    an atol that is negative or not finite, or an x_max of +inf, and
+    SolverAbort when x_max does not lie beyond the series handoff point
+    x_eps, on event oscillation (more than MAX_SWITCHES regime changes), a
+    failed step, loss of monotonicity, the interior deficit w = I/V'
+    reaching zero, or an indicator falling below the vertex-exclusion cutoff.
     """
     opts = options or SolveOptions()
     require_valid(params, ExponentialClaims(m))
@@ -474,34 +727,37 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
     n_switch = 0
     completion = "reached-x-max"
     while True:
-        if regime == REGIME_INTERIOR and y[1] <= _completion_scale(params):
-            completion = "cancellation-floor"
-            break
         rows, g = _segment_events(regime, params, m)
-        sol = solve_ivp(_rhs_for(regime, params, m), (x, x_max), y, g,
-                        [direction for _, direction, _ in rows],
-                        rtol=opts.rtol, atol=[opts.atol, opts.atol * 1e-2, opts.atol * 1e-2],
-                        max_step=MAX_STEP)
+        directions = [direction for _, direction, _ in rows]
+        if regime == REGIME_INTERIOR:  # L's absolute tolerance is V''s relative one
+            sol = solve_ivp(_interior_w(params, m), (x, x_max), _to_w(params, x, y), g,
+                            directions, rtol=opts.rtol,
+                            atol=(opts.atol * 1e-2, opts.rtol, opts.atol),
+                            max_step=min(MAX_STEP, out_dx), method="Radau")
+        else:
+            sol = solve_ivp(_rhs_for(regime, params, m), (x, x_max), y, g, directions,
+                            rtol=opts.rtol, atol=[opts.atol, opts.atol * 1e-2, opts.atol * 1e-2],
+                            max_step=MAX_STEP)
         if sol.status == -1:
             raise SolverAbort(f"integration failed in regime {regime} at x={sol.t[-1]}: {sol.message}",
                               {"x": sol.t[-1], "y": sol.y[:, -1]})
-        march.append({"regime": regime, "steps": len(sol.t) - 1, "rhs_evals": int(sol.nfev),
-                      "rejected": sol.rejected})
+        record = {"regime": regime, "stepper": "rk45", "steps": len(sol.t) - 1,
+                  "rhs_evals": int(sol.nfev), "rejected": sol.rejected}
+        if regime == REGIME_INTERIOR:
+            record.update(stepper="radau", newton_iters=sol.newton_iters)
+        march.append(record)
 
         ev_name, _, target = ("reached-x-max", None, None) if sol.event is None else rows[sol.event]
         switch = sol.status == 1 and ev_name not in _COMPLETIONS + _ABORTS
         nodes = _segment_nodes(sol.t, out_dx, hug_lo=n_switch > 0, hug_hi=switch)
         states = sol.sol(nodes)
-        if regime == REGIME_ZERO:
-            states[1] = _zero_vp(params, nodes, states)
-        if np.any(states[1] <= 0):
-            raise SolverAbort(f"V' lost positivity in regime {regime} near x={sol.t[-1]}",
-                              {"x": nodes[states[1] <= 0][0]})
-        _append_segment(nodes, states, regime, params, m, xs_all, cols)
-
         x_end, y = sol.t[-1], sol.y[:, -1]  # an event's root, as the march appended it
-        if regime == REGIME_ZERO:
+        if regime == REGIME_INTERIOR:
+            y = _from_w(params, x_end, y)
+        elif regime == REGIME_ZERO:
+            states[1] = _zero_vp(params, nodes, states)
             y[1] = _zero_vp(params, x_end, y)
+        _append_segment(nodes, states, regime, params, m, xs_all, cols)
         segments.append(RegimeSegment(x, x_end, regime, ev_name))
         x = x_end
 
@@ -562,14 +818,26 @@ def _segment_nodes(t, out_dx, hug_lo=False, hug_hi=False):
 
 
 def _append_segment(nodes, states, regime, params, m, xs_all, cols):
-    V, Vp, D = states
-    MV = params.lam * D
-    dMV = params.lam * (Vp - D / m) if regime == REGIME_ZERO else None
-    phi = indicator(params, nodes, Vp, deficit(params, nodes, Vp, MV))
+    """A segment's columns from its march states at the nodes: (w, L, V) in
+    the interior regime, (V, V', V-J) in the others."""
+    if regime == REGIME_INTERIOR:
+        w = states[0]
+        V, Vp, D = _from_w(params, nodes, states)
+        phi = indicator(params, nodes, 1.0, w)
+        Vpp = slope_fn(regime, params)(nodes, w) * Vp
+    else:
+        V, Vp, D = states
+        MV = params.lam * D
+        dMV = params.lam * (Vp - D / m) if regime == REGIME_ZERO else None
+        phi = indicator(params, nodes, Vp, deficit(params, nodes, Vp, MV))
+        Vpp = curvature(regime, params, nodes, Vp, MV, dMV)
+    if np.any(Vp <= 0):
+        raise SolverAbort(f"V' lost positivity in regime {regime} near x={nodes[-1]}",
+                          {"x": nodes[Vp <= 0][0]})
     xs_all.append(nodes)
     cols["V"].append(V)
     cols["Vp"].append(Vp)
-    cols["Vpp"].append(curvature(regime, params, nodes, Vp, MV, dMV))
+    cols["Vpp"].append(Vpp)
     cols["J"].append(V - D)
     cols["phi"].append(phi)
     cols["theta"].append(theta_for(regime, params, phi))
@@ -634,22 +902,20 @@ def extrapolate_tail(x, Vp, V_end, terminal_regime, params: ModelParams,
     dict bounds the survival mass beyond x_end (mode "converged") or says it
     has no bound (mode "open", "tail_mass_bound" None).
 
-    For exponential claims with mean m, an end in the interior regime, or in
-    ZERO at x_max, is in the interest-only far field (Sundt & Teugels 1995):
-    V' ~ C x^k e^(-x/m), k = lambda/r - 1, and since ln(t/x) <= t/x - 1 the
-    mass is at most V'_end / (1/m - k/x_end), open while x_end <= k m (k >= 0).
-    Else a march that ran V' down to a floor ("derivative-floor",
-    "deficit-zero", V'_end <= 10 VP_FLOOR) is bounded by V'_end, and any
-    other end at x_max (a terminal A or B, a general-claims end) is open.
+    For exponential claims with mean m, an end in the interior regime or in
+    ZERO, at a floor or at x_max, is in the interest-only far field (Sundt &
+    Teugels 1995): V' ~ C x^k e^(-x/m), k = lambda/r - 1, and since
+    ln(t/x) <= t/x - 1 the mass is at most V'_end / (1/m - k/x_end), open
+    while x_end <= k m (k >= 0).  Else a march that ran V' down to a floor
+    ("derivative-floor", "deficit-zero", V'_end <= 10 VP_FLOOR) is bounded by
+    V'_end, and any other end at x_max (a terminal A or B, a general-claims
+    end) is open.
     """
     x_end, v_end = float(x[-1]), float(Vp[-1])
-    at_cap = completion == "reached-x-max"
-    if completion == "cancellation-floor" or (m is not None and at_cap and (
-            terminal_regime == REGIME_INTERIOR
-            or (terminal_regime == REGIME_ZERO and v_end > 10.0 * VP_FLOOR))):
+    if m is not None and terminal_regime in (REGIME_INTERIOR, REGIME_ZERO):
         rate = 1.0 / m - max(params.lam / params.r - 1.0, 0.0) / x_end
         bound = v_end / rate if rate > 0 else None
-    elif not at_cap or v_end <= 10.0 * VP_FLOOR:
+    elif completion != "reached-x-max" or v_end <= 10.0 * VP_FLOOR:
         bound = v_end
     else:
         bound = None

@@ -1,8 +1,8 @@
 """The HJB equation's quantities for the constrained investment problem.
 
 This module is the one home of the equation's formulas and of its case
-table: the array kernel (`deficit`, `indicator`, `curvature`, `theta_for`,
-`infimum`) that both solvers call, and the per-regime facts
+table: the array kernel (`deficit`, `indicator`, `curvature`, `slope_fn`,
+`theta_for`, `infimum`) that the solvers call, and the per-regime facts
 (`regime_fraction`, `start_regime`, `start_indicator`, `indicator_bands`,
 `regime_for_indicator`) that the solvers, the CLI and the tests read; no
 other module derives a regime's fraction, start, phi(0+) or indicator band.  There is
@@ -48,6 +48,7 @@ __all__ = [
     "indicator",
     "curvature",
     "curvature_fn",
+    "slope_fn",
     "theta_for",
     "regime_for_theta",
     "vertex_exclusion",
@@ -110,6 +111,27 @@ def curvature_fn(regime: str, p: ModelParams):
     rc = regime_constants(p, regime_fraction(p, regime))
     mu_bar, sigma_bar2 = rc.mu_bar, rc.sigma_bar**2
     return lambda x, Vp, MV, dMV=None: 2.0 * (MV - (c + mu_bar * x) * Vp) / (sigma_bar2 * x**2)
+
+
+def slope_fn(regime: str, p: ModelParams):
+    """u(x, w) = V''/V' of one regime, its constants bound once.
+
+    With w = I/V' (the deficit per unit slope) `curvature` divided by V'
+    depends on (x, w) alone, M(V) being (w + c + r x) V':
+
+    INT:   u = -(mu - r)^2 / (2 sigma^2 w)
+    A, B:  u = 2 (w + (r - mu_bar) x) / (sigma_bar^2 x^2)
+
+    ZERO has w = 0 and a V'' set by M' (see `curvature`), so no such form.
+    """
+    if regime == REGIME_INTERIOR:
+        k = -((p.mu - p.r) ** 2) / (2.0 * p.sigma**2)
+        return lambda x, w: k / w
+    if regime == REGIME_ZERO:
+        raise ValueError("ZERO has no slope u(x, w): its V'' needs M'")
+    rc = regime_constants(p, regime_fraction(p, regime))
+    drift, sigma_bar2 = p.r - rc.mu_bar, rc.sigma_bar**2
+    return lambda x, w: 2.0 * (w + drift * x) / (sigma_bar2 * x**2)
 
 
 def theta_for(regime: str, p: ModelParams, phi: np.ndarray) -> np.ndarray:

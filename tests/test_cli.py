@@ -29,21 +29,25 @@ def _sha256(path):
 # SHA-256 of the Monte Carlo artifacts of the tests below, measured at commit
 # e2e3582 with numpy 2.4.6 and scipy 1.17.1; engine speedups keep these bytes.
 # example1-verify was re-recorded when `expected` moved from PCHIP to the
-# cubic Hermite on (V, V'); its MC columns kept their bytes
+# cubic Hermite on (V, V'); its MC columns kept their bytes.  The feedback
+# rows of example1-verify and example1-compare were re-drawn when Radau took
+# over the interior march (the policy's fingerprint hashes the curve's nodes)
 MC_SHA256 = {
     "oracle-verify": "ba00f140eb23b3ab42edb7f3530dbc9f4df0ed332d4717eea46b805a2db82f5e",
-    "example1-verify": "676a06652d6aa3d380922867a461bd2dadeaa1f2e0f56a70ff64c26f189c43cd",
-    "example1-compare": "4b73e55988f150cdb2154fa98fd6a9871e845960304dc5d5b489c2ac974d3924",
+    "example1-verify": "6b492ed76bc8ae2fd830ff27bc533f76adbd137dbd79e985e87fecb01e9f5dd7",
+    "example1-compare": "d6a6ed30a6da11b5492dfe3240f4d86d4c527542ed3146fdf0b04a351991fe7f",
 }
 
 # SHA-256 of the other artifacts the tests below write, measured at commit
 # 173c333 with numpy 2.4.6 and scipy 1.17.1; policy.csv and policy.json are the
-# same whether policy re-reads a solve or solves afresh
+# same whether policy re-reads a solve or solves afresh.  example1-curve.json,
+# example1-policy.csv and example1-verify.json were re-recorded when Radau
+# took over the interior march
 ARTIFACT_SHA256 = {
-    "example1-curve.json": "bbfdaba13b020a2ec053e898c750b889bf8210027ebcaeed2be5d8a9f7cf861b",
-    "example1-policy.csv": "f35dd93ac5050e5db3d734c67a3faccedfe037179c94c7baad3a926a8f44fd21",
+    "example1-curve.json": "b3bcf34b9d45899e94c85762e22e4dfda58c5a3fdf22084429626882fe31ba25",
+    "example1-policy.csv": "82a4795871c244ee53d4e53fb396aeab22fcfc0b73d69272ed5385fcb2294573",
     "example1-policy.json": "87ea10ddc0ffec99a169b1b6a769cbd23ba1fbcfa72af91e49cef8a7bf4c689b",
-    "example1-verify.json": "dca935a6d0ddd532d1d770faa557d44fedbcc4e2e0b232f35d15595def82b277",
+    "example1-verify.json": "05941725eb29a5f3ffa0427f7743d0140aa193eb697ab31321d6bcb86a75a52b",
     "xmax-abort.json": "223ccd072038a347a3008afbf54d08f4c7e4a9788d5265b996027a86a1386005",
 }
 
@@ -129,11 +133,13 @@ def test_policy_resolves_stale_curve(tmp_path):
 
 # SHA-256 of `ruinvest solve` curve.csv with default options, measured with
 # numpy 2.4.6 and scipy 1.17.1 (identical in two separate processes); the
-# solver refactors keep these bytes
+# solver refactors keep these bytes.  Re-recorded when Radau took over the
+# interior march in (w, L, V): every node before the interior switch kept its
+# bits, V_inf moved by at most 1.9e-10 relative
 CURVE_SHA256 = {
-    "example1": "dcd4cd682930438f24317219c3d5527a9089e71652a7187c3962b1390a85568c",
-    "example2": "070c0b20d96afcca3e07b8e90324add4d5365495fa162ca6c44fb27e718e5796",
-    "example3": "aabbc009370c36091c9c4db80bdf9bb65fbe6f944b8df365d4048407d3daecf5",
+    "example1": "5b2fa3a94ff25325b3d5787dbadcccec27e528329c373d14bd2006897587b3dd",
+    "example2": "0796dd8d4c8a2cbf6e7405feecea8233206c17e41b5b3533e8422e077f720838",
+    "example3": "5f3562445dd8cbe5d50ac574243a010f84584d1f9aeb6fc1dc99634a70e8faef",
 }
 
 

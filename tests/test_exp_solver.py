@@ -7,10 +7,13 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
+from ruinvest import curve as curve_module
 from ruinvest import exp_solver
 from ruinvest.curve import SolutionCurve
-from ruinvest.exp_solver import (SolveOptions, SolverAbort, _brentq, _rhs_for, _rk45_march,
-                                 _segment_events, _segment_nodes, extrapolate_tail, solve)
+from ruinvest.exp_solver import (TOO_SMALL_STEP, VP_FLOOR, SolveOptions, SolverAbort, _brentq,
+                                 _interior_w, _radau_march, _rhs_for, _rk45_march,
+                                 _segment_events, _segment_nodes, _to_w, extrapolate_tail,
+                                 solve)
 from ruinvest.model import ExponentialClaims, ModelParams, regime_constants
 from ruinvest.operators import curvature, indicator_bands, start_regime
 from ruinvest.series import handoff_point, series_coefficients, series_eval
@@ -69,12 +72,13 @@ def test_rhs_constant_third_order_consistency(example1):
 
 def test_rhs_interior_rejects_nonpositive_deficit(example1):
     # I < 0: the interior equation turns convex, and the interior row of the
-    # event table is past its "deficit-zero" abort
+    # event table (on the march state (w, L, V), w = I/V') is past its
+    # "deficit-zero" abort
     x, V, Vp, J = 5.0, 2.0, 10.0, 1.999
     assert curvature("INT", example1, x, Vp, example1.lam * (V - J)) > 0
     rows, g = _segment_events("INT", example1, M)
     i = [name for name, _, _ in rows].index("deficit-zero")
-    assert g(x, np.array([V, Vp, V - J]))[i] < 0
+    assert g(x, _to_w(example1, x, (V, Vp, V - J)))[i] < 0
 
 
 def test_rhs_interior_vertex_identity(example1, curve1):
@@ -385,28 +389,164 @@ def _hjb_step_grid(t, rng):
 
 
 def test_rk45_march_hjb_segments_match_solve_ivp(example1, curve1):
-    # example 1's first A segment (ended by its switch event) and a short
-    # stretch of the interior regime, each with the production event table
+    # example 1's first A segment, ended by its switch event, with the
+    # production event table; the interior stretch after the last switch is
+    # marched by Radau in (w, L, V) and checked against solve_ivp's Radau
     rng = np.random.default_rng(8)
     x_eps = curve1.meta["x_eps"]
+    V, Vp, _, J = series_eval(series_coefficients(example1, M, example1.a), x_eps, example1)
+    y0 = np.array([V, Vp, V - J])
+    options = dict(rtol=1e-10, atol=[1e-12, 1e-14, 1e-14], max_step=0.5)
+    rows, g = _segment_events("A", example1, M)
+    directions = [direction for _, direction, _ in rows]
+    rhs = _rhs_for("A", example1, M)
+    ref = solve_ivp(rhs, (x_eps, 44.0), y0, method="RK45", dense_output=True,
+                    events=_scalar_events(g, directions), **options)
+    got = _rk45_march(rhs, (x_eps, 44.0), y0, g, directions, **options)
+    _assert_same_march(got, ref)
+    assert got.status == 1
+    grid = _hjb_step_grid(got.t, rng)
+    assert np.array_equal(got.sol(grid), ref.sol(grid))
+
     lo = next(s.lo for s in curve1.segments if s.regime == "INT")
     i = int(np.searchsorted(curve1.x, lo))
-    starts = [("A", x_eps, 44.0, series_eval(series_coefficients(example1, M, example1.a),
-                                              x_eps, example1)),
-              ("INT", lo, lo + 0.3, (curve1.V[i], curve1.Vp[i], None, curve1.J[i]))]
-    options = dict(rtol=1e-10, atol=[1e-12, 1e-14, 1e-14], max_step=0.5)
-    for regime, x0, x1, (V, Vp, _, J) in starts:
-        y0 = np.array([V, Vp, V - J])
-        rows, g = _segment_events(regime, example1, M)
-        directions = [direction for _, direction, _ in rows]
-        rhs = _rhs_for(regime, example1, M)
-        ref = solve_ivp(rhs, (x0, x1), y0, method="RK45", dense_output=True,
-                        events=_scalar_events(g, directions), **options)
-        got = _rk45_march(rhs, (x0, x1), y0, g, directions, **options)
-        _assert_same_march(got, ref)
-        assert got.status == (1 if regime == "A" else 0)
-        grid = _hjb_step_grid(got.t, rng)
-        assert np.array_equal(got.sol(grid), ref.sol(grid))
+    y0 = _to_w(example1, lo, (curve1.V[i], curve1.Vp[i], curve1.V[i] - curve1.J[i]))
+    rows, g = _segment_events("INT", example1, M)
+    got = _radau_march(_interior_w(example1, M), (lo, lo + 0.3), y0, g,
+                       [direction for _, direction, _ in rows], rtol=1e-10,
+                       atol=(1e-14, 1e-10, 1e-12), max_step=0.05)
+    assert got.status == 0 and got.t[-1] == lo + 0.3
+    assert np.all(np.diff(got.t) <= 0.05)
+    grid = _hjb_step_grid(got.t, rng)
+    assert np.max(np.abs(got.sol(grid) / _w_reference(example1, y0, grid) - 1.0)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the Radau march of the interior regime
+# ---------------------------------------------------------------------------
+
+def _w_reference(p, y0, t_eval, atol=(1e-20, 1e-14, 1e-14)):
+    """solve_ivp's Radau at rtol 1e-13 on the interior (w, L, V) system from
+    (t_eval[0], y0), read at t_eval."""
+    f, jac = _interior_w(p, M)
+
+    def rhs(x, y):
+        fw, u = f(x, y[0])
+        return (fw, u, math.exp(y[1]))
+
+    def jf(x, y):
+        dfw, dudw = jac(x, y[0])
+        return ((dfw, 0.0, 0.0), (dudw, 0.0, 0.0), (0.0, math.exp(y[1]), 0.0))
+    ref = solve_ivp(rhs, (t_eval[0], t_eval[-1]), y0, method="Radau", rtol=1e-13,
+                    atol=list(atol), jac=jf, dense_output=True)
+    assert ref.success
+    return ref.sol(t_eval)
+
+
+# w' = -50 (w - sin t) + cos t, u = w: from (0, 0, 0), w = sin t and L = 1 - cos t
+_STIFF_SIN = (lambda t, w: (-50.0 * (w - math.sin(t)) + math.cos(t), w),
+              lambda t, w: (-50.0, 1.0))
+
+# (name, event levels (value w - level, or L - level when tagged "L"),
+#  directions, t_bound, fired event or None), as MARCH_CASES
+RADAU_CASES = [
+    ("up", [("w", 0.5), ("L", 2.5)], [1, -1], 6.0, 0),
+    ("down", [("w", 2.0), ("L", 0.2)], [1, -1], 6.0, 1),
+    ("two-in-one-step", [("w", 0.5000001), ("w", 0.5)], [1, 1], 6.0, 1),
+    ("t-bound", [("w", 2.0), ("L", -1.0)], [1, -1], 3.0, None),
+]
+
+
+def _radau_sin(levels, directions, t_bound, fun=_STIFF_SIN):
+    slot = {"w": 0, "L": 1}
+
+    def g(t, y):
+        return tuple(y[slot[k]] - level for k, level in levels)
+    return _radau_march(fun, (0.0, t_bound), (0.0, 0.0, 0.0), g, directions, rtol=1e-10,
+                        atol=(1e-12, 1e-12, 1e-12), max_step=0.1)
+
+
+@pytest.mark.parametrize("name, levels, directions, t_bound, fired", RADAU_CASES,
+                         ids=[c[0] for c in RADAU_CASES])
+def test_radau_march_contract(name, levels, directions, t_bound, fired):
+    got = _radau_sin(levels, directions, t_bound)
+    assert got.status == (0 if fired is None else 1)
+    assert got.event == fired
+    assert got.message is None
+    assert got.nfev == 1 + 3 * got.newton_iters
+    assert np.all(np.diff(got.t) <= 0.1)
+    end = {"up": math.pi / 6, "down": 2 * math.pi - math.acos(0.8),
+           "two-in-one-step": math.pi / 6, "t-bound": 3.0}[name]
+    assert got.t[-1] == pytest.approx(end, abs=1e-9)
+    # the step ends and the collocation polynomials against the exact solution
+    grid = np.sort(np.concatenate([got.t, np.linspace(0.0, got.t[-1], 97)]))
+    w, L, V = got.sol(grid)
+    assert np.max(np.abs(w - np.sin(grid))) <= 1e-8
+    assert np.max(np.abs(L - (1.0 - np.cos(grid)))) <= 1e-8
+    Vq = [quad(lambda s: math.exp(1.0 - math.cos(s)), 0.0, x, epsabs=1e-13)[0] for x in grid[::8]]
+    assert np.max(np.abs(V[::8] - Vq)) <= 1e-8
+    assert np.array_equal(got.y[:, -1], got.sol(got.t[-1:])[:, 0])
+    if name == "two-in-one-step":
+        # the later level alone ends the march in the same step: both fired there
+        alone = _radau_sin(levels[:1], directions[:1], t_bound)
+        assert alone.t[-2] == got.t[-2] < got.t[-1] < alone.t[-1]
+
+
+def test_radau_march_failure_ends_with_status_minus_one():
+    # f turns NaN beyond t = 2: every step reaching past it fails its Newton
+    # iteration and is halved until the step falls below 10 ulp(t)
+    f, jac = _STIFF_SIN
+
+    def nan_beyond_two(t, w):
+        return f(t, w) if t < 2.0 else (math.nan, math.nan)
+    got = _radau_sin([("w", 2.0)], [1], 6.0, fun=(nan_beyond_two, jac))
+    assert got.status == -1 and got.event is None
+    assert got.message == TOO_SMALL_STEP
+    assert 1.9 < got.t[-1] < 2.0
+    assert got.rejected > 0
+    assert got.t[-1] == pytest.approx(2.0, abs=1e-6)
+
+
+EXAMPLE_PARAMS = ["example1", "example2", "example3", "anchor"]
+
+
+def _params(request, which):
+    return ModelParams(**ANCHOR_POS_ALTB) if which == "anchor" else request.getfixturevalue(which)
+
+
+@pytest.mark.parametrize("which", EXAMPLE_PARAMS)
+def test_interior_march_matches_radau_oracle(monkeypatch, request, which):
+    # every interior segment of the solve, from its (w, L, V) start, against
+    # solve_ivp's Radau at rtol 1e-13 at the march's step ends (measured:
+    # V 4e-14, V' 5e-13, w 5e-11 at most)
+    p = _params(request, which)
+    runs = []
+
+    def spy(*args):
+        runs.append((args[2], _radau_march(*args)))
+        return runs[-1][1]
+    monkeypatch.setattr(exp_solver, "_radau_march", spy)
+    solve(p, M)
+    assert runs
+    for y0, got in runs:
+        w, L, V = _w_reference(p, y0, got.t)
+        assert np.max(np.abs(got.y[2] / V - 1.0)) <= 1e-11
+        assert np.max(np.abs(np.exp(got.y[1] - L) - 1.0)) <= 1e-10
+        assert np.max(np.abs(got.y[0] / w - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("which", EXAMPLE_PARAMS)
+def test_interior_march_is_implicit(request, which):
+    # an explicit interior march takes 5,283-37,571 steps on these segments;
+    # the implicit one at most 1,319
+    cur = solve(_params(request, which), M)
+    interior = [seg for seg in cur.meta["march"] if seg["regime"] == "INT"]
+    assert interior and all(seg["stepper"] == "radau" for seg in interior)
+    assert all(seg["steps"] <= 1500 for seg in interior)
+    # steps are capped at the output spacing, so the one interior segment's
+    # nodes are its step ends and the three that hug the switch into it
+    (seg,) = interior
+    assert np.sum(cur.regime == "INT") == seg["steps"] + 3
 
 
 def test_segment_nodes_match_linspace_loop():
@@ -500,23 +640,50 @@ def test_examples_follow_tail_rule(curve1, curve2, curve3, tail_rule):
         tail_rule(cur)
 
 
-def test_tail_converged_mode(curve1):
-    # Example 1 completes with the derivative at the cancellation level: no tail fit
-    assert curve1.meta["completion"] == "cancellation-floor"
+def test_tail_converged_mode(example1, curve1):
+    # Example 1's interior march reaches the default x_max with V' above the
+    # floor: the interest-only bound closes the tail
+    assert curve1.meta["completion"] == "reached-x-max"
     assert curve1.meta["tail"]["mode"] == "converged"
-    assert curve1.Vp[-1] == pytest.approx(1e-9 * 0.09 / 0.02, rel=1e-9)
+    k = example1.lam / example1.r - 1.0
+    assert curve1.meta["tail"]["tail_mass_bound"] == curve1.Vp[-1] / (1.0 / M - k / curve1.x[-1])
+    assert VP_FLOOR < curve1.Vp[-1] < curve1.meta["tail"]["tail_mass_bound"] < 1e-11
 
 
-def test_cancellation_floor_tail_bound(example1):
-    # interest-only far field V' = x^k e^(-x/m), k = lambda/r - 1 = 5
+def test_interior_tail_bound_is_interest_only(example1):
+    # interest-only far field V' = x^k e^(-x/m), k = lambda/r - 1 = 5, at a
+    # floor end as at x_max
     x = np.linspace(20.0, 34.0, 50)
     Vp = x**5 * np.exp(-x / M)
-    V_inf, tail = extrapolate_tail(x, Vp, V_end=10.0, terminal_regime="INT",
-                                   params=example1, completion="cancellation-floor", m=M)
-    assert V_inf == 10.0
     mass = quad(lambda t: t**5 * np.exp(-t / M), 34.0, np.inf)[0]
-    assert mass <= tail["tail_mass_bound"] <= 1.01 * mass
-    assert tail["tail_mass_bound"] > 1.1 * Vp[-1] * M
+    for completion in ("derivative-floor", "reached-x-max"):
+        V_inf, tail = extrapolate_tail(x, Vp, V_end=10.0, terminal_regime="INT",
+                                       params=example1, completion=completion, m=M)
+        assert V_inf == 10.0
+        assert mass <= tail["tail_mass_bound"] <= 1.01 * mass
+        assert tail["tail_mass_bound"] > 1.1 * Vp[-1] * M
+
+
+def test_floor_end_bound_holds_the_far_field_mass(example1):
+    # a floor end in ZERO or INT states at least the mass of its own flow
+    # beyond x_end; V'_end alone (6.82e-13 on mu=r-B-ZERO, against a mass of
+    # 7.63e-13) understates it
+    p = ModelParams(**BRANCH_SHA256["mu=r-B-ZERO"][0])
+    cur = solve(p, M)
+    x_end, vp_end, k = cur.x[-1], cur.Vp[-1], p.lam / p.r - 1.0
+    assert cur.segments[-1].regime == "ZERO" and vp_end <= 10.0 * VP_FLOOR
+    mass = quad(lambda x: vp_end * ((p.c + p.r * x) / (p.c + p.r * x_end)) ** k
+                * np.exp(-(x - x_end) / M), x_end, np.inf, epsabs=0.0, epsrel=1e-12)[0]
+    assert vp_end < mass <= cur.meta["tail"]["tail_mass_bound"]
+    # the interior flow of example 1 past its derivative floor at a doubled x_max
+    cur = solve(example1, M, SolveOptions(x_max=2 * 200.0 * example1.c / example1.lam))
+    assert cur.meta["completion"] == "derivative-floor"
+    x_end = cur.x[-1]
+    y0 = (cur.phi[-1] * (example1.mu - example1.r) * x_end / 2.0, math.log(cur.Vp[-1]), 0.0)
+    w, L, mass = _w_reference(example1, y0, np.array([x_end, x_end + 60.0]),
+                              atol=[1e-20, 1e-14, 1e-28])[:, -1]
+    assert math.exp(L) < 1e-20 * mass
+    assert cur.Vp[-1] < mass <= cur.meta["tail"]["tail_mass_bound"]
 
 
 def test_interior_tail_at_x_max_is_bounded(example1, curve1):
@@ -674,7 +841,7 @@ def test_claim_scale_identity(example1):
     assert np.max(np.abs(cur.survival(cur.x) - half.survival(cur.x / 2.0))) <= 1e-6
 
 
-def test_csv_roundtrip(tmp_path, curve1):
+def test_csv_roundtrip(tmp_path, monkeypatch, curve1):
     path = tmp_path / "curve.csv"
     Vpp = curve1.Vpp.copy()
     Vpp[-1] = -np.inf  # the deficit-zero node of an aborting march reads -inf
@@ -701,10 +868,14 @@ def test_csv_roundtrip(tmp_path, curve1):
     cur.to_json(tmp_path / "curve.json", manifest={"hash": "deadbeef"})
     assert SolutionCurve.from_csv(path).V_inf == cur.V[-1]
     # the table is written in row blocks; the bytes do not depend on them
+    # (example 1 has fewer nodes than one block, so the blocks shrink here)
     lines = path.read_text().splitlines()
     assert len(lines) == 2 + len(cur.x)
-    assert lines[2 + 4096] == "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s" % tuple(
-        a[4096] for a in (cur.x, cur.V, cur.Vp, cur.Vpp, cur.J, cur.phi, cur.theta_star,
+    monkeypatch.setattr(curve_module, "CSV_BLOCK", 500)
+    cur.to_csv(tmp_path / "blocks.csv", manifest_hash="deadbeef")
+    assert (tmp_path / "blocks.csv").read_bytes() == path.read_bytes()
+    assert lines[2 + 1000] == "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s" % tuple(
+        a[1000] for a in (cur.x, cur.V, cur.Vp, cur.Vpp, cur.J, cur.phi, cur.theta_star,
                           cur.regime))
 
 
@@ -723,7 +894,10 @@ ANCHOR_POS_ALTB = dict(c=0.01551, lam=0.1095, r=0.02674, mu=0.03099, sigma=0.295
 # bit-identical); (params, x_max, segments as (regime, terminal event)).
 # example1-x4 was re-recorded when its open tail stopped adding a power-law
 # guess: V_inf 26.267091302350433 -> 25.472375338872542 = V(4), every
-# column unchanged
+# column unchanged.  example1-x15 and anchor-pos-altb-convex-open were
+# re-recorded when Radau took over the interior march in (w, L, V) (every
+# node before the interior switch kept its bits): 638479805cb0... ->
+# 8aaf51a65a7d... and 0066949ad788... -> d4da42f395c1...
 BRANCH_SHA256 = {
     "mu=r-B-ZERO": (
         dict(c=0.02, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0), None,
@@ -745,12 +919,12 @@ BRANCH_SHA256 = {
         EXAMPLE1, 15.0,
         [("A", "indicator-extreme-bound"), ("B", "indicator-extreme-bound"),
          ("A", "indicator-interior-bound"), ("INT", "reached-x-max")],
-        "638479805cb0f17ab4a6f349368fd495f6df0373b7207c3adffe945aefd09dc9"),
+        "8aaf51a65a7d610c3cceca85f95c6e30a2fcb5918f5d0359751cc1f0f4d5604a"),
     "anchor-pos-altb-convex-open": (
         ANCHOR_POS_ALTB, None,
         [("A", "indicator-extreme-bound"), ("B", "indicator-extreme-bound"),
          ("A", "indicator-interior-bound"), ("INT", "reached-x-max")],
-        "0066949ad788c0d5e523414c6626bb34707d9fce7d7d9b27566215f7970003d5"),
+        "d4da42f395c10ebd9cba31d0013265e269ee282884729eaf3d2f6ee41df32f36"),
 }
 
 
@@ -764,29 +938,47 @@ def test_march_branch_bytes_pinned(curve_sha256, tail_rule, case):
 
 
 def test_march_work_counts_in_sidecar(curve1):
-    # one record per integrated segment; totals measured at commit 2250894
+    # one record per integrated segment.  Totals: 5,701 steps and 34,256 RHS
+    # evaluations while RK45 marched the interior regime too (measured at
+    # commit 2250894), 1,280 and 11,332 with the interior marched by Radau
     march = curve1.sidecar()["march"]
     assert [seg["regime"] for seg in march] == [s.regime for s in curve1.segments]
-    assert sum(seg["steps"] for seg in march) == 5701
-    assert sum(seg["rhs_evals"] for seg in march) == 34256
-    # 2 RHS evaluations start each segment, 6 go into every step attempt
+    assert [seg["stepper"] for seg in march] == ["rk45", "rk45", "rk45", "radau"]
+    assert sum(seg["steps"] for seg in march) == 1280
+    assert sum(seg["rhs_evals"] for seg in march) == 11332
     assert [seg["rejected"] for seg in march] == [3, 0, 2, 2]
     for seg in march:
-        assert seg["rhs_evals"] == 2 + 6 * (seg["steps"] + seg["rejected"])
+        if seg["stepper"] == "rk45":
+            # 2 RHS evaluations start each segment, 6 go into every step attempt
+            assert seg["rhs_evals"] == 2 + 6 * (seg["steps"] + seg["rejected"])
+        else:
+            # 1 starts the segment, 3 go into every round of stage evaluations
+            assert seg["rhs_evals"] == 1 + 3 * seg["newton_iters"]
 
 
 @pytest.mark.parametrize("which", ["example1", "example2", "example3"])
 def test_survival_between_nodes_matches_segment_ode(request, which):
     # survival at seeded points between nodes against the segment's own ODE,
-    # integrated by DOP853 from the left node's (V, V', V - J)
+    # integrated by DOP853 from the left node's (V, V', V - J), or its
+    # (w, L, V) in the interior regime
     p, curve = request.getfixturevalue(which), request.getfixturevalue("curve" + which[-1])
     rng = np.random.default_rng(16)
     xq = rng.uniform(curve.meta["x_eps"], 20.0, 300)
     left = np.searchsorted(curve.x, xq, side="right") - 1
     ref = np.empty_like(xq)
     for j, (x, i) in enumerate(zip(xq, left)):
-        y0 = [curve.V[i], curve.Vp[i], curve.V[i] - curve.J[i]]
-        run = solve_ivp(_rhs_for(str(curve.regime[i]), p, M), (curve.x[i], x), y0,
-                        method="DOP853", rtol=1e-13, atol=1e-16)
-        ref[j] = run.y[0, -1] / curve.V_inf
+        regime = str(curve.regime[i])
+        if regime == "INT":  # the march's own state (w, L, V), w = I/V'
+            y0 = [curve.phi[i] * (p.mu - p.r) * curve.x[i] / 2.0, math.log(curve.Vp[i]),
+                  curve.V[i]]
+            f, _ = _interior_w(p, M)
+
+            def rhs(t, y):
+                fw, u = f(t, y[0])
+                return (fw, u, math.exp(y[1]))
+        else:
+            y0 = [curve.V[i], curve.Vp[i], curve.V[i] - curve.J[i]]
+            rhs = _rhs_for(regime, p, M)
+        run = solve_ivp(rhs, (curve.x[i], x), y0, method="DOP853", rtol=1e-13, atol=1e-16)
+        ref[j] = run.y[-1 if regime == "INT" else 0, -1] / curve.V_inf
     assert np.max(np.abs(curve.survival(xq) / ref - 1.0)) <= 2e-8

@@ -5,9 +5,10 @@ import pytest
 
 from ruinvest.exp_solver import _segment_events
 from ruinvest.model import ModelParams
+from ruinvest.model import regime_constants
 from ruinvest.operators import (curvature, deficit, indicator, indicator_bands, infimum,
-                                regime_for_indicator, regime_for_theta, theta_for,
-                                vertex_exclusion)
+                                regime_for_indicator, regime_for_theta, regime_fraction,
+                                slope_fn, theta_for, vertex_exclusion)
 
 
 def _random_states(rng, n):
@@ -377,3 +378,26 @@ def test_regime_for_indicator_case_tables(example1, example2):
     assert regime_for_indicator(-0.5, example2) == "INT"
     assert regime_for_indicator(-1.5, example2) == "B"
     assert regime_for_indicator(-thr - 0.01, example2) == "A"
+
+
+@pytest.mark.parametrize("which", ["1", "2", "3"])
+def test_slope_times_derivative_is_curvature(request, which):
+    # u(x, w) V' = `curvature` with M = (w + c + r x) V', on the example
+    # curves' nodes (w = I/V' from phi).  curvature's difference
+    # M - (c + drift x) V' loses digits in the ratio of its terms to the result
+    # (up to 1e3 on INT's far field), so the bound is eps times that ratio
+    p, cur = request.getfixturevalue("example" + which), request.getfixturevalue("curve" + which)
+    for regime in ("INT", "A", "B"):
+        sel = (cur.regime == regime) & (cur.x > cur.meta["x_eps"])
+        x, Vp = cur.x[sel], cur.Vp[sel]
+        w = cur.phi[sel] * (p.mu - p.r) * x / 2.0
+        drift = p.r if regime == "INT" else regime_constants(p, regime_fraction(p, regime)).mu_bar
+        ratio = (np.abs(w) + 2.0 * p.c + (p.r + abs(drift)) * x) / np.abs(w + (p.r - drift) * x)
+        got = slope_fn(regime, p)(x, w) * Vp
+        ref = curvature(regime, p, x, Vp, (w + p.c + p.r * x) * Vp)
+        assert np.all(np.abs(got / ref - 1.0) <= 8 * np.finfo(float).eps * ratio), regime
+        if regime == "INT":
+            # the Vpp column is this product on the march's own w
+            assert sel.sum() > 800 and np.all(np.abs(got / cur.Vpp[sel] - 1.0) <= 1e-14)
+    with pytest.raises(ValueError, match="ZERO"):
+        slope_fn("ZERO", p)
