@@ -3,46 +3,43 @@
 The exponential kernel turns the claim convolution into one extra ODE
 component: with J(x) = int_0^x V(x-z) exp(-z/m)/m dz one has J' = (V - J)/m
 and M(V) = lambda (V - J) exactly, so each regime of the HJB solution is an
-ordinary (not integro-) differential equation in (V, V', J):
+ordinary (not integro-) differential equation.  It is linear and homogeneous
+in V, so each regime's u = V''/V' depends on x and on the deficit per unit
+slope w = I/V' = lambda (V - J)/V' - (c + r x) alone (`operators.slope_fn`):
 
-    constant regime gamma:  V'' = 2 [lambda (V-J) - (c + mu_bar x) V']
-                                     / (sigma_bar^2 x^2)
-    interior regime:        V'' = -(mu - r)^2 V'^2 / (2 sigma^2 I),
-                            I = lambda (V-J) - (c + r x) V'
-    no investment (mu = r): V' = lambda (V-J) / (c + r x)
+    constant regime gamma:  u = 2 (w + (r - mu_bar) x) / (sigma_bar^2 x^2)
+    interior regime:        u = -kappa/w,  kappa = (mu - r)^2 / (2 sigma^2)
+    no investment (mu = r): w = 0,  u = (lambda - r)/(c + r x) - 1/m
+
+and every regime marches the same state (w, L = ln V', V):
+
+    w' = lambda - r - (w + c + r x)(1/m + u),  L' = u,  V' = e^L.
+
+w alone decides the policy: the indicator is phi = 2w/((mu - r) x).  It
+carries I without the cancellation in lambda (V - J) - (c + r x) V', so phi
+and the switch points keep their digits, and V' is never resolved to an
+absolute tolerance.
 
 The march starts from the near-zero asymptotic series of the initial regime
-(`operators.start_regime`), tracks the policy indicator phi, and switches
-regimes where phi leaves the regime's band (`operators.indicator_bands`):
-each row of a regime's event table names the regime across the crossed bound.
-The march owns its steppers and imports no scipy.
+(`operators.start_regime`), w from the series' V''/V', tracks phi, and
+switches regimes where phi leaves the regime's band
+(`operators.indicator_bands`): each row of a regime's event table names the
+regime across the crossed bound.
 
-The constant regimes (and ZERO) march (V, V', V-J) with a forward-only
-Dormand-Prince 5(4) stepper: the tableau, the first-step rule, the step
-control and the event root finder (Brent's method) copy scipy 1.17's RK45
-and brentq (the oracle tests against solve_ivp and brentq catch a drifted
-scipy); the option checks are `solve`'s, made once before the march.  It
-evaluates all of a regime's events in one fused function per step, localises
-a crossing on the step's interpolant, and evaluates the increasing output
-nodes in blocks of steps, bit-identical to scipy's solve_ivp.  The deficit
-V-J decays to zero while V and J separately approach V(inf), and
-differencing them at the far tail would lose all significant digits exactly
-where the indicator is needed; the public J-based contracts are unaffected.
-
-The interior regime is stiff: in w = I/V' its equation reads
-w' = lambda - r - (w + c + r x)(1/m + u) with u = V''/V' = -kappa/w,
-kappa = (mu - r)^2/(2 sigma^2), so dw'/dw = -1/m - kappa (c + r x)/w^2 grows
-as w settles at kappa m.  It marches (w, L = ln V', V) by a 3-stage Radau IIA
-step (Hairer & Wanner 1996): the stage Newton iteration acts on the scalar w
-alone, L and V are the quadratures of its stages, and steps are capped at the
-output spacing, so every step end is a node.  w carries I without
-cancellation, so the indicator phi = 2w/((mu - r) x) and theta* keep their
-digits down to the derivative floor.
+One stepper marches every segment: a 3-stage Radau IIA step (Hairer & Wanner
+1996) in plain Python floats.  The interior regime is stiff (dw'/dw =
+-1/m - kappa (c + r x)/w^2 grows as w settles at kappa m), and so is a
+constant regime near zero surplus (dw'/dw ~ -2c/(sigma_bar^2 x^2)).  The stage
+Newton iteration acts on the scalar w alone, L and V are the quadratures of
+its stages, and steps are capped at the output spacing, so every step end is
+a node.  Event roots are found by Brent's method on the step's collocation
+polynomial.  The march imports no scipy.
 
 When mu = r the drift is theta-free and there is no interior regime: the
 largest-|theta| endpoint is optimal while V'' > 0 and theta = 0 (ZERO) while
 V'' < 0.  One march serves both cases, with a curvature row in place of the
-indicator rows.
+indicator rows: w falling through 0 ends the endpoint regime, u rising
+through 0 ends ZERO.
 """
 from __future__ import annotations
 
@@ -54,10 +51,9 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .curve import REGIME_INTERIOR, REGIME_ZERO, RegimeSegment, SolutionCurve
-from .model import ExponentialClaims, ModelParams, require_valid
-from .operators import (curvature, curvature_fn, deficit, indicator, indicator_bands,
-                        regime_fraction, slope_fn, start_indicator, start_regime, theta_for,
-                        vertex_exclusion)
+from .model import ExponentialClaims, ModelParams, regime_constants, require_valid
+from .operators import (indicator, indicator_bands, regime_fraction, slope_fn, start_indicator,
+                        start_regime, theta_for, vertex_exclusion)
 from .series import SeriesExpansion, handoff_point, series_coefficients, series_eval
 
 __all__ = [
@@ -105,39 +101,16 @@ class SolverAbort(RuntimeError):
 # regime table: right-hand side and ending events of each regime
 # ---------------------------------------------------------------------------
 
-def _zero_vp(params: ModelParams, x, y):
-    """V' on the ZERO branch, slaved by I = 0 to lambda (V-J) / (c + r x)."""
-    return params.lam * y[2] / (params.c + params.r * x)
+def _w_system(regime: str, params: ModelParams, m: float):
+    """(f, jac) of one regime on its march state (w, L, V) for `_radau_march`.
 
-
-def _rhs_for(regime: str, params: ModelParams, m: float):
-    """f(x, y) of A, B or ZERO on y = (V, V', V-J) for `_rk45_march`; the
-    interior regime marches in w (`_interior_w`)."""
-    lam = params.lam
-    if regime == REGIME_ZERO:
-        # V' is slaved to the state, so its slot idles
-        def f(x, y):
-            y = y.tolist()
-            vp = _zero_vp(params, x, y)
-            return (vp, 0.0, vp - y[2] / m)
-        return f
-
-    vpp = curvature_fn(regime, params)
-
-    def f(x, y):
-        V, Vp, D = y.tolist()
-        return (Vp, vpp(x, Vp, lam * D), Vp - D / m)
-    return f
-
-
-def _interior_w(params: ModelParams, m: float):
-    """(f, jac) of the interior regime in w = I/V' for `_radau_march`.
-
-    With q = (w + c + r x)/lambda = D/V' and u = V''/V' (`slope_fn`):
+    With q = (w + c + r x)/lambda = (V - J)/V' and u = V''/V' (`slope_fn`):
     w' = lambda (1 - q/m - q u) - r and L' = u for L = ln V', so
-    dw'/dw = -1/m + (c + r x) u/w and du/dw = -u/w, as u = -kappa/w.
+    dw'/dw = -(1/m + u) - (w + c + r x) du/dw.  ZERO holds w at 0.
     """
-    u = slope_fn(REGIME_INTERIOR, params)
+    u, dudw = slope_fn(regime, params, m)
+    if regime == REGIME_ZERO:
+        return (lambda x, w: (0.0, u(x, w))), (lambda x, w: (0.0, 0.0))
     lam, c, r, im = params.lam, params.c, params.r, 1.0 / m
 
     def f(x, w):
@@ -145,123 +118,62 @@ def _interior_w(params: ModelParams, m: float):
         return lam - r - (w + c + r * x) * (im + uw), uw
 
     def jac(x, w):
-        uw = u(x, w)
-        return (c + r * x) * uw / w - im, -uw / w
+        du = dudw(x, w)
+        return -(im + u(x, w)) - (w + c + r * x) * du, du
     return f, jac
-
-
-def _to_w(params: ModelParams, x, y):
-    """(V, V', V-J) -> (w, L, V)."""
-    V, Vp, D = y
-    return (params.lam * D / Vp - (params.c + params.r * x), math.log(Vp), V)
-
-
-def _from_w(params: ModelParams, x, y):
-    """(w, L, V) -> (V, V', V-J) for a node array (or a scalar x)."""
-    w, L, V = y
-    Vp = np.exp(L)
-    return np.array([V, Vp, (w + params.c + params.r * x) * Vp / params.lam])
 
 
 def _segment_events(regime: str, params: ModelParams, m: float):
     """(rows, g): the events ending the given regime's segment.
 
     rows holds one (name, direction, target) per event; g(x, y) returns all
-    their values at once, in row order, sharing one deficit and indicator
-    evaluation per call.  A switch event names the regime that follows: for
-    mu != r the one whose band of `indicator_bands` shares the crossed bound.
-    y is the regime's march state: (w, L, V) in the interior regime, where
-    "deficit-zero" is w falling through 0, and (V, V', V-J) in the others.
-    The events in _COMPLETIONS and _ABORTS have target None; the former end
-    the march, the latter fail it.
+    their values at once, in row order, on the march state y = (w, L, V).  A
+    switch event names the regime that follows: for mu != r the one whose
+    band of `indicator_bands` shares the crossed bound.  The events in
+    _COMPLETIONS and _ABORTS have target None; the former end the march, the
+    latter fail it.
     """
-    lam = params.lam
     up, down = 1, -1
-    floor = ("derivative-floor", down, None)
-
-    if params.mu == params.r:
+    if params.mu == params.r:  # the sign of V'' is that of w, or of u in ZERO
         if regime == REGIME_ZERO:
-            vpp = curvature_fn(REGIME_ZERO, params)
+            u, _ = slope_fn(REGIME_ZERO, params, m)
+            rows = [("curvature-positive", up, start_regime(params))]
 
-            def g(x, y):
-                y = y.tolist()
-                vp = _zero_vp(params, x, y)
-                return (vpp(x, vp, lam * y[2], lam * (vp - y[2] / m)), vp - VP_FLOOR)
-            return [("curvature-positive", up, start_regime(params)), floor], g
+            def lead(x, w):
+                return (u(x, w),)
+        else:
+            rows = [("curvature-negative", down, REGIME_ZERO)]
 
-        def g(x, y):
-            V, Vp, D = y.tolist()
-            return (deficit(params, x, Vp, lam * D), Vp - VP_FLOOR)
-        return [("curvature-negative", down, REGIME_ZERO), floor], g
+            def lead(x, w):
+                return (w,)
+    else:
+        # phi leaves the regime's band down through lo or up through hi, into
+        # the band across that bound; a bound of the interior band is the
+        # interior bound, the other the extreme bound
+        bands = indicator_bands(params)
+        lo, hi = bands[regime]
+        levels = [level for level in (lo, hi) if level is not None]
+        rows = [("indicator-interior-bound" if level in bands[REGIME_INTERIOR]
+                 else "indicator-extreme-bound", down if level == lo else up,
+                 next(k for k, band in bands.items() if k != regime and level in band))
+                for level in levels]
+        if regime == REGIME_INTERIOR:
+            (level,) = levels
+            A = vertex_exclusion(params)
+            rows += [("deficit-zero", down, None), ("indicator-below-exclusion", down, None)]
 
-    # phi leaves the regime's band down through lo or up through hi, into the
-    # band across that bound; a bound of the interior band is the interior
-    # bound, the other the extreme bound
-    bands = indicator_bands(params)
-    lo, hi = bands[regime]
-    levels = [level for level in (lo, hi) if level is not None]
-    rows = [("indicator-interior-bound" if level in bands[REGIME_INTERIOR]
-             else "indicator-extreme-bound", down if level == lo else up,
-             next(k for k, band in bands.items() if k != regime and level in band))
-            for level in levels]
-
-    if regime == REGIME_INTERIOR:  # on the state (w, L, V) of `_interior_w`
-        (level,) = levels
-        A = vertex_exclusion(params)
-        rows += [("deficit-zero", down, None), ("indicator-below-exclusion", down, None), floor]
-
-        def g(x, y):
-            w, L, V = y
-            phi = indicator(params, x, 1.0, w)
-            return (phi - level, w, abs(phi) - A, math.exp(L) - VP_FLOOR)
-        return rows, g
+            def lead(x, w):
+                phi = indicator(params, x, 1.0, w)
+                return phi - level, w, abs(phi) - A
+        else:
+            def lead(x, w):
+                phi = indicator(params, x, 1.0, w)
+                return [phi - level for level in levels]
+    rows.append(("derivative-floor", down, None))
 
     def g(x, y):
-        V, Vp, D = y.tolist()
-        phi = indicator(params, x, Vp, deficit(params, x, Vp, lam * D))
-        return (*[phi - level for level in levels], Vp - VP_FLOOR)
-    return rows + [floor], g
-
-
-# scipy 1.17's RK45 (Dormand & Prince 5(4), dense output with Shampine's c6),
-# copied expression for expression, and its step control
-N_STAGES = 6
-C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
-              [44/45, -56/15, 32/9, 0, 0], [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-              [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
-B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
-_A = [A[s, :s] for s in range(1, N_STAGES)]
-_C = C[1:].tolist()
-SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
-_ERR_EXPONENT = -1 / (4 + 1)  # the error estimator has order 4
-TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-_BLOCK = 1024  # accepted steps per dense-output block
-
-
-def _first_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
-    """scipy's select_initial_step (Hairer, Norsett & Wanner, Solving ODEs I, II.4),
-    forward in t."""
-    interval_length = t_bound - t0
-    if interval_length == 0.0:
-        return 0.0
-    scale, root_n = atol + np.abs(y0) * rtol, y0.size ** 0.5  # norms are RMS norms
-    d0, d1 = np.linalg.norm(y0 / scale) / root_n, np.linalg.norm(f0 / scale) / root_n
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval_length)
-    f1 = np.asarray(fun(t0 + h0, y0 + h0 * f0), dtype=float)
-    d2 = np.linalg.norm((f1 - f0) / scale) / root_n / h0
-    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** -_ERR_EXPONENT)
-    return min(100 * h0, h1, interval_length, max_step)
+        return (*lead(x, y[0]), math.exp(y[1]) - VP_FLOOR)
+    return rows, g
 
 
 def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
@@ -326,136 +238,6 @@ def _first_event(events, directions, g, g_new, t_old, t, interpolant):
     return roots[k], sol(roots[k]), fired[k]
 
 
-def _rk45_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
-    """solve_ivp(fun, t_span, y0, "RK45", dense_output=True) with terminal events,
-    forward in t only (t_span[0] <= t_span[1]).
-
-    Returns solve_ivp's t, y, sol, nfev and status bit for bit, its message on
-    failure, `rejected`, the rejected step attempts, and `event`, the index of
-    the event that ended the march (None if none did).  Set-up and steps copy
-    scipy 1.17's RK45 (y0 check, first step, _step_impl, rk_step) with the same
-    numpy calls on the same shapes (the test_rk45_march_* oracles against
-    solve_ivp catch a drifted scipy); rtol and atol are `solve`'s to check.
-    `events(t, y)` gives all event values at once, `directions[i]` is +1
-    (rising) or -1 (falling).  A sign change counts as in solve_ivp (a zero
-    at either end counts); _brentq roots each fired event on the step's
-    interpolant, and the earliest root ends the march.
-    """
-    t0, tf = map(float, t_span)
-    y = np.asarray(y0).astype(float, copy=False)
-    if not np.isfinite(y).all():
-        raise ValueError("All components of the initial state `y0` must be finite.")
-    atol = np.asarray(atol)
-    K = np.empty((N_STAGES + 1, y.size))
-    K[0] = fun(t0, y)
-    h_abs = _first_step(fun, t0, y, tf, max_step, K[0], rtol, atol)
-    t, nfev = t0, 2
-    KT = [K[:s].T for s in range(1, N_STAGES + 2)]
-    steps = _DenseSteps(y.size)
-    g = events(t, y)
-    status, event, rejected = None, None, 0
-    while status is None:
-        min_step = 10 * abs(np.nextafter(t, np.inf) - t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
-        step_rejected = False
-        while h_abs >= min_step:
-            t_new = min(t + h_abs, tf)
-            h = h_abs = t_new - t
-            for s, (a, c) in enumerate(zip(_A, _C)):
-                K[s + 1] = fun(t + c * h, y + np.dot(KT[s], a) * h)
-            y_new = y + h * np.dot(KT[-2], B)
-            K[-1] = fun(t + h, y_new)
-            nfev += N_STAGES
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = np.dot(KT[-1], E) * h / scale
-            error_norm = math.sqrt(err.dot(err)) / err.size**0.5
-            if error_norm < 1:
-                factor = (MAX_FACTOR if error_norm == 0
-                          else min(MAX_FACTOR, SAFETY * error_norm**_ERR_EXPONENT))
-                h_abs *= min(1, factor) if step_rejected else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm**_ERR_EXPONENT)
-            step_rejected = True
-            rejected += 1
-        else:
-            status = -1
-            break
-        t_old, y_old, t, y = t, y, t_new, y_new
-        status = 0 if t >= tf else None
-        g_new = events(t, y)
-
-        def interpolant():  # RkDenseOutput of this step at a scalar s
-            Q = KT[-1].dot(P)
-            return lambda s: h * np.dot(Q, np.cumprod(np.tile((s - t_old) / h, 4))) + y_old
-        end = _first_event(events, directions, g, g_new, t_old, t, interpolant)
-        if end is not None:
-            (t, y, event), status = end, 1
-        g = g_new
-        if t == t_old and steps.n:  # a root on the previous step's end
-            y = y_old
-        else:
-            steps.add(t_old, h, y_old, K)
-        K[0] = K[-1]
-    steps.finish(t, y)
-    return SimpleNamespace(t=steps.t, y=steps.y.T, sol=steps, nfev=nfev, rejected=rejected,
-                           event=event, status=status,
-                           message=TOO_SMALL_STEP if status == -1 else None)
-
-
-class _DenseSteps:
-    """scipy's OdeSolution over a march's accepted steps, kept in blocks.
-
-    Step i starts at t[i] from y[i] and spans h[i]; its interpolant is
-    RkDenseOutput's h Q p + y[i], p the powers of (t - t[i])/h[i], Q = K^T P.
-    A block of _BLOCK steps gets its Q from one stacked matmul.  A query is an
-    increasing 1-D array of nodes, evaluated (shape (n_states, len(t))) by one
-    matmul per block and group of steps holding equally many nodes (a stacked
-    matmul gives np.dot(Q, p)'s bits only for p of the same shape).
-    """
-
-    def __init__(self, n):
-        self.n, self._rows, self._Q = 0, [], []
-        self._K = np.empty((_BLOCK, N_STAGES + 1, n))
-
-    def add(self, t_old, h, y_old, K):
-        i = self.n % _BLOCK
-        if i == 0:
-            self._rows.append(np.empty((_BLOCK, 2 + y_old.size)))  # t_old, h, y_old
-        row = self._rows[-1][i]
-        row[0], row[1], row[2:] = t_old, h, y_old
-        self._K[i] = K
-        self.n += 1
-        if i == _BLOCK - 1:
-            self._Q.append(np.matmul(self._K.transpose(0, 2, 1), P))
-
-    def finish(self, t_end, y_end):
-        """Close the last block; t and y gain the march's end point."""
-        if self.n % _BLOCK:
-            self._Q.append(np.matmul(self._K[:self.n % _BLOCK].transpose(0, 2, 1), P))
-        rows = np.concatenate([np.empty((0, 2 + y_end.size)), *self._rows])[:self.n]
-        del self._K, self._rows
-        self.t, self.h = np.append(rows[:, 0], t_end), rows[:, 1]
-        self.y = np.vstack([rows[:, 2:], y_end])
-
-    def __call__(self, t):
-        step = np.clip(np.searchsorted(self.t, t, side="left") - 1, 0, self.n - 1)
-        x = (t - self.t[step]) / self.h[step]
-        out = np.empty((self.y.shape[1], len(t)))
-        for b, Q in enumerate(self._Q):
-            lo, hi = np.searchsorted(step, [b * _BLOCK, (b + 1) * _BLOCK])
-            counts = np.bincount(step[lo:hi] - b * _BLOCK, minlength=len(Q))
-            first = lo + np.cumsum(counts) - counts
-            for k in np.unique(counts[counts > 0]):
-                js = np.flatnonzero(counts == k)
-                idx = first[js, None] + np.arange(k)
-                p = np.cumprod(np.repeat(x[idx][:, None, :], Q.shape[2], axis=1), axis=1)
-                i = b * _BLOCK + js
-                y = self.h[i, None, None] * np.matmul(Q[js], p)
-                y += self.y[i, :, None]
-                out[:, idx] = y.transpose(1, 0, 2)
-        return out
-
-
 # Radau IIA with 3 stages (order 5, stiffly accurate; Hairer & Wanner 1996,
 # "Solving ODEs II", IV.8) as scipy 1.17's Radau lays it out: the nodes, the
 # error weights E, the eigen-transform T, TI of the inverse tableau (a real
@@ -479,12 +261,19 @@ _RP = ((13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6),
        (13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6),
        (1 / 3, -8 / 3, 10 / 3))
 NEWTON_MAXITER = 6
+MIN_FACTOR, MAX_FACTOR = 0.2, 10  # bounds of a step's change
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
 def _radau_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
     """March (w, L, V) with w' = f(x, w), L' = u(x, w), V' = e^L by Radau IIA,
-    forward in t; returns the fields of `_rk45_march`'s result plus
-    `newton_iters`.
+    forward in t (t_span[0] <= t_span[1]), with terminal events.
+
+    Returns t (the step ends), y (shape (3, len(t))), sol (the steps'
+    collocation polynomials), nfev, rejected (failed step attempts),
+    newton_iters, event (the index of the event row that ended the march, or
+    None), status (0 at t_span[1], 1 on an event, -1 on a failed step) and
+    message (TOO_SMALL_STEP on failure, else None).
 
     `fun` is the pair (f, jac): f(x, w) gives (w', u) and jac(x, w) gives
     (dw'/dw, du/dw), both plain floats.  Only w is implicit: the simplified
@@ -495,10 +284,11 @@ def _radau_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
     included, so nfev = 1 + 3 newton_iters.  The step control is scipy's
     (error estimate filtered by the real eigenvalue, Gustafsson's predictive
     factor); atol holds the absolute tolerances of (w, L, V).  Steps never
-    exceed max_step.  Events and their roots are as in `_rk45_march`, rooted
-    on the step's collocation polynomial, which also gives `sol`.  A step
-    whose Newton iteration fails or reaches a non-finite f is halved; below
-    10 ulp(t) the march ends with status -1.
+    exceed max_step.  `events(t, y)` gives all event values at once and
+    `directions[i]` is +1 (rising) or -1 (falling); `_first_event` roots
+    the fired rows on the step's collocation polynomial, and the earliest
+    root ends the march.  A step whose Newton iteration fails or reaches a
+    non-finite f is halved; below 10 ulp(t) the march ends with status -1.
     """
     f, jac = fun
     t, tf = map(float, t_span)
@@ -659,18 +449,23 @@ class _CollocationSteps:
 # `solve` reaches the march through this module attribute, where the
 # benchmark's tracer (perfbench/tracing.py) wraps it to count steps, RHS
 # evaluations and events from the result's t, nfev and status
-def solve_ivp(fun, t_span, y0, events, directions, rtol, atol, max_step, method="RK45"):
-    """One segment's march: `_rk45_march`, or `_radau_march` for method "Radau"."""
-    march = _radau_march if method == "Radau" else _rk45_march
-    return march(fun, t_span, y0, events, directions, rtol, atol, max_step)
+solve_ivp = _radau_march
 
 
 # ---------------------------------------------------------------------------
 # main march
 # ---------------------------------------------------------------------------
 
+def _series_w(params: ModelParams, regime: str, x, Vp, Vpp):
+    """w = I/V' of the series in a constant regime: the slope table's A/B row
+    solved for w, (mu_bar - r) x + sigma_bar^2 x^2 V''/(2 V'), free of the
+    cancellation in lambda (V - J) - (c + r x) V'."""
+    rc = regime_constants(params, regime_fraction(params, regime))
+    return (rc.mu_bar - params.r) * x + rc.sigma_bar**2 * x**2 * Vpp / (2.0 * Vp)
+
+
 def _start(params: ModelParams, m: float):
-    """(series, regime, x_eps, state (V, V', V-J)) where the march begins.
+    """(series, regime, x_eps, state (w, L, V)) where the march begins.
 
     The start is the constant regime that is optimal at zero surplus: maximal
     long when mu > r, maximal short when mu < r.  When mu = r it is the
@@ -680,10 +475,10 @@ def _start(params: ModelParams, m: float):
     regime0 = start_regime(params)
     exp = series_coefficients(params, m, regime_fraction(params, regime0), K=SERIES_TERMS)
     if params.mu == params.r and exp.D[2] <= 0:
-        return exp, REGIME_ZERO, 1e-8, np.array([1.0, params.lam / params.c, 1.0])
+        return exp, REGIME_ZERO, 1e-8, (0.0, math.log(params.lam / params.c), 1.0)
     x_eps = handoff_point(exp, params)
-    V0, Vp0, _, J0 = series_eval(exp, x_eps, params)
-    return exp, regime0, x_eps, np.array([V0, Vp0, V0 - J0])
+    V0, Vp0, Vpp0, _ = series_eval(exp, x_eps, params)
+    return exp, regime0, x_eps, (_series_w(params, regime0, x_eps, Vp0, Vpp0), math.log(Vp0), V0)
 
 
 def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None) -> SolutionCurve:
@@ -691,11 +486,11 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
 
     Returns the normalised solution (V(0) = 1) with its regime segmentation;
     survival probabilities are V(x)/V_inf, V_inf being V at the last node
-    (`extrapolate_tail` states the tail's bound).  The march ends (meta
-    "completion") at x_max ("reached-x-max") or where V' reaches VP_FLOOR
-    ("derivative-floor").  meta "march" holds one record per segment: its
-    stepper ("rk45", or "radau" in the interior regime, which also counts
-    its Newton rounds), steps, RHS evaluations and rejected attempts.
+    (`extrapolate_tail` states the tail's bound).  Every segment marches
+    (w, L, V) by `_radau_march`, and every step end is a node.  The march
+    ends (meta "completion") at x_max ("reached-x-max") or where V' reaches
+    VP_FLOOR ("derivative-floor").  meta "march" holds one record per
+    segment: its steps, RHS evaluations, rejected attempts and Newton rounds.
     Raises ValueError, naming the field, for an rtol outside [100 eps, inf),
     an atol that is negative or not finite, or an x_max of +inf, and
     SolverAbort when x_max does not lie beyond the series handoff point
@@ -722,42 +517,29 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
     march: list[dict] = []
     xs_all: list[np.ndarray] = []
     cols: dict[str, list[np.ndarray]] = {k: [] for k in _COLUMNS}
-    out_dx = (x_max - x_eps) / opts.output_nodes
+    max_step = min(MAX_STEP, (x_max - x_eps) / opts.output_nodes)
+    # w's absolute tolerance is below any deficit the march resolves; L's is
+    # V''s relative one
+    atol = (opts.atol * 1e-2, opts.rtol, opts.atol)
 
     n_switch = 0
     completion = "reached-x-max"
     while True:
         rows, g = _segment_events(regime, params, m)
-        directions = [direction for _, direction, _ in rows]
-        if regime == REGIME_INTERIOR:  # L's absolute tolerance is V''s relative one
-            sol = solve_ivp(_interior_w(params, m), (x, x_max), _to_w(params, x, y), g,
-                            directions, rtol=opts.rtol,
-                            atol=(opts.atol * 1e-2, opts.rtol, opts.atol),
-                            max_step=min(MAX_STEP, out_dx), method="Radau")
-        else:
-            sol = solve_ivp(_rhs_for(regime, params, m), (x, x_max), y, g, directions,
-                            rtol=opts.rtol, atol=[opts.atol, opts.atol * 1e-2, opts.atol * 1e-2],
-                            max_step=MAX_STEP)
+        sol = solve_ivp(_w_system(regime, params, m), (x, x_max), y, g,
+                        [direction for _, direction, _ in rows], rtol=opts.rtol, atol=atol,
+                        max_step=max_step)
         if sol.status == -1:
             raise SolverAbort(f"integration failed in regime {regime} at x={sol.t[-1]}: {sol.message}",
                               {"x": sol.t[-1], "y": sol.y[:, -1]})
-        record = {"regime": regime, "stepper": "rk45", "steps": len(sol.t) - 1,
-                  "rhs_evals": int(sol.nfev), "rejected": sol.rejected}
-        if regime == REGIME_INTERIOR:
-            record.update(stepper="radau", newton_iters=sol.newton_iters)
-        march.append(record)
+        march.append({"regime": regime, "steps": len(sol.t) - 1, "rhs_evals": int(sol.nfev),
+                      "rejected": sol.rejected, "newton_iters": sol.newton_iters})
 
         ev_name, _, target = ("reached-x-max", None, None) if sol.event is None else rows[sol.event]
         switch = sol.status == 1 and ev_name not in _COMPLETIONS + _ABORTS
-        nodes = _segment_nodes(sol.t, out_dx, hug_lo=n_switch > 0, hug_hi=switch)
-        states = sol.sol(nodes)
+        nodes = _segment_nodes(sol.t, hug_lo=n_switch > 0, hug_hi=switch)
+        _append_segment(nodes, sol.sol(nodes), regime, params, m, xs_all, cols)
         x_end, y = sol.t[-1], sol.y[:, -1]  # an event's root, as the march appended it
-        if regime == REGIME_INTERIOR:
-            y = _from_w(params, x_end, y)
-        elif regime == REGIME_ZERO:
-            states[1] = _zero_vp(params, nodes, states)
-            y[1] = _zero_vp(params, x_end, y)
-        _append_segment(nodes, states, regime, params, m, xs_all, cols)
         segments.append(RegimeSegment(x, x_end, regime, ev_name))
         x = x_end
 
@@ -768,9 +550,9 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
             break
         if ev_name == "deficit-zero":
             raise SolverAbort(
-                f"interior regime lost I > 0 at x={x:.6g} with V'={y[1]:.3g}; "
+                f"interior regime lost I > 0 at x={x:.6g} with V'={math.exp(y[1]):.3g}; "
                 "structural failure, not tail underflow",
-                {"x": x, "Vp": y[1]})
+                {"x": x, "Vp": math.exp(y[1])})
         if ev_name == "indicator-below-exclusion":
             raise SolverAbort(
                 f"indicator magnitude fell below the vertex-exclusion cutoff at x={x:.6g}",
@@ -787,58 +569,32 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
                      completion, opts)
 
 
-def _segment_nodes(t, out_dx, hug_lo=False, hug_hi=False):
-    """A segment's step grid t (increasing, from its start lo = t[0] to its end
-    hi = t[-1]) refined so that output spacing stays below out_dx.
-
-    A few nodes hug an endpoint that is a regime switch, so one-sided
-    difference quotients there read the integrator's dense output rather than
-    interpolation between widely spaced nodes.
-    """
+def _segment_nodes(t, hug_lo, hug_hi):
+    """A segment's step ends t (increasing, from its start lo = t[0] to its
+    end hi = t[-1]) and a few nodes hugging an endpoint that is a regime
+    switch, so one-sided difference quotients there read the march's
+    collocation polynomials rather than interpolation between nodes."""
     lo, hi = t[0], t[-1]
-    gap = np.diff(t)  # a gap wider than out_dx gets np.linspace's points, bit for bit
-    count = np.where(gap > out_dx, np.ceil(gap / out_dx), 1.0).astype(int)
-    gap_of = np.repeat(np.arange(len(gap)), count)
-    ends = np.cumsum(count)
-    j = np.arange(1, ends[-1] + 1) - (ends - count)[gap_of]
-    nodes = j * (gap / count)[gap_of] + t[gap_of]
-    nodes[ends - 1] = t[1:]
-    nodes = np.concatenate([t[:1], nodes])
     hug = np.array([1e-7, 2e-7, 1e-6])
-    extra = []
-    if hug_lo:
-        extra.append(lo + hug * max(1.0, abs(lo)))
-    if hug_hi:
-        extra.append(hi - hug * max(1.0, abs(hi)))
-    if extra:
-        extra = np.concatenate(extra)
-        extra = extra[(extra > lo) & (extra < hi)]
-        nodes = np.unique(np.concatenate([nodes, extra]))
-    return nodes
+    extra = np.concatenate([lo + hug * max(1.0, abs(lo)) if hug_lo else [],
+                            hi - hug * max(1.0, abs(hi)) if hug_hi else []])
+    return np.unique(np.concatenate([t, extra[(extra > lo) & (extra < hi)]]))
 
 
 def _append_segment(nodes, states, regime, params, m, xs_all, cols):
-    """A segment's columns from its march states at the nodes: (w, L, V) in
-    the interior regime, (V, V', V-J) in the others."""
-    if regime == REGIME_INTERIOR:
-        w = states[0]
-        V, Vp, D = _from_w(params, nodes, states)
-        phi = indicator(params, nodes, 1.0, w)
-        Vpp = slope_fn(regime, params)(nodes, w) * Vp
-    else:
-        V, Vp, D = states
-        MV = params.lam * D
-        dMV = params.lam * (Vp - D / m) if regime == REGIME_ZERO else None
-        phi = indicator(params, nodes, Vp, deficit(params, nodes, Vp, MV))
-        Vpp = curvature(regime, params, nodes, Vp, MV, dMV)
+    """A segment's columns from its march states (w, L, V) at the nodes:
+    V' = e^L, V - J = (w + c + r x) V'/lambda, V'' = u V', phi = 2w/((mu - r) x)."""
+    w, L, V = states
+    Vp = np.exp(L)
     if np.any(Vp <= 0):
         raise SolverAbort(f"V' lost positivity in regime {regime} near x={nodes[-1]}",
                           {"x": nodes[Vp <= 0][0]})
+    phi = indicator(params, nodes, 1.0, w)
     xs_all.append(nodes)
     cols["V"].append(V)
     cols["Vp"].append(Vp)
-    cols["Vpp"].append(Vpp)
-    cols["J"].append(V - D)
+    cols["Vpp"].append(slope_fn(regime, params, m)[0](nodes, w) * Vp)
+    cols["J"].append(V - (w + params.c + params.r * nodes) * Vp / params.lam)
     cols["phi"].append(phi)
     cols["theta"].append(theta_for(regime, params, phi))
     cols["regime"].append(np.full(nodes.shape, regime, dtype=object))
@@ -855,10 +611,9 @@ def _series_prefix(params, exp: SeriesExpansion, x_eps, regime0):
     D1 = params.lam / params.c
     rows = [(1.0, D1, D1 * exp.D[2], 0.0)] + [series_eval(exp, x, params) for x in xs[1:]]
     V, Vp, Vpp, J = np.array(rows).T
-    phi = np.empty_like(xs)
-    phi[0] = start_indicator(params)
-    x1, Vp1 = xs[1:], Vp[1:]
-    phi[1:] = indicator(params, x1, Vp1, deficit(params, x1, Vp1, params.lam * (V[1:] - J[1:])))
+    phi = np.full(xs.shape, start_indicator(params))
+    if regime0 != REGIME_ZERO:
+        phi[1:] = indicator(params, xs[1:], 1.0, _series_w(params, regime0, xs[1:], Vp[1:], Vpp[1:]))
     return xs, {"V": V, "Vp": Vp, "Vpp": Vpp, "J": J, "phi": phi,
                 "theta": theta_for(regime0, params, phi),
                 "regime": np.full(xs.shape, regime0, dtype=object)}

@@ -1,8 +1,9 @@
 """The HJB equation's quantities for the constrained investment problem.
 
 This module is the one home of the equation's formulas and of its case
-table: the array kernel (`deficit`, `indicator`, `curvature`, `slope_fn`,
-`theta_for`, `infimum`) that the solvers call, and the per-regime facts
+table: the array kernel (`deficit`, `indicator`, `slope_fn`, `theta_for`,
+`infimum`) that the solvers call, `curvature`, each regime's V'' in (V', M)
+that the tests hold `slope_fn` and the march to, and the per-regime facts
 (`regime_fraction`, `start_regime`, `start_indicator`, `indicator_bands`,
 `regime_for_indicator`) that the solvers, the CLI and the tests read; no
 other module derives a regime's fraction, start, phi(0+) or indicator band.  There is
@@ -47,7 +48,6 @@ __all__ = [
     "deficit",
     "indicator",
     "curvature",
-    "curvature_fn",
     "slope_fn",
     "theta_for",
     "regime_for_theta",
@@ -97,41 +97,39 @@ def curvature(regime: str, p: ModelParams, x, Vp, MV, dMV=None):
                            V'' = [M' (c + r x) - r M] / (c + r x)^2,
     where ZERO needs dMV = M'(x) and ignores Vp.
     """
-    return curvature_fn(regime, p)(x, Vp, MV, dMV)
-
-
-def curvature_fn(regime: str, p: ModelParams):
-    """`curvature` of one regime as f(x, Vp, MV, dMV=None), its constants bound once."""
     c, r = p.c, p.r
     if regime == REGIME_INTERIOR:
-        num, den = -((p.mu - p.r) ** 2), 2.0 * p.sigma**2
-        return lambda x, Vp, MV, dMV=None: num * Vp**2 / (den * deficit(p, x, Vp, MV))
+        return -((p.mu - p.r) ** 2) * Vp**2 / (2.0 * p.sigma**2 * deficit(p, x, Vp, MV))
     if regime == REGIME_ZERO:
-        return lambda x, Vp, MV, dMV=None: (dMV * (c + r * x) - r * MV) / (c + r * x)**2
+        return (dMV * (c + r * x) - r * MV) / (c + r * x)**2
     rc = regime_constants(p, regime_fraction(p, regime))
-    mu_bar, sigma_bar2 = rc.mu_bar, rc.sigma_bar**2
-    return lambda x, Vp, MV, dMV=None: 2.0 * (MV - (c + mu_bar * x) * Vp) / (sigma_bar2 * x**2)
+    return 2.0 * (MV - (c + rc.mu_bar * x) * Vp) / (rc.sigma_bar**2 * x**2)
 
 
-def slope_fn(regime: str, p: ModelParams):
-    """u(x, w) = V''/V' of one regime, its constants bound once.
+def slope_fn(regime: str, p: ModelParams, m: float):
+    """(u, du/dw): u(x, w) = V''/V' of one regime and its w-derivative,
+    their constants bound once.
 
     With w = I/V' (the deficit per unit slope) `curvature` divided by V'
     depends on (x, w) alone, M(V) being (w + c + r x) V':
 
     INT:   u = -(mu - r)^2 / (2 sigma^2 w)
     A, B:  u = 2 (w + (r - mu_bar) x) / (sigma_bar^2 x^2)
+    ZERO:  w = 0 and u = (lambda - r)/(c + r x) - 1/m
 
-    ZERO has w = 0 and a V'' set by M' (see `curvature`), so no such form.
+    ZERO's row is `curvature`'s with M = (c + r x) V' and, for exponential
+    claims of mean m, M' = lambda V' - M/m; it is the only row that reads m.
     """
     if regime == REGIME_INTERIOR:
         k = -((p.mu - p.r) ** 2) / (2.0 * p.sigma**2)
-        return lambda x, w: k / w
+        return (lambda x, w: k / w), (lambda x, w: -k / w**2)
     if regime == REGIME_ZERO:
-        raise ValueError("ZERO has no slope u(x, w): its V'' needs M'")
+        lr, c, r, im = p.lam - p.r, p.c, p.r, 1.0 / m
+        return (lambda x, w: lr / (c + r * x) - im), (lambda x, w: 0.0)
     rc = regime_constants(p, regime_fraction(p, regime))
     drift, sigma_bar2 = p.r - rc.mu_bar, rc.sigma_bar**2
-    return lambda x, w: 2.0 * (w + drift * x) / (sigma_bar2 * x**2)
+    return (lambda x, w: 2.0 * (w + drift * x) / (sigma_bar2 * x**2),
+            lambda x, w: 2.0 / (sigma_bar2 * x**2))
 
 
 def theta_for(regime: str, p: ModelParams, phi: np.ndarray) -> np.ndarray:

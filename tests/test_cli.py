@@ -31,23 +31,25 @@ def _sha256(path):
 # example1-verify was re-recorded when `expected` moved from PCHIP to the
 # cubic Hermite on (V, V'); its MC columns kept their bytes.  The feedback
 # rows of example1-verify and example1-compare were re-drawn when Radau took
-# over the interior march (the policy's fingerprint hashes the curve's nodes)
+# over the interior march, and again when it took over every regime (the
+# policy's fingerprint hashes the curve's nodes)
 MC_SHA256 = {
     "oracle-verify": "ba00f140eb23b3ab42edb7f3530dbc9f4df0ed332d4717eea46b805a2db82f5e",
-    "example1-verify": "6b492ed76bc8ae2fd830ff27bc533f76adbd137dbd79e985e87fecb01e9f5dd7",
-    "example1-compare": "d6a6ed30a6da11b5492dfe3240f4d86d4c527542ed3146fdf0b04a351991fe7f",
+    "example1-verify": "9b01572734bbc9f60d6b1c2a1867b30ceca1d3336ef35197a268b82c98b18051",
+    "example1-compare": "af409afb50102db6be6f3c2d19e4cb617e8d696b129361c2c641e740683e0e09",
 }
 
 # SHA-256 of the other artifacts the tests below write, measured at commit
 # 173c333 with numpy 2.4.6 and scipy 1.17.1; policy.csv and policy.json are the
 # same whether policy re-reads a solve or solves afresh.  example1-curve.json,
 # example1-policy.csv and example1-verify.json were re-recorded when Radau
-# took over the interior march
+# took over the interior march, and with example1-policy.json when it took
+# over every regime
 ARTIFACT_SHA256 = {
-    "example1-curve.json": "b3bcf34b9d45899e94c85762e22e4dfda58c5a3fdf22084429626882fe31ba25",
-    "example1-policy.csv": "82a4795871c244ee53d4e53fb396aeab22fcfc0b73d69272ed5385fcb2294573",
-    "example1-policy.json": "87ea10ddc0ffec99a169b1b6a769cbd23ba1fbcfa72af91e49cef8a7bf4c689b",
-    "example1-verify.json": "05941725eb29a5f3ffa0427f7743d0140aa193eb697ab31321d6bcb86a75a52b",
+    "example1-curve.json": "226978122d4766d643bb7a43b8ca41f0a8912e0227937a8e0c68354f3e42e32d",
+    "example1-policy.csv": "76a06827555dde0709bd582386f03eef3904d7e89c51e44eb929b28f4d6b5271",
+    "example1-policy.json": "0f2cbbe90efae197c7fda6c65f8125dd048889df809d6798ffbd4ea68e39f114",
+    "example1-verify.json": "969a86921c095254a7ddbfc489c9a42a3ac08f8d08f907280f18916acee17592",
     "xmax-abort.json": "223ccd072038a347a3008afbf54d08f4c7e4a9788d5265b996027a86a1386005",
 }
 
@@ -134,12 +136,13 @@ def test_policy_resolves_stale_curve(tmp_path):
 # SHA-256 of `ruinvest solve` curve.csv with default options, measured with
 # numpy 2.4.6 and scipy 1.17.1 (identical in two separate processes); the
 # solver refactors keep these bytes.  Re-recorded when Radau took over the
-# interior march in (w, L, V): every node before the interior switch kept its
-# bits, V_inf moved by at most 1.9e-10 relative
+# interior march in (w, L, V) (V_inf moved by at most 1.9e-10 relative), and
+# when it took over every regime (V_inf moved by at most 1.7e-10, the switch
+# points by up to 8.1e-8 relative, toward an rtol 1e-13 reference)
 CURVE_SHA256 = {
-    "example1": "5b2fa3a94ff25325b3d5787dbadcccec27e528329c373d14bd2006897587b3dd",
-    "example2": "0796dd8d4c8a2cbf6e7405feecea8233206c17e41b5b3533e8422e077f720838",
-    "example3": "5f3562445dd8cbe5d50ac574243a010f84584d1f9aeb6fc1dc99634a70e8faef",
+    "example1": "4aa03ba937926d020323971f3804e16534c1f64fb24b178841f1271bf43968f1",
+    "example2": "ae28d53a879773f53af2d11be0831a5c62d71ec3f7c05a0cbc02658b9f163449",
+    "example3": "83310e47e7d5ad9f4beef4e9ce414b9b98f1f4f8657c7beca1561f9648fa3264",
 }
 
 

@@ -11,17 +11,32 @@ from ruinvest import curve as curve_module
 from ruinvest import exp_solver
 from ruinvest.curve import SolutionCurve
 from ruinvest.exp_solver import (TOO_SMALL_STEP, VP_FLOOR, SolveOptions, SolverAbort, _brentq,
-                                 _interior_w, _radau_march, _rhs_for, _rk45_march,
-                                 _segment_events, _segment_nodes, _to_w, extrapolate_tail,
-                                 solve)
+                                 _radau_march, _segment_events, _start, _w_system,
+                                 extrapolate_tail, solve)
 from ruinvest.model import ExponentialClaims, ModelParams, regime_constants
-from ruinvest.operators import curvature, indicator_bands, start_regime
+from ruinvest.operators import (curvature, deficit, indicator, indicator_bands,
+                                regime_fraction, slope_fn, start_regime)
 from ruinvest.series import handoff_point, series_coefficients, series_eval
 
 M = 1.0
 
 # switch abscissas of Example 1, frozen after the first verified run
 X1_FIX, X2_FIX, X3_FIX = 0.021941989, 3.207494533, 4.131445767
+
+
+def _deficit_w(p, x, V, Vp, J):
+    """w = I/V' from (V, V', J) in the deficit form, cancellation and all."""
+    return p.lam * (V - J) / Vp - (p.c + p.r * x)
+
+
+def _w_rhs(fun):
+    """solve_ivp's right-hand side on (w, L, V) from a march's (f, jac)."""
+    f, _ = fun
+
+    def rhs(x, y):
+        fw, u = f(x, y[0])
+        return (fw, u, math.exp(y[1]))
+    return rhs
 
 
 def _scalar_events(g, directions):
@@ -40,16 +55,31 @@ def _scalar_events(g, directions):
 # ---------------------------------------------------------------------------
 
 def test_rhs_constant_matches_series_at_handoff(example1):
+    # the march starts from the series' w = (mu_bar - r) x + sigma_bar^2 x^2
+    # V''/(2 V'); the deficit form of the same series agrees with it, and the
+    # A row of the (w, L, V) system gives back the series' V''
     se = series_coefficients(example1, M, example1.a)
     x_eps = handoff_point(se, example1)
     V, Vp, Vpp, J = series_eval(se, x_eps, example1)
+    _, regime, x0, (w, L, V0) = _start(example1, M)
+    assert (regime, x0, L, V0) == ("A", x_eps, math.log(Vp), V)
+    assert w == pytest.approx(_deficit_w(example1, x_eps, V, Vp, J), rel=1e-8)
+    assert _w_system("A", example1, M)[0](x_eps, w)[1] * Vp == pytest.approx(Vpp, rel=1e-12)
     vpp = curvature("A", example1, x_eps, Vp, example1.lam * (V - J))
     assert vpp == pytest.approx(Vpp, rel=1e-8)
 
 
 def test_rhs_constant_annihilates_constants(example1):
-    # V constant with J = V (stationary convolution) gives V'' = 0
+    # V constant with J = V (stationary convolution) gives V'' = 0; in w the
+    # constant regime's slope vanishes where the deficit meets the drift,
+    # w = (mu_bar - r) x
     assert curvature("A", example1, 1.0, 0.0, example1.lam * (2.0 - 2.0)) == 0.0
+    # there w' = lambda - r - (w + c + r x)/m and dw'/dw = -1/m - (c + mu_bar x) du/dw
+    rc, (c, r) = regime_constants(example1, example1.a), (example1.c, example1.r)
+    w, dudw = rc.mu_bar - r, 2.0 / rc.sigma_bar**2
+    f, jac = _w_system("A", example1, M)
+    assert f(1.0, w) == pytest.approx((example1.lam - r - (w + c + r), 0.0), rel=1e-15, abs=0.0)
+    assert jac(1.0, w) == pytest.approx((-1.0 - (c + rc.mu_bar) * dudw, dudw), rel=1e-14)
 
 
 def test_rhs_constant_third_order_consistency(example1):
@@ -59,9 +89,10 @@ def test_rhs_constant_third_order_consistency(example1):
     x = 0.008
     d = 1e-5
     vpp = {}
+    u = slope_fn("A", example1, M)[0]
     for xx in (x - d, x + d):
         V, Vp, Vpp, J = series_eval(se, xx, example1)
-        vpp[xx] = curvature("A", example1, xx, Vp, example1.lam * (V - J))
+        vpp[xx] = u(xx, _deficit_w(example1, xx, V, Vp, J)) * Vp
     fd_vppp = (vpp[x + d] - vpp[x - d]) / (2 * d)
     V, Vp, Vpp, J = series_eval(se, x, example1)
     mb, sb2 = rc.mu_bar, rc.sigma_bar**2
@@ -78,7 +109,7 @@ def test_rhs_interior_rejects_nonpositive_deficit(example1):
     assert curvature("INT", example1, x, Vp, example1.lam * (V - J)) > 0
     rows, g = _segment_events("INT", example1, M)
     i = [name for name, _, _ in rows].index("deficit-zero")
-    assert g(x, _to_w(example1, x, (V, Vp, V - J)))[i] < 0
+    assert g(x, (_deficit_w(example1, x, V, Vp, J), math.log(Vp), V))[i] < 0
 
 
 def test_rhs_interior_vertex_identity(example1, curve1):
@@ -184,149 +215,17 @@ def test_series_handoff_consistency(example1):
 
 
 def test_detect_switch_standalone(example1):
-    # march the starting regime with only its row of the event table and
-    # locate the first crossing
-    se = series_coefficients(example1, M, example1.a)
-    x_eps = handoff_point(se, example1)
-    V0, Vp0, Vpp0, J0 = series_eval(se, x_eps, example1)
-    rc = regime_constants(example1, example1.a)
-
-    def rhs(x, y):
-        V, Vp, D = y
-        vpp = 2.0 * (example1.lam * D - (example1.c + rc.mu_bar * x) * Vp) / (
-            rc.sigma_bar**2 * x**2)
-        return [Vp, vpp, Vp - D / M]
-
-    rows, g = _segment_events("A", example1, M)
-    sol = solve_ivp(rhs, (x_eps, 0.05), np.array([V0, Vp0, V0 - J0]), rtol=1e-12, atol=1e-14,
-                    events=_scalar_events(g, [direction for _, direction, _ in rows]))
+    # march the starting regime's (w, L, V) system with scipy and only its row
+    # of the event table, and locate the first crossing
+    _, regime, x_eps, y0 = _start(example1, M)
+    rows, g = _segment_events(regime, example1, M)
+    sol = solve_ivp(_w_rhs(_w_system(regime, example1, M)), (x_eps, 0.05), y0, rtol=1e-12,
+                    atol=1e-14, events=_scalar_events(g, [direction for _, direction, _ in rows]))
     x, kind, target = min((te[0], name, target)
                           for (name, _, target), te in zip(rows, sol.t_events) if len(te))
     assert kind == "indicator-extreme-bound"
     assert target == "B"  # the regime across A's upper bound 2ab/(b-a)
     assert x == pytest.approx(X1_FIX, rel=1e-5)
-
-
-# ---------------------------------------------------------------------------
-# the RK45 march loop against scipy's solve_ivp
-# ---------------------------------------------------------------------------
-
-def _oscillator(t, y):
-    return (y[1], -y[0])  # y = (sin t, cos t) from (0, 1)
-
-
-def _assert_same_march(got, ref):
-    assert np.array_equal(got.t, ref.t)
-    assert np.array_equal(got.y, ref.y)
-    assert (got.nfev, got.status) == (ref.nfev, ref.status)
-    assert got.message == (ref.message if ref.status == -1 else None)
-    # the fired row and its root: solve_ivp's one non-empty t_events entry
-    fired = [(i, te[0]) for i, te in enumerate(ref.t_events) if len(te)]
-    assert fired == ([] if got.event is None else [(got.event, got.t[-1])])
-
-
-# (name, event levels (value y[0] - level, or y[1] - level when tagged "cos"),
-#  directions, t_bound, fired event or None)
-MARCH_CASES = [
-    ("up", [("sin", 0.5), ("cos", -0.9)], [1, -1], 6.0, 0),
-    ("down", [("sin", 2.0), ("cos", 0.2)], [1, -1], 6.0, 1),
-    ("first-step", [("sin", 1e-3), ("cos", -0.5)], [1, -1], 6.0, 0),
-    ("two-in-one-step", [("sin", 0.5000001), ("sin", 0.5)], [1, 1], 6.0, 1),
-    ("t-bound", [("sin", 2.0), ("cos", -2.0)], [1, -1], 3.0, None),
-]
-
-
-@pytest.mark.parametrize("name, levels, directions, t_bound, fired", MARCH_CASES,
-                         ids=[c[0] for c in MARCH_CASES])
-def test_rk45_march_matches_solve_ivp(name, levels, directions, t_bound, fired):
-    slot = {"sin": 0, "cos": 1}
-
-    def g(t, y):
-        y = y.tolist()
-        return tuple(y[slot[k]] - level for k, level in levels)
-
-    y0 = np.array([0.0, 1.0])
-    options = dict(rtol=1e-8, atol=[1e-10, 1e-12], max_step=0.5)
-    ref = solve_ivp(_oscillator, (0.0, t_bound), y0, method="RK45", dense_output=True,
-                    events=_scalar_events(g, directions), **options)
-    got = _rk45_march(_oscillator, (0.0, t_bound), y0, g, directions, **options)
-
-    _assert_same_march(got, ref)
-    grid = np.sort(np.concatenate([got.t, np.linspace(0.0, got.t[-1], 97)]))
-    assert np.array_equal(got.sol(grid), ref.sol(grid))
-
-    assert got.status == (0 if fired is None else 1)
-    assert got.event == fired
-    if name == "first-step":
-        assert len(got.t) == 2
-    if name == "two-in-one-step":
-        # the later level alone ends the march in the same step: both fired there
-        alone = _rk45_march(_oscillator, (0.0, t_bound), y0, lambda t, y: (y[0] - levels[0][1],),
-                            [1], **options)
-        assert alone.t[-2] == got.t[-2] < got.t[-1] < alone.t[-1]
-
-
-def _van_der_pol(t, y):
-    return (y[1], 8.0 * (1.0 - y[0] ** 2) * y[1] - y[0])
-
-
-def test_rk45_march_rejected_steps_match_solve_ivp():
-    # a stiff stretch of the van der Pol cycle makes the step control reject
-    def g(t, y):
-        return (y[0] - 5.0,)  # never reached
-
-    y0 = np.array([2.0, 0.0])
-    options = dict(rtol=1e-6, atol=1e-9, max_step=0.5)
-    ref = solve_ivp(_van_der_pol, (0.0, 12.0), y0, method="RK45", dense_output=True,
-                    events=_scalar_events(g, [1]), **options)
-    got = _rk45_march(_van_der_pol, (0.0, 12.0), y0, g, [1], **options)
-    _assert_same_march(got, ref)
-    assert got.rejected > 0
-    assert got.nfev == 2 + 6 * (len(got.t) - 1 + got.rejected)
-    grid = np.sort(np.concatenate([got.t, np.linspace(0.0, 12.0, 301)]))
-    assert np.array_equal(got.sol(grid), ref.sol(grid))
-
-
-def test_rk45_march_failure_matches_solve_ivp():
-    # the right-hand side turns NaN beyond x = 2: every step reaching past it
-    # is rejected until the step falls below scipy's minimum
-    def nan_beyond_two(t, y):
-        return _oscillator(t, y) if t < 2.0 else (np.nan, np.nan)
-
-    def g(t, y):
-        return (y[0] - 2.0,)  # never reached
-
-    y0 = np.array([0.0, 1.0])
-    options = dict(rtol=1e-8, atol=[1e-10, 1e-12], max_step=0.5)
-    ref = solve_ivp(nan_beyond_two, (0.0, 6.0), y0, method="RK45", dense_output=True,
-                    events=_scalar_events(g, [1]), **options)
-    got = _rk45_march(nan_beyond_two, (0.0, 6.0), y0, g, [1], **options)
-    assert ref.status == -1
-    _assert_same_march(got, ref)
-    assert 1.9 < got.t[-1] < 2.0
-    assert got.rejected > 0
-
-
-def test_rk45_march_dense_output_bits():
-    # long steps on a growing and a decaying mode: each step's increment h Q p
-    # dwarfs its start value, so a change in how Q p is summed shows in the bits
-    def grow(t, y):
-        return (y[1], y[0] + 0.5 * y[1], -2.0 * y[2])
-
-    def g(t, y):
-        return (y[0] - 1e300,)  # never reached
-
-    y0 = np.array([1.0, 0.0, 1.0])
-    options = dict(rtol=1e-3, atol=1e-6, max_step=2.0)
-    ref = solve_ivp(grow, (0.0, 30.0), y0, method="RK45", dense_output=True,
-                    events=_scalar_events(g, [1]), **options)
-    got = _rk45_march(grow, (0.0, 30.0), y0, g, [1], **options)
-    _assert_same_march(got, ref)
-    rng = np.random.default_rng(3)
-    t = got.t
-    grid = np.sort(np.concatenate([t, *[t[i] + (t[i + 1] - t[i]) * rng.random(i % 4)
-                                        for i in range(len(t) - 1)]]))
-    assert np.array_equal(got.sol(grid), ref.sol(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -388,56 +287,46 @@ def _hjb_step_grid(t, rng):
     return np.sort(np.concatenate([t, *inner]))
 
 
-def test_rk45_march_hjb_segments_match_solve_ivp(example1, curve1):
-    # example 1's first A segment, ended by its switch event, with the
-    # production event table; the interior stretch after the last switch is
-    # marched by Radau in (w, L, V) and checked against solve_ivp's Radau
+def test_radau_march_hjb_segments_match_solve_ivp(example1, curve1):
+    # example 1's first A segment from the series start, ended by its switch
+    # event, and an interior stretch after the last switch, with the
+    # production event tables: the step ends and collocation polynomials
+    # against solve_ivp's Radau at rtol 1e-13 on the same (w, L, V) system
     rng = np.random.default_rng(8)
-    x_eps = curve1.meta["x_eps"]
-    V, Vp, _, J = series_eval(series_coefficients(example1, M, example1.a), x_eps, example1)
-    y0 = np.array([V, Vp, V - J])
-    options = dict(rtol=1e-10, atol=[1e-12, 1e-14, 1e-14], max_step=0.5)
-    rows, g = _segment_events("A", example1, M)
-    directions = [direction for _, direction, _ in rows]
-    rhs = _rhs_for("A", example1, M)
-    ref = solve_ivp(rhs, (x_eps, 44.0), y0, method="RK45", dense_output=True,
-                    events=_scalar_events(g, directions), **options)
-    got = _rk45_march(rhs, (x_eps, 44.0), y0, g, directions, **options)
-    _assert_same_march(got, ref)
-    assert got.status == 1
-    grid = _hjb_step_grid(got.t, rng)
-    assert np.array_equal(got.sol(grid), ref.sol(grid))
-
     lo = next(s.lo for s in curve1.segments if s.regime == "INT")
     i = int(np.searchsorted(curve1.x, lo))
-    y0 = _to_w(example1, lo, (curve1.V[i], curve1.Vp[i], curve1.V[i] - curve1.J[i]))
-    rows, g = _segment_events("INT", example1, M)
-    got = _radau_march(_interior_w(example1, M), (lo, lo + 0.3), y0, g,
-                       [direction for _, direction, _ in rows], rtol=1e-10,
-                       atol=(1e-14, 1e-10, 1e-12), max_step=0.05)
-    assert got.status == 0 and got.t[-1] == lo + 0.3
-    assert np.all(np.diff(got.t) <= 0.05)
-    grid = _hjb_step_grid(got.t, rng)
-    assert np.max(np.abs(got.sol(grid) / _w_reference(example1, y0, grid) - 1.0)) <= 1e-10
+    _, _, x_eps, y0 = _start(example1, M)
+    starts = [("A", x_eps, y0, 1.0),
+              ("INT", lo, (_deficit_w(example1, lo, curve1.V[i], curve1.Vp[i], curve1.J[i]),
+                           math.log(curve1.Vp[i]), curve1.V[i]), lo + 0.3)]
+    for regime, lo, y0, hi in starts:
+        fun = _w_system(regime, example1, M)
+        rows, g = _segment_events(regime, example1, M)
+        got = _radau_march(fun, (lo, hi), y0, g, [direction for _, direction, _ in rows],
+                           rtol=1e-10, atol=(1e-14, 1e-10, 1e-12), max_step=0.05)
+        assert np.all(np.diff(got.t) <= 0.05)
+        if regime == "A":
+            assert got.status == 1 and rows[got.event][0] == "indicator-extreme-bound"
+            assert got.t[-1] == pytest.approx(curve1.switch_points[0], rel=1e-12)
+        else:
+            assert got.status == 0 and got.t[-1] == hi
+        grid = _hjb_step_grid(got.t, rng)
+        assert np.max(np.abs(got.sol(grid) / _w_reference(fun, y0, grid) - 1.0)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
-# the Radau march of the interior regime
+# the Radau march
 # ---------------------------------------------------------------------------
 
-def _w_reference(p, y0, t_eval, atol=(1e-20, 1e-14, 1e-14)):
-    """solve_ivp's Radau at rtol 1e-13 on the interior (w, L, V) system from
-    (t_eval[0], y0), read at t_eval."""
-    f, jac = _interior_w(p, M)
-
-    def rhs(x, y):
-        fw, u = f(x, y[0])
-        return (fw, u, math.exp(y[1]))
+def _w_reference(fun, y0, t_eval, atol=(1e-20, 1e-14, 1e-14)):
+    """solve_ivp's Radau at rtol 1e-13 on a march's (w, L, V) system, fun =
+    (f, jac), from (t_eval[0], y0), read at t_eval."""
+    _, jac = fun
 
     def jf(x, y):
         dfw, dudw = jac(x, y[0])
         return ((dfw, 0.0, 0.0), (dudw, 0.0, 0.0), (0.0, math.exp(y[1]), 0.0))
-    ref = solve_ivp(rhs, (t_eval[0], t_eval[-1]), y0, method="Radau", rtol=1e-13,
+    ref = solve_ivp(_w_rhs(fun), (t_eval[0], t_eval[-1]), y0, method="Radau", rtol=1e-13,
                     atol=list(atol), jac=jf, dense_output=True)
     assert ref.success
     return ref.sol(t_eval)
@@ -448,7 +337,7 @@ _STIFF_SIN = (lambda t, w: (-50.0 * (w - math.sin(t)) + math.cos(t), w),
               lambda t, w: (-50.0, 1.0))
 
 # (name, event levels (value w - level, or L - level when tagged "L"),
-#  directions, t_bound, fired event or None), as MARCH_CASES
+#  directions, t_bound, fired event or None)
 RADAU_CASES = [
     ("up", [("w", 0.5), ("L", 2.5)], [1, -1], 6.0, 0),
     ("down", [("w", 2.0), ("L", 0.2)], [1, -1], 6.0, 1),
@@ -507,65 +396,94 @@ def test_radau_march_failure_ends_with_status_minus_one():
     assert got.t[-1] == pytest.approx(2.0, abs=1e-6)
 
 
-EXAMPLE_PARAMS = ["example1", "example2", "example3", "anchor"]
+EXAMPLE_PARAMS = ["example1", "example2", "example3", "anchor", "mu=r-B-ZERO"]
 
 
 def _params(request, which):
-    return ModelParams(**ANCHOR_POS_ALTB) if which == "anchor" else request.getfixturevalue(which)
+    if which == "anchor":
+        return ModelParams(**ANCHOR_POS_ALTB)
+    if which in BRANCH_SHA256:
+        return ModelParams(**BRANCH_SHA256[which][0])
+    return request.getfixturevalue(which)
 
 
 @pytest.mark.parametrize("which", EXAMPLE_PARAMS)
 def test_interior_march_matches_radau_oracle(monkeypatch, request, which):
-    # every interior segment of the solve, from its (w, L, V) start, against
-    # solve_ivp's Radau at rtol 1e-13 at the march's step ends (measured:
-    # V 4e-14, V' 5e-13, w 5e-11 at most)
+    # every segment of the solve, from its (w, L, V) start, against
+    # solve_ivp's Radau at rtol 1e-13 on the same system at the march's step
+    # ends
     p = _params(request, which)
     runs = []
 
-    def spy(*args):
-        runs.append((args[2], _radau_march(*args)))
-        return runs[-1][1]
-    monkeypatch.setattr(exp_solver, "_radau_march", spy)
-    solve(p, M)
-    assert runs
-    for y0, got in runs:
-        w, L, V = _w_reference(p, y0, got.t)
+    def spy(fun, t_span, y0, *args, **kwargs):
+        runs.append((fun, y0, _radau_march(fun, t_span, y0, *args, **kwargs)))
+        return runs[-1][2]
+    monkeypatch.setattr(exp_solver, "solve_ivp", spy)
+    cur = solve(p, M)
+    assert len(runs) == len(cur.segments)
+    for fun, y0, got in runs:
+        w, L, V = _w_reference(fun, y0, got.t)
         assert np.max(np.abs(got.y[2] / V - 1.0)) <= 1e-11
         assert np.max(np.abs(np.exp(got.y[1] - L) - 1.0)) <= 1e-10
-        assert np.max(np.abs(got.y[0] / w - 1.0)) <= 1e-9
+        # w to 1e-9 relative, or to the march's absolute tolerance of 1e-14 near
+        # a curvature-negative end at w = 0
+        assert np.all(np.abs(got.y[0] - w) <= 1e-9 * np.abs(w) + 1e-14)
 
 
 @pytest.mark.parametrize("which", EXAMPLE_PARAMS)
 def test_interior_march_is_implicit(request, which):
     # an explicit interior march takes 5,283-37,571 steps on these segments;
-    # the implicit one at most 1,319
+    # the implicit one at most 1,319, and at most 822 on any other segment
     cur = solve(_params(request, which), M)
-    interior = [seg for seg in cur.meta["march"] if seg["regime"] == "INT"]
-    assert interior and all(seg["stepper"] == "radau" for seg in interior)
-    assert all(seg["steps"] <= 1500 for seg in interior)
-    # steps are capped at the output spacing, so the one interior segment's
-    # nodes are its step ends and the three that hug the switch into it
-    (seg,) = interior
-    assert np.sum(cur.regime == "INT") == seg["steps"] + 3
+    march = cur.meta["march"]
+    assert all(seg["steps"] <= 1500 for seg in march)
+    assert all(seg["steps"] <= 900 for seg in march if seg["regime"] != "INT")
+    # steps are capped at the output spacing, so a segment's nodes are its step
+    # ends and the three that hug each switch at its ends
+    last = len(march) - 1
+    for k, (seg, rec) in enumerate(zip(cur.segments, march)):
+        lo = seg.lo if k else cur.meta["x_eps"]
+        # the start node is the series handoff's or the previous segment's end
+        nodes = np.sum((cur.x >= lo) & (cur.x <= seg.hi)) - 1
+        assert nodes == rec["steps"] + 3 * (k > 0) + 3 * (k < last), k
 
 
-def test_segment_nodes_match_linspace_loop():
-    # the vectorised refinement against the per-gap np.linspace it replaces
-    rng = np.random.default_rng(4)
-    out_dx = 0.05
-    t = np.cumsum(np.concatenate([[0.3], rng.exponential(0.04, 300), [out_dx, 0.5]]))
-    lo, hi = t[0], t[-1]
-    ref = [[lo]]
-    for a, b in zip(t[:-1], t[1:]):
-        gap = b - a
-        ref.append(np.linspace(a, b, int(np.ceil(gap / out_dx)) + 1)[1:] if gap > out_dx
-                   else [b])
-    got = _segment_nodes(t, out_dx)
-    assert np.array_equal(got, np.concatenate(ref))
-    hugged = _segment_nodes(t, out_dx, hug_lo=True, hug_hi=True)
-    assert np.array_equal(np.setdiff1d(hugged, got),
-                          np.sort(np.concatenate([lo + np.array([1e-7, 2e-7, 1e-6]),
-                                                  hi - np.array([1e-6, 2e-7, 1e-7]) * hi])))
+@pytest.mark.parametrize("which", EXAMPLE_PARAMS[:4])
+def test_switch_points_match_reference(request, which):
+    # every switch point against an independent march: scipy's DOP853 at rtol
+    # 1e-13 on (V, V', V - J) with `curvature`, from the series at x_eps, each
+    # segment ended by phi = 2 I/((mu - r) x V') leaving its band.  Its phi
+    # loses digits to the cancellation in I near zero surplus (350x at
+    # x = 0.022 on example 1), which the tight rtol covers; the RK45 march on
+    # the same form at rtol 1e-10 put example 1's first switch 8.1e-8 off
+    p = _params(request, which)
+    cur = solve(p, M)
+    regime, bands = start_regime(p), indicator_bands(p)
+    se = series_coefficients(p, M, regime_fraction(p, regime))
+    x = handoff_point(se, p)
+    V, Vp, _, J = series_eval(se, x, p)
+    y, ref = [V, Vp, V - J], []
+    while regime != "INT":
+        events, targets = [], []
+        for level, direction in zip(bands[regime], (-1, 1)):
+            if level is None:
+                continue
+
+            def leave(x, y, level=level):
+                return indicator(p, x, y[1], deficit(p, x, y[1], p.lam * y[2])) - level
+            leave.terminal, leave.direction = True, direction
+            events.append(leave)
+            targets.append(next(k for k, band in bands.items() if k != regime and level in band))
+
+        def rhs(x, y, regime=regime):
+            return (y[1], curvature(regime, p, x, y[1], p.lam * y[2]), y[1] - y[2] / M)
+        sol = solve_ivp(rhs, (x, 50.0), y, method="DOP853", rtol=1e-13, atol=1e-16,
+                        events=events)
+        (k,) = [i for i, te in enumerate(sol.t_events) if len(te)]
+        x, y, regime = sol.t_events[k][0], sol.y_events[k][0], targets[k]
+        ref.append(x)
+    assert cur.segments[-1].regime == "INT" and len(cur.switch_points) == len(ref)
+    assert np.all(np.abs(np.array(cur.switch_points) / ref - 1.0) <= 1e-9)
 
 
 def test_hjb_residual_spot_check(example1, curve1):
@@ -680,7 +598,7 @@ def test_floor_end_bound_holds_the_far_field_mass(example1):
     assert cur.meta["completion"] == "derivative-floor"
     x_end = cur.x[-1]
     y0 = (cur.phi[-1] * (example1.mu - example1.r) * x_end / 2.0, math.log(cur.Vp[-1]), 0.0)
-    w, L, mass = _w_reference(example1, y0, np.array([x_end, x_end + 60.0]),
+    w, L, mass = _w_reference(_w_system("INT", example1, M), y0, np.array([x_end, x_end + 60.0]),
                               atol=[1e-20, 1e-14, 1e-28])[:, -1]
     assert math.exp(L) < 1e-20 * mass
     assert cur.Vp[-1] < mass <= cur.meta["tail"]["tail_mass_bound"]
@@ -787,11 +705,20 @@ def test_equal_rates_runs_without_interior():
         ("B", "curvature-negative"), ("ZERO", "reached-x-max")]
     assert cur.switch_points[0] == pytest.approx(4.613458, rel=1e-6)
     assert cur.V_inf == pytest.approx(38.0181927, rel=1e-6)
-    # concave at zero: ZERO from the start until V' underflows
-    cur = solve(ModelParams(c=0.1, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0), M)
+    # concave at zero: ZERO from the start until V' underflows.  Its flow has
+    # ln V' = ln(lambda/c) + ((lambda - r)/r) ln((c + r x)/(c + r x0)) - (x - x0)/m
+    # from x0 = 1e-8, so the floor's abscissa is the root of a closed form
+    # (the RK45 march on (V, V', V - J) put it 1.4e-6 relative too far)
+    p = ModelParams(c=0.1, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0)
+    cur = solve(p, M)
     assert [(s.regime, s.terminal_event) for s in cur.segments] == [
         ("ZERO", "derivative-floor")]
-    assert cur.x[-1] == pytest.approx(39.504467, rel=1e-6)
+
+    def ln_vp(x):
+        return (math.log(p.lam / p.c) - (x - 1e-8) / M
+                + (p.lam - p.r) / p.r * math.log((p.c + p.r * x) / (p.c + p.r * 1e-8)))
+    x_floor = brentq(lambda x: ln_vp(x) - math.log(VP_FLOOR), 30.0, 50.0, xtol=1e-14)
+    assert cur.x[-1] == pytest.approx(x_floor, rel=1e-12)
     assert cur.V_inf == pytest.approx(3.2251262, rel=1e-6)
 
 
@@ -889,42 +816,37 @@ EXAMPLE1 = dict(c=0.02, lam=0.09, mu=0.02, r=0.015, sigma=0.1, a=1.0, b=20.0)
 ANCHOR_POS_ALTB = dict(c=0.01551, lam=0.1095, r=0.02674, mu=0.03099, sigma=0.2952,
                        a=1.626, b=13.37)
 
-# SHA-256 of every column, V_inf and the regimes, recorded at commit 2250894,
-# before the march drove scipy's RK45 stepper itself (the change is
-# bit-identical); (params, x_max, segments as (regime, terminal event)).
-# example1-x4 was re-recorded when its open tail stopped adding a power-law
-# guess: V_inf 26.267091302350433 -> 25.472375338872542 = V(4), every
-# column unchanged.  example1-x15 and anchor-pos-altb-convex-open were
-# re-recorded when Radau took over the interior march in (w, L, V) (every
-# node before the interior switch kept its bits): 638479805cb0... ->
-# 8aaf51a65a7d... and 0066949ad788... -> d4da42f395c1...
+# SHA-256 of every column, V_inf and the regimes; (params, x_max, segments as
+# (regime, terminal event)).  Re-recorded when the interior regime, and then
+# every regime, came to be marched in (w, L, V) by Radau (old -> new in
+# CHANGES.md)
 BRANCH_SHA256 = {
     "mu=r-B-ZERO": (
         dict(c=0.02, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0), None,
         [("B", "curvature-negative"), ("ZERO", "reached-x-max")],
-        "90762861401ac456aa0448e178155c0ea40647a5df7617daadb3b31741b6e90c"),
+        "ed6aa6be3e9f9c051f8387f247dd84b3af372f875769a516daac6c7ecfaa0771"),
     "mu=r-ZERO": (
         dict(c=0.1, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0), None,
         [("ZERO", "derivative-floor")],
-        "54bac7030b48bc56c22eb9d0dc856fc3417e797062393e999bebf19f1f05438f"),
+        "b8233ae4f76739b1760bb164edcbd41b1bb49188bc8f232efc6c133853967d5c"),
     "example1-x3": (
         EXAMPLE1, 3.0, [("A", "indicator-extreme-bound"), ("B", "reached-x-max")],
-        "686f20a6f37e089375b7f30a20fa2dbb0d70340a2a3f0565c1e5b605b7911f97"),
+        "e77b0cfbcb340682ee23ee3678ceefe4db00476449425a2dfcbeeb4c41731840"),
     "example1-x4": (
         EXAMPLE1, 4.0,
         [("A", "indicator-extreme-bound"), ("B", "indicator-extreme-bound"),
          ("A", "reached-x-max")],
-        "030225f5e780cffd74657bfdbe2813b66ec1ae1b4a378eb6f9f5e5dc65ff491a"),
+        "aed7e01782acf6471cfea9ee62b964d216533e8a65a4e179e0a6bd9ef83b53b5"),
     "example1-x15": (
         EXAMPLE1, 15.0,
         [("A", "indicator-extreme-bound"), ("B", "indicator-extreme-bound"),
          ("A", "indicator-interior-bound"), ("INT", "reached-x-max")],
-        "8aaf51a65a7d610c3cceca85f95c6e30a2fcb5918f5d0359751cc1f0f4d5604a"),
+        "0e31d0c0dead8fcc0ddc583fe3057eeaacf46bdbd3f522653887af4def305002"),
     "anchor-pos-altb-convex-open": (
         ANCHOR_POS_ALTB, None,
         [("A", "indicator-extreme-bound"), ("B", "indicator-extreme-bound"),
          ("A", "indicator-interior-bound"), ("INT", "reached-x-max")],
-        "d4da42f395c10ebd9cba31d0013265e269ee282884729eaf3d2f6ee41df32f36"),
+        "96eb7752cdfaa4eea5804840ef4bf57a9ef50fb99d443affd5faaeb44aee12cd"),
 }
 
 
@@ -939,46 +861,34 @@ def test_march_branch_bytes_pinned(curve_sha256, tail_rule, case):
 
 def test_march_work_counts_in_sidecar(curve1):
     # one record per integrated segment.  Totals: 5,701 steps and 34,256 RHS
-    # evaluations while RK45 marched the interior regime too (measured at
-    # commit 2250894), 1,280 and 11,332 with the interior marched by Radau
+    # evaluations while RK45 marched every regime (measured at commit
+    # 2250894), 1,280 and 11,332 with the interior regime marched by Radau
+    # and the others by RK45, 1,728 and 16,420 with Radau on every segment
     march = curve1.sidecar()["march"]
     assert [seg["regime"] for seg in march] == [s.regime for s in curve1.segments]
-    assert [seg["stepper"] for seg in march] == ["rk45", "rk45", "rk45", "radau"]
-    assert sum(seg["steps"] for seg in march) == 1280
-    assert sum(seg["rhs_evals"] for seg in march) == 11332
-    assert [seg["rejected"] for seg in march] == [3, 0, 2, 2]
-    for seg in march:
-        if seg["stepper"] == "rk45":
-            # 2 RHS evaluations start each segment, 6 go into every step attempt
-            assert seg["rhs_evals"] == 2 + 6 * (seg["steps"] + seg["rejected"])
-        else:
-            # 1 starts the segment, 3 go into every round of stage evaluations
-            assert seg["rhs_evals"] == 1 + 3 * seg["newton_iters"]
+    assert all(set(seg) == {"regime", "steps", "rhs_evals", "rejected", "newton_iters"}
+               for seg in march)
+    assert [seg["steps"] for seg in march] == [13, 556, 121, 1038]
+    assert sum(seg["rhs_evals"] for seg in march) == 16420
+    assert [seg["rejected"] for seg in march] == [20, 7, 2, 2]
+    # 1 RHS evaluation starts each segment, 3 go into every round of stage
+    # evaluations
+    assert all(seg["rhs_evals"] == 1 + 3 * seg["newton_iters"] for seg in march)
 
 
 @pytest.mark.parametrize("which", ["example1", "example2", "example3"])
 def test_survival_between_nodes_matches_segment_ode(request, which):
-    # survival at seeded points between nodes against the segment's own ODE,
-    # integrated by DOP853 from the left node's (V, V', V - J), or its
-    # (w, L, V) in the interior regime
+    # survival at seeded points between nodes against the segment's own
+    # (w, L, V) system, w = I/V' = phi (mu - r) x/2, integrated by DOP853
+    # from the left node
     p, curve = request.getfixturevalue(which), request.getfixturevalue("curve" + which[-1])
     rng = np.random.default_rng(16)
     xq = rng.uniform(curve.meta["x_eps"], 20.0, 300)
     left = np.searchsorted(curve.x, xq, side="right") - 1
     ref = np.empty_like(xq)
     for j, (x, i) in enumerate(zip(xq, left)):
-        regime = str(curve.regime[i])
-        if regime == "INT":  # the march's own state (w, L, V), w = I/V'
-            y0 = [curve.phi[i] * (p.mu - p.r) * curve.x[i] / 2.0, math.log(curve.Vp[i]),
-                  curve.V[i]]
-            f, _ = _interior_w(p, M)
-
-            def rhs(t, y):
-                fw, u = f(t, y[0])
-                return (fw, u, math.exp(y[1]))
-        else:
-            y0 = [curve.V[i], curve.Vp[i], curve.V[i] - curve.J[i]]
-            rhs = _rhs_for(regime, p, M)
-        run = solve_ivp(rhs, (curve.x[i], x), y0, method="DOP853", rtol=1e-13, atol=1e-16)
-        ref[j] = run.y[-1 if regime == "INT" else 0, -1] / curve.V_inf
+        y0 = [curve.phi[i] * (p.mu - p.r) * curve.x[i] / 2.0, math.log(curve.Vp[i]), curve.V[i]]
+        run = solve_ivp(_w_rhs(_w_system(str(curve.regime[i]), p, M)), (curve.x[i], x), y0,
+                        method="DOP853", rtol=1e-13, atol=1e-16)
+        ref[j] = run.y[2, -1] / curve.V_inf
     assert np.max(np.abs(curve.survival(xq) / ref - 1.0)) <= 2e-8

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ruinvest.exp_solver import _segment_events
+from ruinvest.exp_solver import _segment_events, solve
 from ruinvest.model import ModelParams
 from ruinvest.model import regime_constants
 from ruinvest.operators import (curvature, deficit, indicator, indicator_bands, infimum,
@@ -380,24 +380,37 @@ def test_regime_for_indicator_case_tables(example1, example2):
     assert regime_for_indicator(-thr - 0.01, example2) == "A"
 
 
-@pytest.mark.parametrize("which", ["1", "2", "3"])
+@pytest.mark.parametrize("which", ["1", "2", "3", "mu=r-ZERO"])
 def test_slope_times_derivative_is_curvature(request, which):
-    # u(x, w) V' = `curvature` with M = (w + c + r x) V', on the example
-    # curves' nodes (w = I/V' from phi).  curvature's difference
+    # u(x, w) V' = `curvature` with M = (w + c + r x) V', and in ZERO (w = 0)
+    # M' = lambda V' - M/m, on the nodes of the example curves (w = I/V' from
+    # phi) and of the mu = r curve that stays in ZERO.  curvature's difference
     # M - (c + drift x) V' loses digits in the ratio of its terms to the result
-    # (up to 1e3 on INT's far field), so the bound is eps times that ratio
-    p, cur = request.getfixturevalue("example" + which), request.getfixturevalue("curve" + which)
-    for regime in ("INT", "A", "B"):
+    # (up to 1e3 on INT's far field), and so does u's w + (r - drift) x when w
+    # comes back from phi, so the bound is eps times that ratio
+    if which == "mu=r-ZERO":
+        p = ModelParams(c=0.1, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0)
+        cur = solve(p, 1.0)
+    else:
+        p, cur = request.getfixturevalue("example" + which), request.getfixturevalue("curve" + which)
+    checked = 0
+    for regime in ("INT", "A", "B", "ZERO"):
         sel = (cur.regime == regime) & (cur.x > cur.meta["x_eps"])
         x, Vp = cur.x[sel], cur.Vp[sel]
-        w = cur.phi[sel] * (p.mu - p.r) * x / 2.0
-        drift = p.r if regime == "INT" else regime_constants(p, regime_fraction(p, regime)).mu_bar
-        ratio = (np.abs(w) + 2.0 * p.c + (p.r + abs(drift)) * x) / np.abs(w + (p.r - drift) * x)
-        got = slope_fn(regime, p)(x, w) * Vp
-        ref = curvature(regime, p, x, Vp, (w + p.c + p.r * x) * Vp)
-        assert np.all(np.abs(got / ref - 1.0) <= 8 * np.finfo(float).eps * ratio), regime
-        if regime == "INT":
-            # the Vpp column is this product on the march's own w
-            assert sel.sum() > 800 and np.all(np.abs(got / cur.Vpp[sel] - 1.0) <= 1e-14)
-    with pytest.raises(ValueError, match="ZERO"):
-        slope_fn("ZERO", p)
+        u = slope_fn(regime, p, 1.0)[0]
+        if regime == "ZERO":
+            MV = (p.c + p.r * x) * Vp
+            got, ref = u(x, 0.0) * Vp, curvature(regime, p, x, Vp, MV, p.lam * Vp - MV)
+            ratio = (p.lam + p.r + p.c + p.r * x) / np.abs(p.lam - p.r - p.c - p.r * x)
+        else:
+            w = cur.phi[sel] * (p.mu - p.r) * x / 2.0
+            drift = p.r if regime == "INT" else regime_constants(p, regime_fraction(p, regime)).mu_bar
+            ratio = (np.abs(w) + 2.0 * p.c + (p.r + abs(drift)) * x) / np.abs(w + (p.r - drift) * x)
+            got, ref = u(x, w) * Vp, curvature(regime, p, x, Vp, (w + p.c + p.r * x) * Vp)
+        bound = 8 * np.finfo(float).eps * ratio
+        assert np.all(np.abs(got / ref - 1.0) <= bound), regime
+        # the Vpp column is this product on the march's own w; INT's k/w loses
+        # nothing to the round trip of w through phi
+        assert np.all(np.abs(got / cur.Vpp[sel] - 1.0) <= (1e-14 if regime == "INT" else bound))
+        checked += sel.sum()
+    assert checked == np.sum(cur.x > cur.meta["x_eps"]) > 300

@@ -323,22 +323,18 @@ class _CountingPolicy(Policy):
 # the optimal feedback policy of example 1 and its clamp=(0, 1) variant:
 # per x0 (survivors, censored, diffusion-ruined), then the engine iterations
 # and path-steps summed over x0 and chunks; measured at commit e2e3582 with
-# numpy 2.4.6, and re-drawn when Radau took over the interior march (the
-# policy's fingerprint hashes the curve's nodes).  Before: one chunk
-# None ({1: (152, 152, 0), 5: (691, 668, 0), 10: (977, 305, 0)}, 35_055,
-# 5_721_552), (0, 1) ({1: (43, 43, 0), 5: (639, 614, 0), 10: (974, 301, 0)},
-# 5_451, 3_394_645); two chunks None ({1: (3262, 3262, 0), 5: (13420, 13420, 0),
-# 10: (16338, 16338, 0)}, 38_672, 50_985_723), (0, 1) ({1: (4156, 4156, 0),
-# 5: (14286, 14286, 0), 10: (16382, 16382, 0)}, 2_741, 18_343_419)
+# numpy 2.4.6, and re-drawn when Radau took over the interior march and again
+# when it took over every regime (the policy's fingerprint hashes the curve's
+# nodes; old -> new in CHANGES.md)
 FEEDBACK_ONE_CHUNK = {  # 1,000 paths, horizon 200, barrier 100, seed 77
-    None: ({1.0: (156, 155, 0), 5.0: (680, 653, 0), 10.0: (981, 299, 0)}, 27_795, 5_704_669),
-    (0.0, 1.0): ({1.0: (47, 47, 0), 5.0: (647, 624, 0), 10.0: (974, 294, 0)}, 5_450, 3_400_431),
+    None: ({1.0: (162, 160, 0), 5.0: (717, 698, 0), 10.0: (976, 307, 0)}, 35_673, 5_785_301),
+    (0.0, 1.0): ({1.0: (42, 42, 0), 5.0: (645, 621, 0), 10.0: (976, 300, 0)}, 5_450, 3_394_773),
 }
 FEEDBACK_TWO_CHUNKS = {  # 16,484 paths, horizon 50, barrier 100, seed 77
-    None: ({1.0: (3271, 3271, 0), 5.0: (13376, 13376, 0), 10.0: (16333, 16333, 0)},
-           39_243, 50_823_912),
-    (0.0, 1.0): ({1.0: (4153, 4153, 0), 5.0: (14231, 14231, 0), 10.0: (16388, 16388, 0)},
-                 2_741, 18_338_331),
+    None: ({1.0: (3209, 3209, 0), 5.0: (13414, 13414, 0), 10.0: (16338, 16338, 0)},
+           44_565, 50_773_443),
+    (0.0, 1.0): ({1.0: (4153, 4153, 0), 5.0: (14243, 14243, 0), 10.0: (16388, 16388, 0)},
+                 2_740, 18_342_431),
 }
 
 
