@@ -44,6 +44,7 @@ through 0 ends ZERO.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import ClassVar, Optional
@@ -67,7 +68,7 @@ MAX_SWITCHES = 16     # more regime changes than this is event oscillation
 SERIES_TERMS = 40     # order of the near-zero series
 VP_FLOOR = 1e-13      # derivative underflow = completion
 MAX_STEP = 0.5        # integrator step cap
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 
 _COMPLETIONS = ("derivative-floor",)
 _ABORTS = ("deficit-zero", "indicator-below-exclusion")
@@ -292,6 +293,7 @@ def _radau_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
     """
     f, jac = fun
     t, tf = map(float, t_span)
+    rtol, max_step = float(rtol), float(max_step)  # numpy scalars would slow every step
     w, L, V = map(float, y0)
     if not (math.isfinite(w) and math.isfinite(L) and math.isfinite(V)):
         raise ValueError("All components of the initial state `y0` must be finite.")

@@ -449,6 +449,25 @@ def test_interior_march_is_implicit(request, which):
 
 
 @pytest.mark.parametrize("which", EXAMPLE_PARAMS[:4])
+def test_march_runs_on_python_floats(monkeypatch, request, which):
+    # every regime's f receives plain floats: numpy scalars in the stage
+    # arithmetic once doubled the solve time of example 1
+    seen = set()
+    w_system = exp_solver._w_system
+
+    def spy(regime, params, m):
+        f, jac = w_system(regime, params, m)
+
+        def typed(x, w):
+            seen.add((type(x), type(w)))
+            return f(x, w)
+        return typed, jac
+    monkeypatch.setattr(exp_solver, "_w_system", spy)
+    solve(_params(request, which), M)
+    assert seen == {(float, float)}
+
+
+@pytest.mark.parametrize("which", EXAMPLE_PARAMS[:4])
 def test_switch_points_match_reference(request, which):
     # every switch point against an independent march: scipy's DOP853 at rtol
     # 1e-13 on (V, V', V - J) with `curvature`, from the series at x_eps, each
