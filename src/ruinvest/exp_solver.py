@@ -20,16 +20,17 @@ carries I without the cancellation in lambda (V - J) - (c + r x) V', so phi
 and the switch points keep their digits, and V' is never resolved to an
 absolute tolerance.
 
-The march starts from the near-zero asymptotic series of the initial regime
-(`operators.start_regime`), w from the series' V''/V', tracks phi, and
-switches regimes where phi leaves the regime's band
+The march starts at X0 = 1e-6 from three Taylor terms at zero surplus of the
+initial regime (`operators.start_regime`, `series_coefficients`), w from their
+V''/V', tracks phi, and switches regimes where phi leaves the regime's band
 (`operators.indicator_bands`): each row of a regime's event table names the
 regime across the crossed bound.
 
 One stepper marches every segment: a 3-stage Radau IIA step (Hairer & Wanner
 1996) in plain Python floats.  The interior regime is stiff (dw'/dw =
 -1/m - kappa (c + r x)/w^2 grows as w settles at kappa m), and so is a
-constant regime near zero surplus (dw'/dw ~ -2c/(sigma_bar^2 x^2)).  The stage
+constant regime near zero surplus (dw'/dw ~ -2c/(sigma_bar^2 x^2)); the step
+is L-stable, so it damps the start's error on its own.  The stage
 Newton iteration acts on the scalar w alone, L and V are the quadratures of
 its stages, and steps are capped at the output spacing, so every step end is
 a node.  Event roots are found by Brent's method on the step's collocation
@@ -55,7 +56,6 @@ from .curve import REGIME_INTERIOR, REGIME_ZERO, RegimeSegment, SolutionCurve
 from .model import ExponentialClaims, ModelParams, regime_constants, require_valid
 from .operators import (indicator, indicator_bands, regime_fraction, slope_fn, start_indicator,
                         start_regime, theta_for, vertex_exclusion)
-from .series import SeriesExpansion, handoff_point, series_coefficients, series_eval
 
 __all__ = [
     "SolveOptions",
@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 MAX_SWITCHES = 16     # more regime changes than this is event oscillation
-SERIES_TERMS = 40     # order of the near-zero series
+X0 = 1e-6             # where the march starts from the Taylor terms at zero surplus
 VP_FLOOR = 1e-13      # derivative underflow = completion
 MAX_STEP = 0.5        # integrator step cap
 _EPS = sys.float_info.epsilon
@@ -325,6 +325,8 @@ def _radau_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
                 status = -1
                 break
             t_new = min(t + h_abs, tf)
+            if t_new < tf < t_new + 0.01 * h_abs:  # the last two steps share the rest,
+                t_new = t + (tf - t) / 2           # leaving no sliver before tf
             while t_new - t > max_step:  # the cap holds after rounding too
                 t_new = math.nextafter(t_new, -math.inf)
             h = t_new - t
@@ -455,32 +457,71 @@ solve_ivp = _radau_march
 
 
 # ---------------------------------------------------------------------------
-# main march
+# main march; its start's two steps, series_coefficients and handoff_point, are
+# the benchmark's "series" layer (perfbench/tracing.py wraps them by name)
 # ---------------------------------------------------------------------------
 
+def series_coefficients(params: ModelParams, m: float, gamma: float):
+    """(D1, D2, D3): the Taylor terms at zero surplus of the constant regime
+    gamma in {a, -b}, V = 1 + D1 (x + D2 x^2/2 + D3 x^3/3) + O(x^4), with
+
+        D1 = lambda/c,  D2 = -((mu_bar - lambda)/c + 1/m),
+        D3 = -(D2 (sigma_bar^2 + 2 mu_bar - lambda + c/m) + mu_bar/m) / (2c),
+
+    mu_bar and sigma_bar as in `regime_constants`.  The full series in x is
+    asymptotic (its terms grow factorially); three terms at X0 are exact to
+    about D4 X0^3 relative in V', and the march takes over from there.
+    """
+    rc = regime_constants(params, gamma)
+    mb, sb, c, lam = rc.mu_bar, rc.sigma_bar, params.c, params.lam
+    D2 = -((mb - lam) / c + 1.0 / m)
+    return lam / c, D2, -(D2 * (sb**2 + 2.0 * mb - lam + c / m) + mb / m) / (2.0 * c)
+
+
 def _series_w(params: ModelParams, regime: str, x, Vp, Vpp):
-    """w = I/V' of the series in a constant regime: the slope table's A/B row
-    solved for w, (mu_bar - r) x + sigma_bar^2 x^2 V''/(2 V'), free of the
+    """w = I/V' of the Taylor start in a constant regime: the slope table's A/B
+    row solved for w, (mu_bar - r) x + sigma_bar^2 x^2 V''/(2 V'), free of the
     cancellation in lambda (V - J) - (c + r x) V'."""
     rc = regime_constants(params, regime_fraction(params, regime))
     return (rc.mu_bar - params.r) * x + rc.sigma_bar**2 * x**2 * Vpp / (2.0 * Vp)
 
 
+def handoff_point(params: ModelParams, regime: str, w: float) -> float:
+    """X0, once the start regime is optimal there: phi(X0), from w = I/V' at X0,
+    lies in the regime's band of `indicator_bands` (for mu = r, without phi,
+    V'' > 0: w > 0).  Else a switch below X0 would go unseen by the march's
+    events, and SolverAbort names X0, phi(X0) and the band."""
+    phi = indicator(params, X0, 1.0, w)
+    if params.mu == params.r:
+        inside, band = w > 0, "w > 0"
+    else:
+        lo, hi = band = indicator_bands(params)[regime]
+        inside = (lo is None or lo <= phi) and (hi is None or phi <= hi)
+    if not inside:
+        raise SolverAbort(f"the start regime {regime} is not optimal at X0={X0:g}: "
+                          f"phi(X0)={phi:.6g} (w={w:.6g}) lies outside its band {band}, so a "
+                          "switch below X0 would go unseen",
+                          {"X0": X0, "w": w, "phi": phi, "band": band})
+    return X0
+
+
 def _start(params: ModelParams, m: float):
-    """(series, regime, x_eps, state (w, L, V)) where the march begins.
+    """(D, regime, x0, state (w, L, V)) where the march begins.
 
     The start is the constant regime that is optimal at zero surplus: maximal
-    long when mu > r, maximal short when mu < r.  When mu = r it is the
-    largest-|theta| endpoint if V''(0+) > 0, and otherwise ZERO from x = 1e-8
-    with the x = 0 data (no series segment).
+    long when mu > r, maximal short when mu < r.  D = (D1, D2, D3) are its
+    Taylor terms (`series_coefficients`), which give the state at x0 = X0.
+    When mu = r it is the largest-|theta| endpoint if V''(0+) = D1 D2 > 0,
+    and otherwise ZERO from x0 = 1e-8 with the x = 0 data.
     """
     regime0 = start_regime(params)
-    exp = series_coefficients(params, m, regime_fraction(params, regime0), K=SERIES_TERMS)
-    if params.mu == params.r and exp.D[2] <= 0:
-        return exp, REGIME_ZERO, 1e-8, (0.0, math.log(params.lam / params.c), 1.0)
-    x_eps = handoff_point(exp, params)
-    V0, Vp0, Vpp0, _ = series_eval(exp, x_eps, params)
-    return exp, regime0, x_eps, (_series_w(params, regime0, x_eps, Vp0, Vpp0), math.log(Vp0), V0)
+    D = D1, D2, D3 = series_coefficients(params, m, regime_fraction(params, regime0))
+    if params.mu == params.r and D2 <= 0:
+        return D, REGIME_ZERO, 1e-8, (0.0, math.log(D1), 1.0)
+    V = 1.0 + D1 * (X0 + D2 * X0**2 / 2.0 + D3 * X0**3 / 3.0)
+    Vp, Vpp = D1 * (1.0 + D2 * X0 + D3 * X0**2), D1 * (D2 + 2.0 * D3 * X0)
+    w = _series_w(params, regime0, X0, Vp, Vpp)
+    return D, regime0, handoff_point(params, regime0, w), (w, math.log(Vp), V)
 
 
 def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None) -> SolutionCurve:
@@ -495,10 +536,12 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
     segment: its steps, RHS evaluations, rejected attempts and Newton rounds.
     Raises ValueError, naming the field, for an rtol outside [100 eps, inf),
     an atol that is negative or not finite, or an x_max of +inf, and
-    SolverAbort when x_max does not lie beyond the series handoff point
-    x_eps, on event oscillation (more than MAX_SWITCHES regime changes), a
-    failed step, loss of monotonicity, the interior deficit w = I/V'
-    reaching zero, or an indicator falling below the vertex-exclusion cutoff.
+    SolverAbort when x_max does not lie beyond the start x_eps (X0, or 1e-8
+    for a ZERO start), when the start regime is not optimal at X0
+    (`handoff_point`), on event oscillation (more than MAX_SWITCHES regime
+    changes), a failed step, loss of monotonicity, the interior deficit
+    w = I/V' reaching zero, or an indicator falling below the
+    vertex-exclusion cutoff.
     """
     opts = options or SolveOptions()
     require_valid(params, ExponentialClaims(m))
@@ -508,10 +551,10 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
     x_max = opts.resolved_x_max(params)
     if x_max == math.inf:
         raise ValueError("x_max must be finite, got inf")
-    exp, regime, x_eps, y = _start(params, m)
+    D, regime, x_eps, y = _start(params, m)
     if not x_max > x_eps:  # NaN included: the march only runs forward
-        raise SolverAbort(f"x_max={x_max:.6g} is not beyond the handoff point x_eps={x_eps:.6g}",
-                          {"x_max": x_max, "x_eps": float(x_eps)})
+        raise SolverAbort(f"x_max={x_max:.6g} is not beyond the start x_eps={x_eps:.6g}",
+                          {"x_max": x_max, "x_eps": x_eps})
 
     x = x_eps
     segments: list[RegimeSegment] = []
@@ -567,7 +610,7 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
             raise SolverAbort(f"regime oscillation: more than {MAX_SWITCHES} switches",
                               {"switches": [(e["x"], e["kind"]) for e in events_log]})
 
-    return _assemble(params, m, exp, x_eps, xs_all, cols, segments, events_log, march,
+    return _assemble(params, m, D, x_eps, xs_all, cols, segments, events_log, march,
                      completion, opts)
 
 
@@ -602,30 +645,15 @@ def _append_segment(nodes, states, regime, params, m, xs_all, cols):
     cols["regime"].append(np.full(nodes.shape, regime, dtype=object))
 
 
-def _series_prefix(params, exp: SeriesExpansion, x_eps, regime0):
-    """Rows on [0, x_eps) from the series, including the x = 0 limits.
-
-    A ZERO start has the x = 0 row only.
-    """
-    xs = np.array([0.0])
-    if regime0 != REGIME_ZERO:
-        xs = np.concatenate([xs, np.geomspace(x_eps / 64.0, x_eps, 16)[:-1]])
-    D1 = params.lam / params.c
-    rows = [(1.0, D1, D1 * exp.D[2], 0.0)] + [series_eval(exp, x, params) for x in xs[1:]]
-    V, Vp, Vpp, J = np.array(rows).T
-    phi = np.full(xs.shape, start_indicator(params))
-    if regime0 != REGIME_ZERO:
-        phi[1:] = indicator(params, xs[1:], 1.0, _series_w(params, regime0, xs[1:], Vp[1:], Vpp[1:]))
-    return xs, {"V": V, "Vp": Vp, "Vpp": Vpp, "J": J, "phi": phi,
-                "theta": theta_for(regime0, params, phi),
-                "regime": np.full(xs.shape, regime0, dtype=object)}
-
-
-def _assemble(params, m, exp, x_eps, xs_all, cols, segments, events_log, march, completion,
+def _assemble(params, m, D, x_eps, xs_all, cols, segments, events_log, march, completion,
               opts):
-    xs0, rows0 = _series_prefix(params, exp, x_eps, segments[0].regime)
-    x = np.concatenate([xs0] + xs_all)
-    data = {k: np.concatenate([rows0[k], *cols[k]]) for k in cols}
+    # the x = 0 row: V(0) = 1, V'(0+) = D1 = lambda/c, V''(0+) = D1 D2, J(0) = 0
+    (D1, D2, _), regime0 = D, segments[0].regime
+    row0 = {"V": 1.0, "Vp": D1, "Vpp": D1 * D2, "J": 0.0, "phi": start_indicator(params),
+            "theta": regime_fraction(params, regime0), "regime": regime0}
+    x = np.concatenate([[0.0]] + xs_all)
+    data = {k: np.concatenate([np.array([row0[k]], dtype=cols[k][0].dtype), *cols[k]])
+            for k in cols}
     keep = np.concatenate([[True], np.diff(x) > 0])
     x = x[keep]
     for k in data:
@@ -636,7 +664,6 @@ def _assemble(params, m, exp, x_eps, xs_all, cols, segments, events_log, march, 
                                    completion=completion, m=m)
     meta = {
         "x_eps": x_eps,
-        "series_terms": exp.K,
         "completion": completion,
         "events": events_log,
         "march": march,

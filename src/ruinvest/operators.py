@@ -2,13 +2,11 @@
 
 This module is the one home of the equation's formulas and of its case
 table: the array kernel (`deficit`, `indicator`, `slope_fn`, `theta_for`,
-`infimum`) that the solvers call, `curvature`, each regime's V'' in (V', M)
-that the tests hold `slope_fn` and the march to, and the per-regime facts
-(`regime_fraction`, `start_regime`, `start_indicator`, `indicator_bands`,
-`regime_for_indicator`) that the solvers, the CLI and the tests read; no
-other module derives a regime's fraction, start, phi(0+) or indicator band.  There is
-no second, pointwise copy of the table; the tests check this one against a
-dense argmax of the generator below.
+`infimum`) that the solvers call, and the per-regime facts (`regime_fraction`,
+`start_regime`, `start_indicator`, `indicator_bands`) that the solvers, the
+CLI and the tests read; no other module derives a regime's fraction, start,
+phi(0+) or indicator band.  There is no second, pointwise copy of the table;
+the tests check this one against a dense argmax of the generator below.
 
 For a candidate value function W the controlled generator at fraction theta is
 
@@ -47,7 +45,6 @@ from .model import ModelParams, regime_constants
 __all__ = [
     "deficit",
     "indicator",
-    "curvature",
     "slope_fn",
     "theta_for",
     "regime_for_theta",
@@ -57,7 +54,6 @@ __all__ = [
     "start_regime",
     "start_indicator",
     "indicator_bands",
-    "regime_for_indicator",
 ]
 
 
@@ -87,38 +83,20 @@ def indicator(p: ModelParams, x, Vp, I):
     return 2.0 * I / ((p.mu - p.r) * x * Vp)
 
 
-def curvature(regime: str, p: ModelParams, x, Vp, MV, dMV=None):
-    """V'' prescribed by the regime's equation.
-
-    A, B (constant gamma in {a, -b}, effective mu_bar, sigma_bar as in
-    `regime_constants`):  V'' = 2 [M - (c + mu_bar x) V'] / (sigma_bar^2 x^2)
-    INT (vertex):          V'' = -(mu - r)^2 V'^2 / (2 sigma^2 I)
-    ZERO (mu = r, theta = 0, V' = M/(c + r x)):
-                           V'' = [M' (c + r x) - r M] / (c + r x)^2,
-    where ZERO needs dMV = M'(x) and ignores Vp.
-    """
-    c, r = p.c, p.r
-    if regime == REGIME_INTERIOR:
-        return -((p.mu - p.r) ** 2) * Vp**2 / (2.0 * p.sigma**2 * deficit(p, x, Vp, MV))
-    if regime == REGIME_ZERO:
-        return (dMV * (c + r * x) - r * MV) / (c + r * x)**2
-    rc = regime_constants(p, regime_fraction(p, regime))
-    return 2.0 * (MV - (c + rc.mu_bar * x) * Vp) / (rc.sigma_bar**2 * x**2)
-
-
 def slope_fn(regime: str, p: ModelParams, m: float):
     """(u, du/dw): u(x, w) = V''/V' of one regime and its w-derivative,
     their constants bound once.
 
-    With w = I/V' (the deficit per unit slope) `curvature` divided by V'
-    depends on (x, w) alone, M(V) being (w + c + r x) V':
+    With w = I/V' (the deficit per unit slope) each regime's V'' in (V', M),
+    divided by V', depends on (x, w) alone, M(V) being (w + c + r x) V':
 
     INT:   u = -(mu - r)^2 / (2 sigma^2 w)
     A, B:  u = 2 (w + (r - mu_bar) x) / (sigma_bar^2 x^2)
     ZERO:  w = 0 and u = (lambda - r)/(c + r x) - 1/m
 
-    ZERO's row is `curvature`'s with M = (c + r x) V' and, for exponential
-    claims of mean m, M' = lambda V' - M/m; it is the only row that reads m.
+    ZERO's row is V'' = [M' (c + r x) - r M] / (c + r x)^2 (theta = 0) with
+    M = (c + r x) V' and, for exponential claims of mean m, M' = lambda V' -
+    M/m; it is the only row that reads m.
     """
     if regime == REGIME_INTERIOR:
         k = -((p.mu - p.r) ** 2) / (2.0 * p.sigma**2)
@@ -231,12 +209,3 @@ def indicator_bands(p: ModelParams) -> dict:
             bands[REGIME_LONG] = (None, extreme)
         return bands
     raise ValueError("the indicator case table is undefined for mu = r")
-
-
-def regime_for_indicator(phi: float, params: ModelParams) -> str:
-    """Regime the case table prescribes at phi; NaN maps to `start_regime`."""
-    near = start_regime(params)
-    for regime, (lo, hi) in indicator_bands(params).items():
-        if regime != near and (lo is None or phi > lo) and (hi is None or phi < hi):
-            return regime
-    return near

@@ -7,7 +7,7 @@ from scipy.interpolate import CubicSpline
 from ruinvest.exp_solver import SolveOptions, solve
 from ruinvest.general_solver import general_solve
 from ruinvest.model import ExponentialClaims, convex_start_condition, regime_constants
-from ruinvest.operators import indicator_bands, regime_for_indicator
+from ruinvest.operators import indicator_bands
 from ruinvest.simulator import (ConstantPolicy, FeedbackPolicy, SimConfig,
                                 compare_policies, estimate_survival,
                                 lundberg_ruin_probability)
@@ -192,7 +192,7 @@ def test_criterion_5_scheme_equivalence(example1, example2, example3,
 
 
 def test_criterion_6_theorem_consistency(example1, example2, example3,
-                                         curve1, curve2, curve3):
+                                         curve1, curve2, curve3, regime_for_indicator):
     for p, cur in ((example1, curve1), (example2, curve2), (example3, curve3)):
         bounds = {t for band in indicator_bands(p).values() for t in band if t is not None}
         band = 1e-7 * (1.0 + sum(abs(t) for t in bounds))

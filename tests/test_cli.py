@@ -31,26 +31,26 @@ def _sha256(path):
 # example1-verify was re-recorded when `expected` moved from PCHIP to the
 # cubic Hermite on (V, V'); its MC columns kept their bytes.  The feedback
 # rows of example1-verify and example1-compare were re-drawn when Radau took
-# over the interior march, and again when it took over every regime (the
-# policy's fingerprint hashes the curve's nodes)
+# over the interior march, when it took over every regime and when the march
+# came to start at X0 = 1e-6 (the policy's fingerprint hashes the curve's nodes)
 MC_SHA256 = {
     "oracle-verify": "ba00f140eb23b3ab42edb7f3530dbc9f4df0ed332d4717eea46b805a2db82f5e",
-    "example1-verify": "9b01572734bbc9f60d6b1c2a1867b30ceca1d3336ef35197a268b82c98b18051",
-    "example1-compare": "af409afb50102db6be6f3c2d19e4cb617e8d696b129361c2c641e740683e0e09",
+    "example1-verify": "75e9f960a0f0502019636383aa4c37fea47f92311343ed95365a600fbe110ffb",
+    "example1-compare": "d94ec2ad73abee39b5101d58fe59ced1bc3c67e942f4110b08f877424eaf4d68",
 }
 
 # SHA-256 of the other artifacts the tests below write, measured at commit
 # 173c333 with numpy 2.4.6 and scipy 1.17.1; policy.csv and policy.json are the
 # same whether policy re-reads a solve or solves afresh.  example1-curve.json,
 # example1-policy.csv and example1-verify.json were re-recorded when Radau
-# took over the interior march, and with example1-policy.json when it took
-# over every regime
+# took over the interior march, with example1-policy.json when it took over
+# every regime, and all five when the march came to start at X0 = 1e-6
 ARTIFACT_SHA256 = {
-    "example1-curve.json": "226978122d4766d643bb7a43b8ca41f0a8912e0227937a8e0c68354f3e42e32d",
-    "example1-policy.csv": "76a06827555dde0709bd582386f03eef3904d7e89c51e44eb929b28f4d6b5271",
-    "example1-policy.json": "0f2cbbe90efae197c7fda6c65f8125dd048889df809d6798ffbd4ea68e39f114",
-    "example1-verify.json": "969a86921c095254a7ddbfc489c9a42a3ac08f8d08f907280f18916acee17592",
-    "xmax-abort.json": "223ccd072038a347a3008afbf54d08f4c7e4a9788d5265b996027a86a1386005",
+    "example1-curve.json": "0f9e9d6fe1a6fe4702509d5271207f0bd4493a8344276f274e621f32f634cca0",
+    "example1-policy.csv": "087ddcf3281766c25efaba6ef0006afdfc42cf4982fc9085ba6abc872d9e759a",
+    "example1-policy.json": "ce7c62e9f9924cab9dd1e83b04e6351cdfa390782616835dd0ce32d6a1be4164",
+    "example1-verify.json": "1517f1a5ab282626e9b54c7bdf5f3104509ef94b9481d7b3281ec1d33d078153",
+    "xmax-abort.json": "a9f44f55cb45a322aa59f183b5aa95f04381e67bfcdb8c2660f4e0dc0579f060",
 }
 
 
@@ -138,11 +138,13 @@ def test_policy_resolves_stale_curve(tmp_path):
 # solver refactors keep these bytes.  Re-recorded when Radau took over the
 # interior march in (w, L, V) (V_inf moved by at most 1.9e-10 relative), and
 # when it took over every regime (V_inf moved by at most 1.7e-10, the switch
-# points by up to 8.1e-8 relative, toward an rtol 1e-13 reference)
+# points by up to 8.1e-8 relative, toward an rtol 1e-13 reference), and when
+# the march came to start at X0 = 1e-6 from three Taylor terms (V_inf moved by
+# at most 1.6e-11)
 CURVE_SHA256 = {
-    "example1": "4aa03ba937926d020323971f3804e16534c1f64fb24b178841f1271bf43968f1",
-    "example2": "ae28d53a879773f53af2d11be0831a5c62d71ec3f7c05a0cbc02658b9f163449",
-    "example3": "83310e47e7d5ad9f4beef4e9ce414b9b98f1f4f8657c7beca1561f9648fa3264",
+    "example1": "e238231f93d9b9fad80c72ee7011b58dc433e14141caab52620d69aac17c1def",
+    "example2": "aebc30c19c6416b142a3d3f2dfb9bf52497b50f6ce1029d3ca6b85bde8a2d165",
+    "example3": "2fed5018c59d1c2ee03ef08d3f9d28df8acd5f8e569351b6aa195aee7021c53d",
 }
 
 
@@ -190,17 +192,16 @@ def test_validation_exit_code(tmp_path):
 
 
 def test_solver_abort_exit_code_and_artifact(tmp_path, capsys):
-    # x_max below the series handoff point: exit 2 with abort.json, no curve
+    # x_max below the march's start x_eps = 1e-6: exit 2 with abort.json, no curve
     rc = main(["solve", "--config", str(CONFIGS / "example1.cfg"),
-               "--out-dir", str(tmp_path), "--xmax", "1e-5"])
+               "--out-dir", str(tmp_path), "--xmax", "5e-7"])
     assert rc == 2
     assert not (tmp_path / "curve.csv").exists()
     abort = json.loads((tmp_path / "abort.json").read_text())
-    assert abort["diagnostics"]["x_max"] == 1e-5
-    assert 0.0 < abort["diagnostics"]["x_eps"] < 0.1
+    assert abort["diagnostics"] == {"x_max": 5e-7, "x_eps": 1e-6}
     assert abort["manifest"]["subcommand"] == "solve"
-    assert abort["manifest"]["options"]["xmax"] == 1e-5
-    assert capsys.readouterr().err.startswith("solver abort: x_max=1e-05")
+    assert abort["manifest"]["options"]["xmax"] == 5e-7
+    assert capsys.readouterr().err.startswith("solver abort: x_max=5e-07")
     assert _sha256(tmp_path / "abort.json") == ARTIFACT_SHA256["xmax-abort.json"]
 
 

@@ -13,7 +13,6 @@ from ruinvest.general_solver import (HIST_LAGS, HistorySum, general_solve, integ
                                      solve_constant_regime_near_zero)
 from ruinvest.model import ExponentialClaims, GeneralClaims, ModelParams
 from ruinvest.operators import infimum, vertex_exclusion
-from ruinvest.series import handoff_point, series_coefficients, series_eval
 
 M = 1.0
 
@@ -54,10 +53,10 @@ def test_near_zero_initial_data(table1, example1):
     assert table1.Vpp[0] == pytest.approx(11.25, abs=1e-8)
 
 
-def test_near_zero_matches_exponential_series(table1, example1):
-    se = series_coefficients(example1, M, example1.a)
+def test_near_zero_matches_exponential_series(table1, example1, near_zero_series):
+    se = near_zero_series(example1, M, example1.a)
     for i in range(1, len(table1.x), 16):
-        V, Vp, Vpp, _ = series_eval(se, table1.x[i], example1)
+        V, Vp, Vpp, _ = se(table1.x[i])
         assert table1.V[i] == pytest.approx(V, rel=1e-6)
         assert table1.Vp[i] == pytest.approx(Vp, rel=1e-6)
         assert table1.Vpp[i] == pytest.approx(Vpp, rel=1e-6, abs=1e-6)

@@ -6,9 +6,8 @@ import pytest
 from ruinvest.exp_solver import _segment_events, solve
 from ruinvest.model import ModelParams
 from ruinvest.model import regime_constants
-from ruinvest.operators import (curvature, deficit, indicator, indicator_bands, infimum,
-                                regime_for_indicator, regime_for_theta, regime_fraction,
-                                slope_fn, theta_for, vertex_exclusion)
+from ruinvest.operators import (deficit, indicator, indicator_bands, infimum, regime_for_theta,
+                                regime_fraction, slope_fn, theta_for, vertex_exclusion)
 
 
 def _random_states(rng, n):
@@ -66,7 +65,7 @@ def _state_at_indicator(p, x, Vp, phi):
     return (p.c + p.r * x) * Vp + 0.5 * phi * (p.mu - p.r) * x * Vp
 
 
-def test_maximizer_caps_at_a(example1):
+def test_maximizer_caps_at_a(example1, curvature, regime_for_indicator):
     # a <= phi <= 2ab/(b-a): the table caps the fraction at a (regime A)
     x, Vp, phi = 1.0, 4.5, 1.5
     MV = _state_at_indicator(example1, x, Vp, phi)
@@ -77,7 +76,7 @@ def test_maximizer_caps_at_a(example1):
                        np.linspace(-example1.b, example1.a, 4001))
 
 
-def test_maximizer_convex_split(example1):
+def test_maximizer_convex_split(example1, curvature, regime_for_indicator):
     # phi > 2ab/(b-a): the B curvature is convex in theta and its vertex lies
     # above (a-b)/2, so the far endpoint -b is the maximiser
     x, Vp, phi = 1.0, 4.5, 3.0
@@ -91,7 +90,7 @@ def test_maximizer_convex_split(example1):
                        np.linspace(-example1.b, example1.a, 4001))
 
 
-def test_maximizer_is_argmax_by_dense_sampling():
+def test_maximizer_is_argmax_by_dense_sampling(curvature, regime_for_indicator):
     # the case table (regime from phi, its curvature, its fraction) gives the
     # argmax of the generator, and sup_theta L V = 0 there
     for p in CASE_TABLE_CONFIGS:
@@ -109,7 +108,7 @@ def test_maximizer_is_argmax_by_dense_sampling():
         assert len(regimes) == len(indicator_bands(p))
 
 
-def test_maximizer_matches_direct_comparison():
+def test_maximizer_matches_direct_comparison(curvature, regime_for_indicator):
     # infimum compares its candidate fractions directly; it picks the case
     # table's fraction and a V'' at which sup_theta L V = 0
     for p in CASE_TABLE_CONFIGS:
@@ -161,7 +160,7 @@ def test_indicator_undefined_when_rates_equal():
     assert np.all(np.isnan(indicator(p, np.ones(3), np.ones(3), np.ones(3))))
 
 
-def test_phi_psi_identity(example1):
+def test_phi_psi_identity(example1, curvature):
     # psi * sigma^2 * x * phi = -(mu - r) * Vp wherever both defined, psi the
     # interior curvature
     rng = np.random.default_rng(37)
@@ -175,7 +174,7 @@ def test_phi_psi_identity(example1):
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_psi_undefined_when_deficit_vanishes(example1):
+def test_psi_undefined_when_deficit_vanishes(example1, curvature):
     Vp = 2.0
     MV = (example1.c + example1.r * 1.0) * Vp  # I = 0 exactly
     assert _phi(example1, 1.0, Vp, MV) == pytest.approx(0.0)
@@ -184,7 +183,7 @@ def test_psi_undefined_when_deficit_vanishes(example1):
     assert not np.isfinite(psi[0])
 
 
-def test_regime_vertex_curvature_identity(example1):
+def test_regime_vertex_curvature_identity(example1, curvature):
     # along L(gamma) V = 0 the vertex is -gamma^2 (mu - r) x V' / (2 den),
     # den = M - (c + r x + (mu - r) gamma x) V'; with the kernel's V'' it is
     # also -(mu - r) V' / (sigma^2 x V'')
@@ -202,13 +201,13 @@ def test_regime_vertex_curvature_identity(example1):
                 -(example1.mu - example1.r) * Vp / (example1.sigma**2 * x * xi), rel=1e-11)
 
 
-def test_regime_curvature_increases_with_jump_value(example1):
+def test_regime_curvature_increases_with_jump_value(example1, curvature):
     eta1 = curvature("A", example1, 2.0, 1.0, 0.05)
     eta2 = curvature("A", example1, 2.0, 1.0, 1.05)
     assert eta2 > eta1
 
 
-def test_regime_quantities_match_solved_segment(example1, curve1):
+def test_regime_quantities_match_solved_segment(example1, curve1, curvature):
     # on a constant-regime segment the regime's V'' is the curve's, so its
     # implied vertex -(mu - r) V' / (sigma^2 x V'') is the curve's vertex
     seg = curve1.segments[1]  # the maximal-short stretch
@@ -224,7 +223,7 @@ def test_regime_quantities_match_solved_segment(example1, curve1):
         assert xi == pytest.approx(al, rel=1e-6, abs=1e-6)
 
 
-def test_zero_curvature_is_slope_of_slaved_derivative():
+def test_zero_curvature_is_slope_of_slaved_derivative(curvature):
     # ZERO: V' = M/(c + r x), so V'' is its x-derivative given M'
     p = ModelParams(c=0.02, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=1.0, b=20.0)
     M = lambda x: 0.3 * np.exp(-0.4 * x) + 0.1 * x
@@ -278,7 +277,7 @@ def test_curvature_infimum_rejects_large_exclusion(example1):
         infimum(example1, 1.0, 1.0, 0.1, exclusion=example1.a)
 
 
-def test_scale_invariance_of_pointwise_policy(example1):
+def test_scale_invariance_of_pointwise_policy(example1, regime_for_indicator):
     # multiplying (Vp, MV) by k > 0 changes no policy quantity: phi, the case
     # table's regime and infimum's fraction stay, and infimum's V'' scales by k
     rng = np.random.default_rng(43)
@@ -320,7 +319,7 @@ def test_threshold_absent_when_bounds_equal():
     assert indicator_bands(p) == {"INT": (None, 2.0), "A": (2.0, None)}
 
 
-def test_regime_for_indicator_table_edges():
+def test_regime_for_indicator_table_edges(regime_for_indicator):
     # the regime at the interior bound (A for mu > r, B for mu < r) owns both
     # of its thresholds, and a NaN indicator maps to it; with a = b it is the
     # only constant regime
@@ -370,7 +369,7 @@ def test_regime_for_indicator_table_edges():
         assert checked == 2 * (len(bands) - 1)
 
 
-def test_regime_for_indicator_case_tables(example1, example2):
+def test_regime_for_indicator_case_tables(example1, example2, regime_for_indicator):
     thr = 40.0 / 19.0
     assert regime_for_indicator(0.5, example1) == "INT"
     assert regime_for_indicator(1.5, example1) == "A"
@@ -381,7 +380,7 @@ def test_regime_for_indicator_case_tables(example1, example2):
 
 
 @pytest.mark.parametrize("which", ["1", "2", "3", "mu=r-ZERO"])
-def test_slope_times_derivative_is_curvature(request, which):
+def test_slope_times_derivative_is_curvature(request, which, curvature):
     # u(x, w) V' = `curvature` with M = (w + c + r x) V', and in ZERO (w = 0)
     # M' = lambda V' - M/m, on the nodes of the example curves (w = I/V' from
     # phi) and of the mu = r curve that stays in ZERO.  curvature's difference

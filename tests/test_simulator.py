@@ -323,18 +323,18 @@ class _CountingPolicy(Policy):
 # the optimal feedback policy of example 1 and its clamp=(0, 1) variant:
 # per x0 (survivors, censored, diffusion-ruined), then the engine iterations
 # and path-steps summed over x0 and chunks; measured at commit e2e3582 with
-# numpy 2.4.6, and re-drawn when Radau took over the interior march and again
-# when it took over every regime (the policy's fingerprint hashes the curve's
-# nodes; old -> new in CHANGES.md)
+# numpy 2.4.6, and re-drawn when Radau took over the interior march, when it
+# took over every regime and when the march came to start at X0 = 1e-6 (the
+# policy's fingerprint hashes the curve's nodes; old -> new in CHANGES.md)
 FEEDBACK_ONE_CHUNK = {  # 1,000 paths, horizon 200, barrier 100, seed 77
-    None: ({1.0: (162, 160, 0), 5.0: (717, 698, 0), 10.0: (976, 307, 0)}, 35_673, 5_785_301),
-    (0.0, 1.0): ({1.0: (42, 42, 0), 5.0: (645, 621, 0), 10.0: (976, 300, 0)}, 5_450, 3_394_773),
+    None: ({1.0: (128, 128, 0), 5.0: (701, 684, 0), 10.0: (979, 303, 0)}, 30_090, 5_771_566),
+    (0.0, 1.0): ({1.0: (47, 47, 0), 5.0: (642, 618, 0), 10.0: (970, 298, 0)}, 5_450, 3_397_081),
 }
 FEEDBACK_TWO_CHUNKS = {  # 16,484 paths, horizon 50, barrier 100, seed 77
-    None: ({1.0: (3209, 3209, 0), 5.0: (13414, 13414, 0), 10.0: (16338, 16338, 0)},
-           44_565, 50_773_443),
-    (0.0, 1.0): ({1.0: (4153, 4153, 0), 5.0: (14243, 14243, 0), 10.0: (16388, 16388, 0)},
-                 2_740, 18_342_431),
+    None: ({1.0: (3201, 3201, 0), 5.0: (13418, 13418, 0), 10.0: (16339, 16339, 0)},
+           40_992, 50_930_028),
+    (0.0, 1.0): ({1.0: (4153, 4153, 0), 5.0: (14276, 14276, 0), 10.0: (16386, 16386, 0)},
+                 2_741, 18_341_605),
 }
 
 

@@ -44,5 +44,7 @@ def test_tracer_hooks_measure_solve(tracing, example1):
     # three switches each end a march on an event; the interior march reaches
     # x_max (4 events while it ended on the cancellation floor)
     assert counts["exp_solver.events"] == 3
+    # the benchmark's start metric reads the march's start
+    assert tracer.minima[None]["series.x_eps_min"] == curve.meta["x_eps"]
     assert {"exp_solver.solve", "exp_solver.march", "series", "exp_solver.tail"} <= {
         span[0] for span in tracer.spans}
