@@ -285,10 +285,11 @@ def _radau_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
     included, so nfev = 1 + 3 newton_iters.  The step control is scipy's
     (error estimate filtered by the real eigenvalue, Gustafsson's predictive
     factor); atol holds the absolute tolerances of (w, L, V).  Steps never
-    exceed max_step.  `events(t, y)` gives all event values at once and
-    `directions[i]` is +1 (rising) or -1 (falling); `_first_event` roots
-    the fired rows on the step's collocation polynomial, and the earliest
-    root ends the march.  A step whose Newton iteration fails or reaches a
+    exceed max_step, and a step that would leave less than 1% of itself
+    before t_span[1] takes half the rest instead.  `events(t, y)` gives all
+    event values at once and `directions[i]` is +1 (rising) or -1
+    (falling); `_first_event` roots the fired rows on the step's
+    collocation polynomial, and the earliest root ends the march.  A step whose Newton iteration fails or reaches a
     non-finite f is halved; below 10 ulp(t) the march ends with status -1.
     """
     f, jac = fun

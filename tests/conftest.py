@@ -128,7 +128,8 @@ def _third_order_check(curve, segment, params, m):
         return 0.0
     i0 = np.nonzero(inside)[0][0]
     y0 = [curve.V[i0], curve.Vp[i0], curve.Vpp[i0]]
-    sol = solve_ivp(rhs, (xs[0], xs[-1]), y0, method="RK45", rtol=1e-12, atol=1e-14,
+    # stiff from X0 = 1e-6 (2c/(sigma_bar^2 x^2)): RK45 took a minute a segment
+    sol = solve_ivp(rhs, (xs[0], xs[-1]), y0, method="LSODA", rtol=1e-12, atol=1e-14,
                     t_eval=xs, max_step=0.5)
     assert sol.success, f"third-order cross-check integration failed: {sol.message}"
     relV = np.max(np.abs(sol.y[0] - curve.V[inside]) / np.abs(curve.V[inside]))

@@ -54,12 +54,10 @@ def _scalar_events(g, directions):
 # ---------------------------------------------------------------------------
 
 def test_rhs_constant_matches_series_at_handoff(example1, near_zero_series, curvature):
-    # the march starts at X0 from the Taylor terms' w = (mu_bar - r) x +
-    # sigma_bar^2 x^2 V''/(2 V'), which the 40-term series gives too, and the
-    # A row of the (w, L, V) system gives back the series' V'' (at X0 to the
-    # 1e-4 of w that its second term is).  At x = 0.01, where w = 5e-5
-    # against c = 0.02 (not 5e-9), the series' deficit form agrees with that
-    # w and `curvature` with its V''
+    # the start's w = (mu_bar - r) x + sigma_bar^2 x^2 V''/(2 V') is the
+    # 40-term series' too, and the A row gives back its V'' (at X0 to the 1e-4
+    # of w its second term is); at x = 0.01 (w = 5e-5, not 5e-9, against c)
+    # the deficit form agrees with that w and `curvature` with V''
     se, f = near_zero_series(example1, M, example1.a), _w_system("A", example1, M)[0]
     w0 = _start(example1, M)[3][0]
     for x, rel in ((X0, 1e-10), (0.01, 1e-12)):
@@ -446,15 +444,15 @@ def test_interior_march_is_implicit(request, which):
 
 @pytest.mark.parametrize("which", EXAMPLE_PARAMS[:4])
 def test_march_runs_on_python_floats(monkeypatch, request, which):
-    # every regime's f receives plain floats: numpy scalars in the stage
-    # arithmetic once doubled the solve time of example 1
-    seen, w_system = set(), exp_solver._w_system
+    # every regime's f receives plain floats, also from options given as numpy
+    # scalars: numpy scalars in the stage arithmetic double the solve time
+    seen, w_system, p = set(), exp_solver._w_system, _params(request, which)
 
     def spy(regime, params, m):
         f, jac = w_system(regime, params, m)
         return (lambda x, w: seen.add((type(x), type(w))) or f(x, w)), jac
     monkeypatch.setattr(exp_solver, "_w_system", spy)
-    solve(_params(request, which), M)
+    solve(p, M, SolveOptions(x_max=np.float64(200.0 * p.c / p.lam), rtol=np.float64(1e-10)))
     assert seen == {(float, float)}
 
 

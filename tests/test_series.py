@@ -89,8 +89,8 @@ def test_handoff_refuses_start_outside_band(example1):
     assert diag["phi"] == pytest.approx(4.75, rel=1e-5)
     assert f"X0={X0:g}" in str(err.value) and "phi(X0)=4.75" in str(err.value)
     assert "band (1.0, 2.1052631578947367)" in str(err.value)
-    # mu = r with V''(0+) = 1.75e-7 > 0 but V''(X0) < 0: the parent ran B to
-    # x_max with V'' < 0 (theta = -20 where theta = 0 is optimal)
+    # mu = r with V''(0+) = 1.75e-7 > 0 but V''(X0) < 0: an unchecked start
+    # runs B to x_max with V'' < 0 (theta = -20 where theta = 0 is optimal)
     p = replace(example1, mu=example1.r, lam=example1.r + example1.c * (1.0 + 1e-7))
     with pytest.raises(SolverAbort, match="lies outside its band w > 0"):
         solve(p, M)
