@@ -328,11 +328,16 @@ def test_general_solve_rejects_non_finite_x_max(example1, exp_law, x_max):
 # adding a power-law guess, so V_inf is V(x_max) with every column unchanged:
 # exp_law 45.24726200870674 -> 43.96838235015363, mixture_law
 # 53.210509434391206 -> 51.585190487281935, erlang_law 27.29905174835323 ->
-# 26.499038570485126.
+# 26.499038570485126.  The exp_law 22, mixture_law 15 and erlang_law 11
+# digests are the (law, x_max) cases the general-claims benchmark times,
+# recorded at commit a112668.
 GENERAL_SHA256 = {
     ("exp_law", 11.0): "06955afc83850844f886bdc7bf4d5d44516c791ec90ccb74c9de7032f7d70c7a",
     ("mixture_law", 8.0): "5e9a884e22b8a1a7cb90d76cce04538a5023ca5bb49d63b2e3a496d823fe604d",
     ("erlang_law", 4.0): "d30445b6f83b0107beee1fcd8b513ffc7f6c7b15fa05ae95360955c034631609",
+    ("exp_law", 22.0): "26c20385b5dc59ece80ac140c7e8bd93663168510dbc018ae679f00d1eb6dd92",
+    ("mixture_law", 15.0): "350e0f6ff13485cbd63f60caaf10718a915e1756fe200b15288f65e991a0288e",
+    ("erlang_law", 11.0): "a933a52828e9c0543213efd2bb18a917bce12c8a884b00088f23792b0891b236",
 }
 
 
