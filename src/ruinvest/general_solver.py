@@ -42,7 +42,7 @@ import numpy as np
 from .curve import SolutionCurve, segments_from_regimes
 from .exp_solver import SolveOptions, SolverAbort, extrapolate_tail
 from .model import ClaimLaw, ModelParams, regime_constants, require_valid
-from .operators import (deficit, indicator, infimum, regime_for_theta, regime_fraction,
+from .operators import (deficit, indicator, infimum_fn, regime_for_theta, regime_fraction,
                         start_indicator, start_regime, vertex_exclusion)
 
 __all__ = [
@@ -212,16 +212,17 @@ def integrate_w(params: ModelParams, law: ClaimLaw, table: NearZeroTable, x_max:
     only nonlocal work.  Its w-independent pieces are tabulated outside the
     step: the near-zero-table quadrature in blocks of NEAR_BLOCK nodes as the
     march enters them, f' at x - eps in one call; the history sum itself is a
-    `HistorySum`.  The step's scalars are Python floats.
+    `HistorySum`.  The step's scalars are Python floats, and the infimum is
+    bound once (`operators.infimum_fn`); its I is the node's deficit check.
 
     Aborts if w loses positivity at a node with non-negligible magnitude, or
     if w or G is not finite; stops with completion='derivative-floor' once w
     underflows the scale of meaningful tail mass.
     """
     p, tab = params, table
-    lam = p.lam
+    lam, c, r, mr, sigma2 = p.lam, p.c, p.r, p.mu - p.r, p.sigma**2
     eps = float(tab.x[-1])
-    exclusion = vertex_exclusion(p)
+    infimum = infimum_fn(p, vertex_exclusion(p))
     n = int(math.ceil((x_max - eps) / step))
     h = (x_max - eps) / n
     xg = eps + h * np.arange(n + 1)
@@ -245,54 +246,58 @@ def integrate_w(params: ModelParams, law: ClaimLaw, table: NearZeroTable, x_max:
                                              axis=-1)
 
     hist = HistorySum(fg)
+    hist_at, hist_push = hist.at, hist.push
     G = np.empty(n + 1)
     T = np.empty(n + 1)
     theta = np.empty(n + 1)
+    # per-node reads and writes go through memoryviews: Python floats, no copies
+    xv, fgv, fxv, fpv, nearv, Gv, Tv, thv = map(memoryview, (xg, fg, fx, fp_lo, near,
+                                                            G, T, theta))
 
     # the state at the current node, as Python floats
     w0, Gk = tab.Vp.item(-1), tab.M.item(-1) / lam
     fill_near(0)
-    T0, th = infimum(p, xg.item(0), w0, lam * Gk, exclusion)
-    wk, Tk, dGk = w0, T0, w0 - fx.item(0) - near.item(0)
-    hist.push(0, w0)
-    G[0], T[0], theta[0] = Gk, T0, th
+    T0, th, _ = infimum(xv[0], w0, lam * Gk)
+    wk, Tk, dGk = w0, T0, w0 - fxv[0] - nearv[0]
+    hist_push(0, w0)
+    Gv[0], Tv[0], thv[0] = Gk, T0, th
 
     cG = 1.0 - 0.5 * h * f0
     completion = "reached-x-max"
     w_max = w0
     w_floor = 1e-12
-    for k in range(n):
-        k1 = k + 1
-        x1 = xg.item(k1)
+    for k1 in range(1, n + 1):
+        x1 = xv[k1]
         if k1 % NEAR_BLOCK == 0:
             fill_near(k1)
-        beta1 = 2.0 / (p.sigma**2 * th**2 * x1**2)
-        d1 = p.c + p.r * x1 + (p.mu - p.r) * th * x1
+        beta1 = 2.0 / (sigma2 * th**2 * x1**2)
+        d1 = c + r * x1 + mr * th * x1
         # Hh: int_0^{x1} vbar(u) f(x1-u) du but for the u = x1 trapezoid term,
         # (h/2) f(0) times the still-unknown new w.  The Euler-Maclaurin end
         # correction (w' lagged one node on the right) lifts the uniform-grid
         # trapezoid to ~4th order.
-        f_k1 = fg.item(k1)
-        piece2 = h * (hist.at(k1) - 0.5 * (w0 * f_k1))
-        gp_lo = T0 * f_k1 - w0 * fp_lo.item(k1)
+        f_k1 = fgv[k1]
+        piece2 = h * (hist_at(k1) - 0.5 * (w0 * f_k1))
+        gp_lo = T0 * f_k1 - w0 * fpv[k1]
         gp_hi = Tk * f0 - wk * fp0
         piece2 -= h * h / 12.0 * (gp_hi - gp_lo)
-        Hh = near.item(k1) + piece2
+        Hh = nearv[k1] + piece2
         # trapezoid step of the frozen-theta linear system:
         #   w+ = w + h/2 (T_k + beta1 (lam G+ - d1 w+))
         #   G+ = G + h/2 (dG_k + w+ (1 - h f0 / 2) - f(x1) - Hh)
-        fx1 = fx.item(k1)
+        fx1 = fxv[k1]
         denom = 1.0 + 0.5 * h * beta1 * d1 - 0.25 * h * h * beta1 * lam * cG
         rhs = (wk + 0.5 * h * Tk
                + 0.5 * h * beta1 * lam * (Gk + 0.5 * h * (dGk - fx1 - Hh)))
         w1 = rhs / denom
         dG1 = w1 * cG - fx1 - Hh
         G1 = Gk + 0.5 * h * (dGk + dG1)
-        T1, th1 = infimum(p, x1, w1, lam * G1, exclusion)
-        hist.push(k1, w1)
-        G[k1], T[k1], theta[k1] = G1, T1, th1
+        T1, th1, I1 = infimum(x1, w1, lam * G1)
+        hist_push(k1, w1)
+        Gv[k1], Tv[k1], thv[k1] = G1, T1, th1
 
-        w_max = max(w_max, w1)
+        if w1 > w_max:
+            w_max = w1
         floor = max(w_floor, 1e-10 * w_max)
         if not math.isfinite(w1 + G1):
             raise SolverAbort(f"continuation lost a finite state at x={x1:.6g}", {"x": x1, "w": w1})
@@ -302,7 +307,7 @@ def integrate_w(params: ModelParams, law: ClaimLaw, table: NearZeroTable, x_max:
                     f"continuation lost w > 0 at x={x1:.6g} (w={w1:.3g})")
             completion = "derivative-floor"
             break
-        if deficit(p, x1, w1, lam * G1) <= 0:
+        if I1 <= 0:
             if w1 <= 1e-6 * w_max:
                 completion = "deficit-zero"
                 break

@@ -2,7 +2,7 @@
 
 This module is the one home of the equation's formulas and of its case
 table: the array kernel (`deficit`, `indicator`, `slope_fn`, `theta_for`,
-`infimum`) that the solvers call, and the per-regime facts (`regime_fraction`,
+`infimum_fn`) that the solvers call, and the per-regime facts (`regime_fraction`,
 `start_regime`, `start_indicator`, `indicator_bands`) that the solvers, the
 CLI and the tests read; no other module derives a regime's fraction, start,
 phi(0+) or indicator band.  There is no second, pointwise copy of the table;
@@ -49,7 +49,7 @@ __all__ = [
     "theta_for",
     "regime_for_theta",
     "vertex_exclusion",
-    "infimum",
+    "infimum_fn",
     "regime_fraction",
     "start_regime",
     "start_indicator",
@@ -131,30 +131,48 @@ def vertex_exclusion(p: ModelParams) -> float:
     return 1e-6 * min(p.a, p.b)
 
 
-def infimum(p: ModelParams, x: float, Vp: float, MV: float, exclusion: float):
-    """(V'', argmin theta) of the infimum form, excluding the band |theta| <= A.
+def infimum_fn(p: ModelParams, exclusion: float):
+    """(x, V', M) -> (V'', argmin theta, I): the infimum form, excluding the band
+    |theta| <= A, its constants bound once.
 
     Minimises g(theta) = 2 [M - (c + r x + (mu-r) theta x) V'] / (sigma^2
     theta^2 x^2) over theta in [-b, -A] u [A, a].  In s = 1/theta the target
     is the quadratic (2/(sigma^2 x^2)) (I s^2 - (mu-r) x V' s), so the infimum
     is attained at an interval endpoint or at the stationary point s = 1/phi;
-    no numerical minimisation is involved.  Ties go to the first of a, -b,
-    A, -A, phi.  Scalars only.
+    no numerical minimisation is involved.  A chain of strict comparisons
+    picks the minimum, as `min` over the candidates in the order a, -b, A,
+    -A, phi would: ties go to the first, a NaN at a is kept and a NaN
+    elsewhere passed over.  I is `deficit(p, x, V', M)`.  Scalars only.
     """
     if exclusion >= p.a or exclusion >= p.b:
         raise ValueError(f"exclusion cutoff {exclusion} must be below min(a, b) = {min(p.a, p.b)}")
-    I = deficit(p, x, Vp, MV)
-    ex = (p.mu - p.r) * x * Vp
-    scale = 2.0 / (p.sigma**2 * x**2)
-    cands = [p.a, -p.b, exclusion, -exclusion]
-    if I > 0 and ex != 0.0:
-        # vertex of the s-quadratic maps back to theta = phi
-        phi = 2.0 * I / ex
-        if exclusion <= abs(phi) and -p.b <= phi <= p.a:
-            cands.append(phi)
-    vals = [scale * (I - t * ex) / t**2 for t in cands]
-    i = vals.index(min(vals))
-    return vals[i], cands[i]
+    a, nb, A, nA = p.a, -p.b, exclusion, -exclusion
+    a2, b2, A2 = a**2, nb**2, A**2
+    c, r, mr, sigma2 = p.c, p.r, p.mu - p.r, p.sigma**2
+
+    def infimum(x, Vp, MV):
+        I = MV - (c + r * x) * Vp
+        ex = mr * x * Vp
+        scale = 2.0 / (sigma2 * x**2)
+        Vpp, theta = scale * (I - a * ex) / a2, a
+        v = scale * (I - nb * ex) / b2
+        if v < Vpp:
+            Vpp, theta = v, nb
+        v = scale * (I - A * ex) / A2
+        if v < Vpp:
+            Vpp, theta = v, A
+        v = scale * (I - nA * ex) / A2
+        if v < Vpp:
+            Vpp, theta = v, nA
+        if I > 0 and ex != 0.0:
+            # vertex of the s-quadratic maps back to theta = phi
+            phi = 2.0 * I / ex
+            if A <= abs(phi) and nb <= phi <= a:
+                v = scale * (I - phi * ex) / phi**2
+                if v < Vpp:
+                    Vpp, theta = v, phi
+        return Vpp, theta, I
+    return infimum
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,32 @@ def curvature():
     return curvature
 
 
+def _infimum_reference(p, x, Vp, MV, exclusion):
+    """(V'', argmin theta) of the infimum form over theta in [-b, -A] u [A, a],
+    by the list minimum over its candidates a, -b, A, -A and, for I > 0 inside
+    the bands, phi: ties go to the first listed, and `min` keeps a NaN at a."""
+    if exclusion >= p.a or exclusion >= p.b:
+        raise ValueError(f"exclusion cutoff {exclusion} must be below min(a, b) = {min(p.a, p.b)}")
+    I = deficit(p, x, Vp, MV)
+    ex = (p.mu - p.r) * x * Vp
+    scale = 2.0 / (p.sigma**2 * x**2)
+    cands = [p.a, -p.b, exclusion, -exclusion]
+    if I > 0 and ex != 0.0:
+        phi = 2.0 * I / ex
+        if exclusion <= abs(phi) and -p.b <= phi <= p.a:
+            cands.append(phi)
+    vals = [scale * (I - t * ex) / t**2 for t in cands]
+    i = vals.index(min(vals))
+    return vals[i], cands[i]
+
+
+@pytest.fixture(scope="session")
+def infimum_reference():
+    """infimum_reference(p, x, Vp, MV, exclusion): the list form of
+    `operators.infimum_fn`, which must match it bit for bit."""
+    return _infimum_reference
+
+
 def _regime_for_indicator(phi, params):
     """Regime the case table prescribes at phi; NaN maps to `start_regime`."""
     near = start_regime(params)

@@ -12,7 +12,7 @@ from ruinvest.exp_solver import SolverAbort, solve
 from ruinvest.general_solver import (HIST_LAGS, HistorySum, general_solve, integrate_w,
                                      solve_constant_regime_near_zero)
 from ruinvest.model import ExponentialClaims, GeneralClaims, ModelParams
-from ruinvest.operators import infimum, vertex_exclusion
+from ruinvest.operators import infimum_fn, vertex_exclusion
 
 M = 1.0
 
@@ -35,7 +35,7 @@ def t_reference(p, law, tab, xs, ws, x):
     piece1 = np.trapezoid(tab.V * law.pdf(x - tab.x), tab.x)
     piece2 = np.trapezoid(W_at * law.pdf(x - ys), ys)
     MV = p.lam * (W_at[-1] - piece1 - piece2)
-    return infimum(p, x, float(w(x)), MV, vertex_exclusion(p))[0]
+    return infimum_fn(p, vertex_exclusion(p))(x, float(w(x)), MV)[0]
 
 
 @pytest.fixture(scope="module")

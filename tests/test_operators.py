@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from ruinvest.exp_solver import _segment_events, solve
 from ruinvest.model import ModelParams
 from ruinvest.model import regime_constants
-from ruinvest.operators import (deficit, indicator, indicator_bands, infimum, regime_for_theta,
+from ruinvest.operators import (deficit, indicator, indicator_bands, infimum_fn, regime_for_theta,
                                 regime_fraction, slope_fn, theta_for, vertex_exclusion)
 
 
@@ -109,15 +110,16 @@ def test_maximizer_is_argmax_by_dense_sampling(curvature, regime_for_indicator):
 
 
 def test_maximizer_matches_direct_comparison(curvature, regime_for_indicator):
-    # infimum compares its candidate fractions directly; it picks the case
-    # table's fraction and a V'' at which sup_theta L V = 0
+    # the infimum compares its candidate fractions directly; it picks the
+    # case table's fraction and a V'' at which sup_theta L V = 0
     for p in CASE_TABLE_CONFIGS:
         rng = np.random.default_rng(29)
         thetas = np.linspace(-p.b, p.a, 4001)
+        infimum = infimum_fn(p, vertex_exclusion(p))
         for x, Vp, MV, phi in _positive_deficit_states(p, rng, 800):
             regime = regime_for_indicator(phi, p)
             theta = float(theta_for(regime, p, np.array([phi]))[0])
-            Vpp, theta_inf = infimum(p, x, Vp, MV, vertex_exclusion(p))
+            Vpp, theta_inf, _ = infimum(x, Vp, MV)
             assert theta_inf == pytest.approx(theta, rel=1e-12)
             assert Vpp == pytest.approx(curvature(regime, p, x, Vp, MV), rel=1e-9)
             _check_sup_is_zero(p, x, Vp, MV, Vpp, theta_inf, thetas)
@@ -251,10 +253,10 @@ def test_curvature_infimum_matches_solved_curve(example1, curve1):
     # its argmin is the optimal fraction
     sel = (curve1.x > 0.5) & (curve1.Vp > 1e-8)
     idx = np.nonzero(sel)[0][:: max(1, sel.sum() // 50)]
-    A = 1e-6 * min(example1.a, example1.b)
+    infimum = infimum_fn(example1, 1e-6 * min(example1.a, example1.b))
     for i in idx:
         MV = example1.lam * (curve1.V[i] - curve1.J[i])
-        got, theta = infimum(example1, curve1.x[i], curve1.Vp[i], MV, A)
+        got, theta, _ = infimum(curve1.x[i], curve1.Vp[i], MV)
         assert got == pytest.approx(curve1.Vpp[i], rel=1e-6, abs=1e-10)
         assert theta == pytest.approx(curve1.theta_star[i], rel=1e-4)
 
@@ -266,7 +268,8 @@ def test_curvature_infimum_mu_equal_r_endpoint():
     x, Vp, MV = 2.0, 0.5, 0.2
     I = deficit(p, x, Vp, MV)
     assert I > 0
-    got, theta = infimum(p, x, Vp, MV, exclusion=1e-6)
+    got, theta, I_inf = infimum_fn(p, exclusion=1e-6)(x, Vp, MV)
+    assert I_inf == I
     want = 2.0 * I / (p.sigma**2 * p.b**2 * x**2)
     assert got == pytest.approx(want, rel=1e-12)
     assert theta == -p.b
@@ -274,22 +277,67 @@ def test_curvature_infimum_mu_equal_r_endpoint():
 
 def test_curvature_infimum_rejects_large_exclusion(example1):
     with pytest.raises(ValueError):
-        infimum(example1, 1.0, 1.0, 0.1, exclusion=example1.a)
+        infimum_fn(example1, exclusion=example1.a)
+
+
+def _bits(*values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def _infimum_states(p, rng, n):
+    """(x, Vp, MV): n states on `_random_states`' box, where I takes both
+    signs, and n with I > 0 across the bands, where phi is a candidate."""
+    yield from _random_states(rng, n)
+    for _ in range(n):
+        x, Vp = float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.01, 5.0))
+        yield x, Vp, (p.c + p.r * x) * Vp * (1.0 + 10.0 ** rng.uniform(-4.0, 1.0))
+
+
+def test_infimum_fn_matches_list_oracle_bit_for_bit(example1, curve1, infimum_reference):
+    # the bound closure evaluates the list form's expressions in its order and
+    # picks its minimum: equal bits of V'', theta and I on seeded states, on
+    # ties (mu = r with a = b; I = 0; x V' = 0) and on NaN and +-inf inputs
+    nan, inf = math.nan, math.inf
+    tie = ModelParams(c=0.02, lam=0.09, mu=0.015, r=0.015, sigma=0.1, a=2.0, b=2.0)
+    rng = np.random.default_rng(53)
+    cases = [(p, list(_infimum_states(p, rng, 1500))) for p in CASE_TABLE_CONFIGS]
+    assert sum(len(states) for _, states in cases) >= 10_000
+    for p in CASE_TABLE_CONFIGS + [tie]:
+        box = list(_random_states(rng, 200))
+        states = [(x, Vp, (p.c + p.r * x) * Vp) for x, Vp, _ in box]        # I = 0
+        states += [(x, 0.0, MV) for x, _, MV in box]                         # x V' = 0
+        states += [s for x, Vp, MV in box for s in ((nan, Vp, MV), (x, inf, MV), (x, Vp, -inf))]
+        states += [(x, Vp, MV) for x in (nan, inf, -inf, 0.5)
+                   for Vp in (nan, inf, -inf, 0.0, 1.0) for MV in (nan, inf, -inf, 0.0, 1.0)]
+        cases.append((p, box + states))
+    cases.append((example1, [(x, Vp, example1.lam * (V - J)) for x, Vp, V, J in
+                             zip(curve1.x[1:], curve1.Vp[1:], curve1.V[1:], curve1.J[1:])]))
+    for p, states in cases:
+        A = vertex_exclusion(p)
+        infimum = infimum_fn(p, A)
+        for x, Vp, MV in states:
+            got = infimum(x, Vp, MV)
+            want = (*infimum_reference(p, x, Vp, MV, A), deficit(p, x, Vp, MV))
+            assert _bits(*got) == _bits(*want), (p, x, Vp, MV, got, want)
+    # with mu = r and a = b the candidates tie in pairs: a with -b, A with -A
+    infimum = infimum_fn(tie, vertex_exclusion(tie))
+    assert infimum(1.0, 1.0, 1.0)[1] == tie.a
+    assert infimum(1.0, 1.0, 0.0)[1] == vertex_exclusion(tie)
 
 
 def test_scale_invariance_of_pointwise_policy(example1, regime_for_indicator):
     # multiplying (Vp, MV) by k > 0 changes no policy quantity: phi, the case
     # table's regime and infimum's fraction stay, and infimum's V'' scales by k
     rng = np.random.default_rng(43)
-    A = vertex_exclusion(example1)
+    infimum = infimum_fn(example1, vertex_exclusion(example1))
     for x, Vp, MV in _random_states(rng, 50):
         phi = _phi(example1, x, Vp, MV)
-        Vpp, theta = infimum(example1, x, Vp, MV, A)
+        Vpp, theta, _ = infimum(x, Vp, MV)
         for k in (3.7, 0.02):
             phi_k = _phi(example1, x, k * Vp, k * MV)
             assert phi_k == pytest.approx(phi, rel=1e-12)
             assert regime_for_indicator(phi_k, example1) == regime_for_indicator(phi, example1)
-            Vpp_k, theta_k = infimum(example1, x, k * Vp, k * MV, A)
+            Vpp_k, theta_k, _ = infimum(x, k * Vp, k * MV)
             assert theta_k == pytest.approx(theta, rel=1e-12)
             assert Vpp_k == pytest.approx(k * Vpp, rel=1e-12)
 
