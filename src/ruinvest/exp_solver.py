@@ -540,9 +540,8 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
     SolverAbort when x_max does not lie beyond the start x_eps (X0, or 1e-8
     for a ZERO start), when the start regime is not optimal at X0
     (`handoff_point`), on event oscillation (more than MAX_SWITCHES regime
-    changes), a failed step, loss of monotonicity, the interior deficit
-    w = I/V' reaching zero, or an indicator falling below the
-    vertex-exclusion cutoff.
+    changes), a failed step, the interior deficit w = I/V' reaching zero,
+    or an indicator falling below the vertex-exclusion cutoff.
     """
     opts = options or SolveOptions()
     require_valid(params, ExponentialClaims(m))
@@ -632,9 +631,6 @@ def _append_segment(nodes, states, regime, params, m, xs_all, cols):
     V' = e^L, V - J = (w + c + r x) V'/lambda, V'' = u V', phi = 2w/((mu - r) x)."""
     w, L, V = states
     Vp = np.exp(L)
-    if np.any(Vp <= 0):
-        raise SolverAbort(f"V' lost positivity in regime {regime} near x={nodes[-1]}",
-                          {"x": nodes[Vp <= 0][0]})
     phi = indicator(params, nodes, 1.0, w)
     xs_all.append(nodes)
     cols["V"].append(V)
