@@ -133,6 +133,19 @@ def test_policy_resolves_stale_curve(tmp_path):
     assert len(meta["switch_points"]) == 1  # example 3: B then INT
 
 
+@pytest.mark.parametrize("before", [None, "example1", "example3"],
+                         ids=["empty-dir", "matching-solve", "other-solve"])
+def test_policy_bytes_pinned(tmp_path, before):
+    # policy writes the same bytes whatever an earlier solve left beside it
+    if before is not None:
+        assert main(["solve", "--config", str(CONFIGS / f"{before}.cfg"),
+                     "--out-dir", str(tmp_path)]) == 0
+    assert main(["policy", "--config", str(CONFIGS / "example1.cfg"),
+                 "--out-dir", str(tmp_path)]) == 0
+    for name in ("policy.csv", "policy.json"):
+        assert _sha256(tmp_path / name) == ARTIFACT_SHA256[f"example1-{name}"]
+
+
 # SHA-256 of `ruinvest solve` curve.csv with default options, measured with
 # numpy 2.4.6 and scipy 1.17.1 (identical in two separate processes); the
 # solver refactors keep these bytes.  Re-recorded when Radau took over the

@@ -739,6 +739,27 @@ def test_equal_rates_runs_without_interior():
     assert cur.V_inf == pytest.approx(3.2251262, rel=1e-6)
 
 
+@pytest.mark.parametrize("which", EXAMPLE_PARAMS)
+def test_events_are_the_segment_boundaries(request, which):
+    # each logged switch ends one segment at its event root and names the
+    # regime of the next
+    cur = solve(_params(request, which), M)
+    assert len(cur.segments) > 1
+    assert cur.meta["events"] == [
+        {"x": s.hi, "kind": s.terminal_event, "from": s.regime, "to": nxt.regime}
+        for s, nxt in zip(cur.segments, cur.segments[1:])]
+
+
+def test_switch_cap_aborts_with_the_switches_so_far(monkeypatch, example1, curve1):
+    # example 1 switches three times; a cap of one aborts at the second switch
+    # and names the two switches made, as the full solve locates them
+    monkeypatch.setattr(exp_solver, "MAX_SWITCHES", 1)
+    with pytest.raises(SolverAbort, match="more than 1 switches") as exc:
+        solve(example1, M)
+    assert exc.value.diagnostics["switches"] == [
+        (s.hi, s.terminal_event) for s in curve1.segments[:2]]
+
+
 def _switches_follow_bands(p, cur):
     """Every logged switch crosses the one threshold its two regimes' bands share."""
     if p.mu == p.r:
