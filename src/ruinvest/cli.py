@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .curve import REGIME_INTERIOR, SolutionCurve, manifest_tag, write_json, write_table
-from .exp_solver import SolveOptions, SolverAbort, solve
+from .curve import REGIME_INTERIOR, SolutionCurve, write_json, write_table
+from .exp_solver import RTOL_MIN, SolveOptions, SolverAbort, solve
 from .model import ExponentialClaims, ModelParams, validate
 from .operators import indicator_bands, start_regime
 from .simulator import (ConstantPolicy, FeedbackPolicy, SimConfig,
@@ -34,8 +34,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 EXIT_VERIFY = 3
-
-TOL_MIN = 100 * sys.float_info.epsilon  # the march's rtol floor
 
 CONFIG_KEYS = {"c", "lambda", "mu", "r", "sigma", "a", "b", "claim.kind", "claim.mean"}
 
@@ -129,8 +127,8 @@ def _prologue(args):
     if not 0 < args.tol < math.inf:
         print(f"--tol must be finite and positive, got {args.tol}", file=sys.stderr)
         return None
-    if args.tol < TOL_MIN:
-        print(f"--tol must be at least 100 eps ({TOL_MIN:.3g}), got {args.tol}", file=sys.stderr)
+    if args.tol < RTOL_MIN:
+        print(f"--tol must be at least 100 eps ({RTOL_MIN:.3g}), got {args.tol}", file=sys.stderr)
         return None
     if args.xmax is not None and not math.isfinite(args.xmax):
         print(f"--xmax must be {'a number' if math.isnan(args.xmax) else 'finite'}, "
@@ -159,10 +157,7 @@ def cmd_solve(args, cfg, params, law, manifest, out) -> int:
 
 
 def cmd_policy(args, cfg, params, law, manifest, out) -> int:
-    sidecar = _solved_sidecar(out, cfg, args)
-    # a matching solve is re-read, not re-solved: no recomputation drift
-    curve = (_solve_curve(params, law, args) if sidecar is None
-             else SolutionCurve.from_csv(out / "curve.csv"))
+    curve = _solve_curve(params, law, args)
 
     thresholds = {"a": params.a, "minus_b": -params.b,
                   "convex_split": 0.5 * (params.a - params.b)}
@@ -171,8 +166,8 @@ def cmd_policy(args, cfg, params, law, manifest, out) -> int:
         bands = indicator_bands(params)
         for t in set(bands[start_regime(params)]) - set(bands[REGIME_INTERIOR]) - {None}:
             thresholds["extreme_bound"] = t
-    # event-located switch points, sharper than the node grid
-    switch_points = curve.switch_points if sidecar is None else sidecar["switch_points"]
+    # the march's event roots, sharper than the node grid
+    switch_points = curve.switch_points
 
     comments = ([f"threshold {key} = {val:.17g}" for key, val in sorted(thresholds.items())]
                 + [f"switch x{i} = {xi:.17g}" for i, xi in enumerate(switch_points, 1)])
@@ -262,22 +257,6 @@ def cmd_compare(args, cfg, params, law, manifest, out) -> int:
         flag = f"  [dominated by {', '.join(dominated)}]" if dominated else ""
         print(f"  x0={x0:<6g} feedback p_hat={base['p_hat']:.5f}{flag}")
     return EXIT_OK
-
-
-def _solved_sidecar(out: Path, cfg: dict, args) -> Optional[dict]:
-    """curve.json in out if curve.csv there was solved from this config, xmax,
-    tol and version, else None; the other options and the seed leave the
-    curve unchanged, so they are taken from the sidecar's own manifest."""
-    curve_csv, sidecar = out / "curve.csv", out / "curve.json"
-    if not (curve_csv.exists() and sidecar.exists()):
-        return None
-    meta = json.loads(sidecar.read_text())
-    with open(curve_csv) as fh:
-        tag = manifest_tag(fh.readline())
-    m = meta.get("manifest", {})
-    solved = RunManifest("solve", cfg, {**m.get("options", {}), "xmax": args.xmax,
-                                        "tol": args.tol}, m.get("seed"))
-    return meta if solved.hash == m.get("hash") == tag else None
 
 
 def _options_echo(args) -> dict:

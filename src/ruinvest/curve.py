@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["RegimeSegment", "SolutionCurve", "segments_from_regimes", "manifest_tag"]
+__all__ = ["RegimeSegment", "SolutionCurve", "segments_from_regimes"]
 
 REGIME_LONG = "A"      # maximal long fraction a
 REGIME_SHORT = "B"     # maximal short fraction -b
@@ -27,11 +27,6 @@ REGIME_ZERO = "ZERO"   # no investment; only occurs when mu = r
 CSV_HEADER = "x,V,Vp,Vpp,J,phi,theta_star,regime"
 MANIFEST_TAG = "# manifest: "
 CSV_BLOCK = 4096      # rows formatted per write
-
-
-def manifest_tag(line: str) -> Optional[str]:
-    """Hash on an artifact's leading MANIFEST_TAG line, or None."""
-    return line[len(MANIFEST_TAG):].strip() if line.startswith(MANIFEST_TAG) else None
 
 
 def write_table(path, manifest_hash: str, header: str, row: str, columns, comments=()) -> None:
@@ -90,7 +85,6 @@ class SolutionCurve:
     theta_star: np.ndarray
     regime: np.ndarray       # array of strings A/B/INT/ZERO
     segments: list[RegimeSegment]
-    V_inf: float
     params: Optional[object] = None   # ModelParams echo
     meta: dict = field(default_factory=dict)
 
@@ -108,6 +102,11 @@ class SolutionCurve:
             raise ValueError("`x` must be strictly increasing sequence.")
 
     # -- evaluation ---------------------------------------------------------
+
+    @property
+    def V_inf(self) -> float:
+        """V(inf): V at the last node, as every solver closes the tail."""
+        return self.V[-1]
 
     def value(self, xq):
         """V at xq: the cubic Hermite on (x, V, V') in each interval, V at the
@@ -147,8 +146,8 @@ class SolutionCurve:
 
     @classmethod
     def from_csv(cls, path) -> "SolutionCurve":
-        """Re-read a curve table; segments are rebuilt from the regime column
-        and V_inf is V at the last node, as every solver sets it."""
+        """Re-read a curve table; segments are rebuilt from the regime column,
+        so a switch point is the first node of the next regime."""
         with open(path) as fh:
             line = fh.readline()
             while line.startswith("#"):
@@ -159,7 +158,7 @@ class SolutionCurve:
             fh.seek(start)
             regime = np.loadtxt(fh, dtype=str, delimiter=",", usecols=7, ndmin=1)
         return cls(x=x, V=V, Vp=Vp, Vpp=Vpp, J=J, phi=phi, theta_star=theta, regime=regime,
-                   segments=segments_from_regimes(x, regime, "end"), V_inf=float(V[-1]))
+                   segments=segments_from_regimes(x, regime, "end"))
 
     def sidecar(self) -> dict:
         """JSON-serialisable metadata: limit, switch points, diagnostics."""

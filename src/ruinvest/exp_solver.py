@@ -69,6 +69,7 @@ X0 = 1e-6             # where the march starts from the Taylor terms at zero sur
 VP_FLOOR = 1e-13      # derivative underflow = completion
 MAX_STEP = 0.5        # integrator step cap
 _EPS = sys.float_info.epsilon
+RTOL_MIN = 100 * _EPS  # the march's rtol floor
 
 _COMPLETIONS = ("derivative-floor",)
 _ABORTS = ("deficit-zero", "indicator-below-exclusion")
@@ -545,7 +546,7 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
     """
     opts = options or SolveOptions()
     require_valid(params, ExponentialClaims(m))
-    for name, value, lo in (("rtol", opts.rtol, 100 * _EPS), ("atol", opts.atol, 0.0)):
+    for name, value, lo in (("rtol", opts.rtol, RTOL_MIN), ("atol", opts.atol, 0.0)):
         if not lo <= value < math.inf:
             raise ValueError(f"{name} must be finite and at least {lo:.3g}, got {value}")
     x_max = opts.resolved_x_max(params)
@@ -558,7 +559,6 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
 
     x = x_eps
     segments: list[RegimeSegment] = []
-    events_log: list[dict] = []
     march: list[dict] = []
     xs_all: list[np.ndarray] = []
     cols: dict[str, list[np.ndarray]] = {k: [] for k in _COLUMNS}
@@ -603,15 +603,13 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
                 f"indicator magnitude fell below the vertex-exclusion cutoff at x={x:.6g}",
                 {"x": x})
 
-        events_log.append({"x": x, "kind": ev_name, "from": regime, "to": target})
         regime = target
         n_switch += 1
         if n_switch > MAX_SWITCHES:
             raise SolverAbort(f"regime oscillation: more than {MAX_SWITCHES} switches",
-                              {"switches": [(e["x"], e["kind"]) for e in events_log]})
+                              {"switches": [(s.hi, s.terminal_event) for s in segments]})
 
-    return _assemble(params, m, D, x_eps, xs_all, cols, segments, events_log, march,
-                     completion, opts)
+    return _assemble(params, m, D, x_eps, xs_all, cols, segments, march, completion, opts)
 
 
 def _segment_nodes(t, hug_lo, hug_hi):
@@ -642,8 +640,7 @@ def _append_segment(nodes, states, regime, params, m, xs_all, cols):
     cols["regime"].append(np.full(nodes.shape, regime, dtype=object))
 
 
-def _assemble(params, m, D, x_eps, xs_all, cols, segments, events_log, march, completion,
-              opts):
+def _assemble(params, m, D, x_eps, xs_all, cols, segments, march, completion, opts):
     # the x = 0 row: V(0) = 1, V'(0+) = D1 = lambda/c, V''(0+) = D1 D2, J(0) = 0
     (D1, D2, _), regime0 = D, segments[0].regime
     row0 = {"V": 1.0, "Vp": D1, "Vpp": D1 * D2, "J": 0.0, "phi": start_indicator(params),
@@ -657,12 +654,13 @@ def _assemble(params, m, D, x_eps, xs_all, cols, segments, events_log, march, co
         data[k] = data[k][keep]
 
     segments = [replace(segments[0], lo=0.0)] + segments[1:]
-    V_inf, tail = extrapolate_tail(x, data["Vp"], data["V"][-1], segments[-1].regime, params,
-                                   completion=completion, m=m)
+    tail = extrapolate_tail(x[-1], data["Vp"][-1], segments[-1].regime, params,
+                            completion=completion, m=m)
     meta = {
         "x_eps": x_eps,
         "completion": completion,
-        "events": events_log,
+        "events": [{"x": s.hi, "kind": s.terminal_event, "from": s.regime, "to": t.regime}
+                   for s, t in zip(segments, segments[1:])],
         "march": march,
         "tail": tail,
         "options": {"x_max": opts.resolved_x_max(params), "rtol": opts.rtol,
@@ -670,18 +668,18 @@ def _assemble(params, m, D, x_eps, xs_all, cols, segments, events_log, march, co
     }
     return SolutionCurve(x=x, V=data["V"], Vp=data["Vp"], Vpp=data["Vpp"], J=data["J"],
                          phi=data["phi"], theta_star=data["theta"], regime=data["regime"],
-                         segments=segments, V_inf=V_inf, params=params, meta=meta)
+                         segments=segments, params=params, meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # tail closure
 # ---------------------------------------------------------------------------
 
-def extrapolate_tail(x, Vp, V_end, terminal_regime, params: ModelParams,
-                     completion: str = "reached-x-max", m: Optional[float] = None):
-    """(V_inf, tail): V_inf is V_end, V at the last node x_end, and the tail
-    dict bounds the survival mass beyond x_end (mode "converged") or says it
-    has no bound (mode "open", "tail_mass_bound" None).
+def extrapolate_tail(x_end, vp_end, terminal_regime, params: ModelParams,
+                     completion: str = "reached-x-max", m: Optional[float] = None) -> dict:
+    """The tail beyond the last node x_end, where V' is vp_end: V_inf is V
+    there, and the dict bounds the survival mass beyond x_end (mode
+    "converged") or says it has no bound (mode "open", "tail_mass_bound" None).
 
     For exponential claims with mean m, an end in the interior regime or in
     ZERO, at a floor or at x_max, is in the interest-only far field (Sundt &
@@ -692,7 +690,7 @@ def extrapolate_tail(x, Vp, V_end, terminal_regime, params: ModelParams,
     V'_end, and any other end at x_max (a terminal A or B, a general-claims
     end) is open.
     """
-    x_end, v_end = float(x[-1]), float(Vp[-1])
+    x_end, v_end = float(x_end), float(vp_end)
     if m is not None and terminal_regime in (REGIME_INTERIOR, REGIME_ZERO):
         rate = 1.0 / m - max(params.lam / params.r - 1.0, 0.0) / x_end
         bound = v_end / rate if rate > 0 else None
@@ -700,5 +698,5 @@ def extrapolate_tail(x, Vp, V_end, terminal_regime, params: ModelParams,
         bound = v_end
     else:
         bound = None
-    return V_end, {"terminal_regime": terminal_regime, "completion": completion,
-                   "mode": "open" if bound is None else "converged", "tail_mass_bound": bound}
+    return {"terminal_regime": terminal_regime, "completion": completion,
+            "mode": "open" if bound is None else "converged", "tail_mass_bound": bound}

@@ -66,6 +66,8 @@ NEAR_NODES = 257
 NEAR_RETRIES = 8
 # Lags below HIST_LAGS are summed directly by `HistorySum`; longer ones by FFT.
 HIST_LAGS = 64
+# The continuation's default grid step.
+STEP = 0.0005
 
 
 @dataclass
@@ -199,7 +201,7 @@ class WMarch:
 
 
 def integrate_w(params: ModelParams, law: ClaimLaw, table: NearZeroTable, x_max: float,
-                step: float = 0.0005) -> WMarch:
+                step: float = STEP) -> WMarch:
     """March w' = Tw from eps = table.x[-1] on a uniform grid by semi-implicit trapezoid.
 
     Constant-fraction branches of T are stiff near zero (their w-coefficient
@@ -350,19 +352,17 @@ def assemble_solution(params: ModelParams, table: NearZeroTable, march: WMarch) 
     regime = regime_for_theta(p, theta)
     segments = segments_from_regimes(x, regime, march.completion)
 
-    V_inf, tail = extrapolate_tail(x, Vp, float(V[-1]), str(regime[-1]), p,
-                                   completion=march.completion)
+    tail = extrapolate_tail(x[-1], Vp[-1], str(regime[-1]), p, completion=march.completion)
     meta = {"epsilon": float(tab.x[-1]), "scheme": "trapezoid-frozen-theta", "tail": tail,
             "completion": march.completion, "continuation": {
                 "nodes": x1.size, "step": float(np.ptp(x1)) / max(x1.size - 1, 1),
                 "fft_products": march.fft_products}}
     return SolutionCurve(x=x, V=V, Vp=Vp, Vpp=Vpp, J=J, phi=phi, theta_star=theta,
-                         regime=regime, segments=segments, V_inf=V_inf, params=p,
-                         meta=meta)
+                         regime=regime, segments=segments, params=p, meta=meta)
 
 
 def general_solve(params: ModelParams, law: ClaimLaw, x_max: Optional[float] = None,
-                  step: float = 0.0005) -> SolutionCurve:
+                  step: float = STEP) -> SolutionCurve:
     """Full general-claims pipeline: near-zero solve, continuation, assembly.
 
     Raises ValueError unless step is finite and positive and x_max finite,

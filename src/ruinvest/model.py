@@ -256,8 +256,8 @@ def convex_start_condition(params: ModelParams, m: float) -> bool:
     return m * (regime_constants(params, params.a).mu_bar - params.lam) + params.c < 0
 
 
-def require_valid(params: ModelParams, law: ClaimLaw, oracle_mode: bool = False) -> None:
+def require_valid(params: ModelParams, law: ClaimLaw) -> None:
     """Raise ValueError with all violations if the configuration is invalid."""
-    rep = validate(params, law, oracle_mode=oracle_mode)
+    rep = validate(params, law)
     if not rep.ok:
         raise ValueError("invalid model configuration: " + "; ".join(rep.violations))

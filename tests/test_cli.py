@@ -40,8 +40,9 @@ MC_SHA256 = {
 }
 
 # SHA-256 of the other artifacts the tests below write, measured at commit
-# 173c333 with numpy 2.4.6 and scipy 1.17.1; policy.csv and policy.json are the
-# same whether policy re-reads a solve or solves afresh.  example1-curve.json,
+# 173c333 with numpy 2.4.6 and scipy 1.17.1; policy solves its own curve, so
+# policy.csv and policy.json do not depend on what an earlier solve left in the
+# output directory.  example1-curve.json,
 # example1-policy.csv and example1-verify.json were re-recorded when Radau
 # took over the interior march, with example1-policy.json when it took over
 # every regime, and all five when the march came to start at X0 = 1e-6
@@ -99,16 +100,11 @@ def test_solve_deterministic_bytes(tmp_path):
 @pytest.mark.parametrize("solve_extra",
                          [[], ["--n-paths", "5", "--threads", "2", "--seed", "1"]],
                          ids=["same-options", "other-sim-options"])
-def test_policy_roundtrip_no_drift(tmp_path, monkeypatch, solve_extra):
-    # cmd_policy re-reads cmd_solve's CSV: identical theta_star columns; the
-    # simulation options and the seed do not change the curve, so a solve
-    # run with other values is reused too
+def test_policy_roundtrip_no_drift(tmp_path, solve_extra):
+    # cmd_policy solves as cmd_solve does: identical theta_star columns; the
+    # simulation options and the seed do not change the curve
     assert main(["solve", "--config", str(CONFIGS / "example1.cfg"),
                  "--out-dir", str(tmp_path)] + solve_extra) == 0
-
-    def resolve(*args):
-        raise AssertionError("policy re-solved a curve whose manifest matches")
-    monkeypatch.setattr(cli, "_solve_curve", resolve)
     assert main(["policy", "--config", str(CONFIGS / "example1.cfg"),
                  "--out-dir", str(tmp_path)]) == 0
     th_curve = _read_csv_column(tmp_path / "curve.csv", "theta_star")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ def _curve(x, V, Vp=None):
     z = np.zeros(len(x))
     return SolutionCurve(x=np.asarray(x, dtype=float), V=np.asarray(V, dtype=float),
                          Vp=z if Vp is None else np.asarray(Vp, dtype=float), Vpp=z, J=z, phi=z,
-                         theta_star=z, regime=np.full(len(x), "A"), segments=[], V_inf=1.0)
+                         theta_star=z, regime=np.full(len(x), "A"), segments=[])
 
 
 def test_value_reproduces_a_cubic_from_its_own_slopes():
@@ -27,6 +29,15 @@ def test_value_reproduces_a_cubic_from_its_own_slopes():
                           [curve.V[0], curve.V[-1], curve.V[-1]])
     assert np.ndim(curve.value(x[7] + 1e-3)) == 0
 
+
+def test_v_inf_is_the_last_node_and_no_field():
+    # V(inf) is read off V, so no curve can hold another value for it
+    curve = _curve([0.0, 1.0, 2.0], [1.0, 1.5, 1.75])
+    assert curve.V_inf == 1.75
+    assert "V_inf" not in {f.name for f in dataclasses.fields(SolutionCurve)}
+    with pytest.raises(TypeError):
+        dataclasses.replace(curve, V_inf=2.0)
+    assert dataclasses.replace(curve, V=curve.V * 2.0).V_inf == 3.5
 
 def test_solver_slopes_keep_every_piece_monotone(curve1, curve2, curve3, example1, exp_law):
     # Fritsch & Carlson's condition on every interval: a rising secant m and

@@ -533,11 +533,8 @@ def test_hjb_residual_spot_check(example1, curve1):
                          ids=["exp-A", "exp-B", "general-INT"])
 def test_tail_open_at_x_max_without_far_field_form(example1, regime, m):
     # a terminal constant regime, or an interior end of general claims (no m),
-    # at x_max has no bound: V_inf = V_end and the tail says so
-    x = np.geomspace(1.0, 100.0, 400)
-    V_inf, tail = extrapolate_tail(x, 3.0 * x**-2.0, V_end=10.0, terminal_regime=regime,
-                                   params=example1, m=m)
-    assert V_inf == 10.0
+    # at x_max has no bound, and the tail says so
+    tail = extrapolate_tail(100.0, 3e-4, terminal_regime=regime, params=example1, m=m)
     assert tail == {"terminal_regime": regime, "completion": "reached-x-max", "mode": "open",
                     "tail_mass_bound": None}
 
@@ -547,8 +544,8 @@ def test_zero_tail_at_x_max_gets_interest_only_bound(example1):
     p = replace(example1, mu=example1.r)
     x = np.linspace(20.0, 34.0, 50)
     Vp = x**5 * np.exp(-x / M)
-    V_inf, tail = extrapolate_tail(x, Vp, V_end=10.0, terminal_regime="ZERO", params=p, m=M)
-    assert V_inf == 10.0 and tail["mode"] == "converged"
+    tail = extrapolate_tail(x[-1], Vp[-1], terminal_regime="ZERO", params=p, m=M)
+    assert tail["mode"] == "converged"
     mass = quad(lambda t: t**5 * np.exp(-t / M), 34.0, np.inf)[0]
     assert mass <= tail["tail_mass_bound"] <= 1.01 * mass
     # a march that ends in ZERO at x_max (a = b = 1) closes with that bound
@@ -565,9 +562,8 @@ def test_zero_tail_at_x_max_gets_interest_only_bound(example1):
 def test_floor_completion_bound_is_last_derivative(example1, regime, completion, vp_end):
     x = np.linspace(1.0, 30.0, 20)
     Vp = vp_end * np.exp(30.0 - x)
-    V_inf, tail = extrapolate_tail(x, Vp, V_end=10.0, terminal_regime=regime,
-                                   params=example1, completion=completion)
-    assert V_inf == 10.0
+    tail = extrapolate_tail(x[-1], Vp[-1], terminal_regime=regime, params=example1,
+                            completion=completion)
     assert tail["mode"] == "converged" and tail["tail_mass_bound"] == vp_end
 
 
@@ -593,9 +589,8 @@ def test_interior_tail_bound_is_interest_only(example1):
     Vp = x**5 * np.exp(-x / M)
     mass = quad(lambda t: t**5 * np.exp(-t / M), 34.0, np.inf)[0]
     for completion in ("derivative-floor", "reached-x-max"):
-        V_inf, tail = extrapolate_tail(x, Vp, V_end=10.0, terminal_regime="INT",
-                                       params=example1, completion=completion, m=M)
-        assert V_inf == 10.0
+        tail = extrapolate_tail(x[-1], Vp[-1], terminal_regime="INT", params=example1,
+                                completion=completion, m=M)
         assert mass <= tail["tail_mass_bound"] <= 1.01 * mass
         assert tail["tail_mass_bound"] > 1.1 * Vp[-1] * M
 
@@ -810,8 +805,7 @@ def test_csv_roundtrip(tmp_path, monkeypatch, curve1):
     path = tmp_path / "curve.csv"
     Vpp = curve1.Vpp.copy()
     Vpp[-1] = -np.inf  # the deficit-zero node of an aborting march reads -inf
-    cur = replace(curve1, Vpp=Vpp, phi=np.where(curve1.x < 1.0, np.nan, curve1.phi),
-                  V_inf=curve1.V_inf * (1.0 + 1e-3))
+    cur = replace(curve1, Vpp=Vpp, phi=np.where(curve1.x < 1.0, np.nan, curve1.phi))
     cur.to_csv(path, manifest_hash="deadbeef")
     back = SolutionCurve.from_csv(path)
     assert np.array_equal(back.theta_star, cur.theta_star)
@@ -829,7 +823,7 @@ def test_csv_roundtrip(tmp_path, monkeypatch, curve1):
     assert [(s.lo, s.hi, s.regime) for s in back.segments] == runs
     assert [s.terminal_event for s in back.segments] == ["switch"] * (len(runs) - 1) + ["end"]
     # V_inf is V at the last node, whatever the sidecar beside the table holds
-    assert back.V_inf == cur.V[-1] != cur.V_inf
+    assert back.V_inf == cur.V[-1]
     cur.to_json(tmp_path / "curve.json", manifest={"hash": "deadbeef"})
     assert SolutionCurve.from_csv(path).V_inf == cur.V[-1]
     # the table is written in row blocks; the bytes do not depend on them
