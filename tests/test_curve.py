@@ -39,6 +39,7 @@ def test_v_inf_is_the_last_node_and_no_field():
         dataclasses.replace(curve, V_inf=2.0)
     assert dataclasses.replace(curve, V=curve.V * 2.0).V_inf == 3.5
 
+
 def test_solver_slopes_keep_every_piece_monotone(curve1, curve2, curve3, example1, exp_law):
     # Fritsch & Carlson's condition on every interval: a rising secant m and
     # both end slopes in [0, 3m].  A failing interval is a solver defect:

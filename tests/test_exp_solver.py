@@ -822,7 +822,7 @@ def test_csv_roundtrip(tmp_path, monkeypatch, curve1):
     runs.append((cur.x[lo], cur.x[-1], cur.regime[-1]))
     assert [(s.lo, s.hi, s.regime) for s in back.segments] == runs
     assert [s.terminal_event for s in back.segments] == ["switch"] * (len(runs) - 1) + ["end"]
-    # V_inf is V at the last node, whatever the sidecar beside the table holds
+    # V_inf is V at the last node, with or without a sidecar beside the table
     assert back.V_inf == cur.V[-1]
     cur.to_json(tmp_path / "curve.json", manifest={"hash": "deadbeef"})
     assert SolutionCurve.from_csv(path).V_inf == cur.V[-1]
