@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import ClassVar, Optional
 
@@ -223,21 +223,29 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _first_event(events, directions, g, g_new, t_old, t, interpolant):
-    """(root, state, row) of the earliest event row fired on the step [t_old, t],
-    or None.  A row fires on a sign change in its direction (+1 rising, -1
-    falling) between its values g and g_new at the step's ends; a zero at
-    either end counts, as in solve_ivp.  interpolant() gives the step's dense
-    output at a scalar, on which _brentq roots each fired row."""
+def _dense(step, x):
+    """(w, L, V) at a scalar x on an accepted step (t, h, y, Q) of `_radau_march`:
+    its collocation polynomial y + Q p, p the powers (s, s^2, s^3) of
+    s = (x - t)/h."""
+    t, h, y, Q = step
+    s = (x - t) / h
+    return tuple(v + ((q2 * s + q1) * s + q0) * s for v, (q0, q1, q2) in zip(y, Q))
+
+
+def _first_event(events, directions, g, g_new, step, t):
+    """(root, state, row) of the earliest event row fired on the accepted step
+    from step[0] to t, or None.  A row fires on a sign change in its direction
+    (+1 rising, -1 falling) between its values g and g_new at the step's ends;
+    a zero at either end counts, as in solve_ivp.  _brentq roots each fired
+    row on the step's collocation polynomial (`_dense`)."""
     fired = [i for i, d in enumerate(directions)
              if (g[i] <= 0 <= g_new[i] if d > 0 else g[i] >= 0 >= g_new[i])]
     if not fired:
         return None
-    sol = interpolant()
-    roots = [_brentq(lambda s, i=i: events(s, sol(s))[i], t_old, t,
+    roots = [_brentq(lambda s, i=i: events(s, _dense(step, s))[i], step[0], t,
                      xtol=4 * _EPS, rtol=4 * _EPS) for i in fired]
     k = roots.index(min(roots))
-    return roots[k], sol(roots[k]), fired[k]
+    return roots[k], _dense(step, roots[k]), fired[k]
 
 
 # Radau IIA with 3 stages (order 5, stiffly accurate; Hairer & Wanner 1996,
@@ -271,8 +279,9 @@ def _radau_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
     """March (w, L, V) with w' = f(x, w), L' = u(x, w), V' = e^L by Radau IIA,
     forward in t (t_span[0] <= t_span[1]), with terminal events.
 
-    Returns t (the step ends), y (shape (3, len(t))), sol (the steps'
-    collocation polynomials), nfev, rejected (failed step attempts),
+    Returns t (the step ends), y (shape (3, len(t))), steps (one record
+    (t, h, y, Q) per accepted step from t[i] to t[i + 1], its collocation
+    polynomial for `_dense`), nfev, rejected (failed step attempts),
     newton_iters, event (the index of the event row that ended the march, or
     None), status (0 at t_span[1], 1 on an event, -1 on a failed step) and
     message (TOO_SMALL_STEP on failure, else None).
@@ -290,8 +299,9 @@ def _radau_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
     before t_span[1] takes half the rest instead.  `events(t, y)` gives all
     event values at once and `directions[i]` is +1 (rising) or -1
     (falling); `_first_event` roots the fired rows on the step's
-    collocation polynomial, and the earliest root ends the march.  A step whose Newton iteration fails or reaches a
-    non-finite f is halved; below 10 ulp(t) the march ends with status -1.
+    collocation polynomial, and the earliest root ends the march.  A step
+    whose Newton iteration fails or reaches a non-finite f is halved; below
+    10 ulp(t) the march ends with status -1.
     """
     f, jac = fun
     t, tf = map(float, t_span)
@@ -312,9 +322,9 @@ def _radau_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
                 p02 * a + p12 * b + p22 * c)
     fw, fu = f(t, w)
     nfev, newton, rejected = 1, 0, 0
-    ts, ys, rows = [t], [(w, L, V)], []
+    ts, ys, steps = [t], [(w, L, V)], []
     g = events(t, (w, L, V))
-    h_abs, h_old, err_old, prev = max_step, None, None, None
+    h_abs, h_old, err_old = max_step, None, None
     status = event = None
     while status is None:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -333,10 +343,10 @@ def _radau_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
                 t_new = math.nextafter(t_new, -math.inf)
             h = t_new - t
             xa, xb = t + c0 * h, t + c1 * h
-            if prev is None:  # Newton starts from the last step's polynomial
+            if not steps:  # Newton starts from the last step's polynomial of w
                 z0 = z1 = z2 = 0.0
             else:
-                pt, ph, pw, q0, q1, q2 = prev
+                pt, ph, (pw, _, _), ((q0, q1, q2), _, _) = steps[-1]
                 z0, z1, z2 = (pw + ((q2 * s + q1) * s + q0) * s - w
                               for s in ((xa - pt) / ph, (xb - pt) / ph, (t_new - pt) / ph))
             W0 = r00 * z0 + r01 * z1 + r02 * z2
@@ -400,56 +410,25 @@ def _radau_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
             rejected += 1
         if status == -1:
             break
-        Q = (*coefficients(z0, z1, z2), *coefficients(zl0, zl1, zl2),
-             *coefficients(zv0, zv1, zv2))
-        t_old, y_old, t, y = t, (w, L, V), t_new, y_new
-        prev = (t_old, h, w, *Q[:3])
+        step = (t, h, (w, L, V), (coefficients(z0, z1, z2), coefficients(zl0, zl1, zl2),
+                                  coefficients(zv0, zv1, zv2)))
+        t, y = t_new, y_new
         fw, fu, (w, L, V) = fw_new, u2, y
         status = 0 if t >= tf else None
         g_new = events(t, y)
-
-        def interpolant():  # the step's collocation polynomial at a scalar x
-            return lambda x: tuple(v + ((q2 * s + q1) * s + q0) * s
-                                   for s in [(x - t_old) / h]
-                                   for v, (q0, q1, q2) in zip(y_old, (Q[:3], Q[3:6], Q[6:])))
-        end = _first_event(events, directions, g, g_new, t_old, t, interpolant)
+        end = _first_event(events, directions, g, g_new, step, t)
         if end is not None:
             (t, y, event), status = end, 1
         g = g_new
-        if t == t_old and rows:  # a root on the previous step's end
-            y = y_old
+        if t == step[0]:  # a root on the step's start, the last step end
+            y = step[2]
         else:
-            rows.append((t_old, h, *y_old, *Q))
+            steps.append(step)
             ts.append(t)
             ys.append(y)
-    steps = _CollocationSteps(ts, ys, rows)
-    return SimpleNamespace(t=steps.t, y=steps.y, sol=steps, nfev=nfev, rejected=rejected,
-                           newton_iters=newton, event=event, status=status,
+    return SimpleNamespace(t=np.array(ts), y=np.array(ys).T, steps=steps, nfev=nfev,
+                           rejected=rejected, newton_iters=newton, event=event, status=status,
                            message=TOO_SMALL_STEP if status == -1 else None)
-
-
-class _CollocationSteps:
-    """`_radau_march`'s accepted steps: step i starts at t[i] from y[:, i],
-    spans h[i], and carries its collocation polynomial y + Q p, p the powers
-    (s, s^2, s^3) of s = (x - t[i])/h[i].  A query is an increasing 1-D array
-    of nodes; a node on a step end reads that end's state."""
-
-    def __init__(self, ts, ys, rows):
-        self.t, self.y = np.array(ts), np.array(ys).T
-        rows = np.array(rows).reshape(-1, 14)
-        self._t, self._h, self._y = rows[:, 0], rows[:, 1], rows[:, 2:5].T
-        self._Q = rows[:, 5:].reshape(-1, 3, 3).transpose(1, 2, 0)  # state, power, step
-
-    def __call__(self, x):
-        i = np.searchsorted(self.t, x)
-        hit = self.t[np.minimum(i, len(self.t) - 1)] == x
-        out = np.empty((3, len(x)))
-        out[:, hit] = self.y[:, i[hit]]
-        k = np.clip(i[~hit] - 1, 0, len(self._h) - 1)
-        s = (x[~hit] - self._t[k]) / self._h[k]
-        Q = self._Q[:, :, k]
-        out[:, ~hit] = self._y[:, k] + ((Q[:, 2] * s + Q[:, 1]) * s + Q[:, 0]) * s
-        return out
 
 
 # `solve` reaches the march through this module attribute, where the
@@ -582,10 +561,10 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
 
         ev_name, _, target = ("reached-x-max", None, None) if sol.event is None else rows[sol.event]
         switch = sol.status == 1 and ev_name not in _COMPLETIONS + _ABORTS
-        nodes = _segment_nodes(sol.t, hug_lo=n_switch > 0, hug_hi=switch)
-        _append_segment(nodes, sol.sol(nodes), regime, params, m, xs_all, cols)
+        _append_segment(*_segment_nodes(sol, later=bool(segments), hug_hi=switch),
+                        regime, params, m, xs_all, cols)
         x_end, y = sol.t[-1], sol.y[:, -1]  # an event's root, as the march appended it
-        segments.append(RegimeSegment(x, x_end, regime, ev_name))
+        segments.append(RegimeSegment(x if segments else 0.0, x_end, regime, ev_name))
         x = x_end
 
         if sol.status == 0:
@@ -612,16 +591,23 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
     return _assemble(params, m, D, x_eps, xs_all, cols, segments, march, completion, opts)
 
 
-def _segment_nodes(t, hug_lo, hug_hi):
-    """A segment's step ends t (increasing, from its start lo = t[0] to its
-    end hi = t[-1]) and a few nodes hugging an endpoint that is a regime
-    switch, so one-sided difference quotients there read the march's
-    collocation polynomials rather than interpolation between nodes."""
+def _segment_nodes(sol, later, hug_hi):
+    """(nodes, states (w, L, V)) of a segment from its march sol: the step ends
+    sol.t, from lo = t[0] to hi = t[-1], and a few nodes hugging an endpoint
+    that is a regime switch, so one-sided difference quotients there read the
+    march's collocation polynomials (`_dense`) rather than interpolation
+    between nodes.  A later segment starts at a switch, and drops its first
+    node: the previous segment ends on it, in the regime it ends."""
+    t, y = sol.t, sol.y
     lo, hi = t[0], t[-1]
-    hug = np.array([1e-7, 2e-7, 1e-6])
-    extra = np.concatenate([lo + hug * max(1.0, abs(lo)) if hug_lo else [],
-                            hi - hug * max(1.0, abs(hi)) if hug_hi else []])
-    return np.unique(np.concatenate([t, extra[(extra > lo) & (extra < hi)]]))
+    hug = (1e-7, 2e-7, 1e-6)
+    extra = ([lo + d * max(1.0, abs(lo)) for d in hug] if later else []) + (
+        [hi - d * max(1.0, abs(hi)) for d in hug] if hug_hi else [])
+    extra = sorted({x for x in extra if lo < x < hi and x not in t})
+    i = np.searchsorted(t, extra)  # step i - 1 holds the node
+    states = np.reshape([_dense(sol.steps[k - 1], x) for k, x in zip(i, extra)], (-1, 3))
+    first = 1 if later else 0
+    return np.insert(t, i, extra)[first:], np.insert(y, i, states.T, axis=1)[:, first:]
 
 
 def _append_segment(nodes, states, regime, params, m, xs_all, cols):
@@ -648,12 +634,6 @@ def _assemble(params, m, D, x_eps, xs_all, cols, segments, march, completion, op
     x = np.concatenate([[0.0]] + xs_all)
     data = {k: np.concatenate([np.array([row0[k]], dtype=cols[k][0].dtype), *cols[k]])
             for k in cols}
-    keep = np.concatenate([[True], np.diff(x) > 0])
-    x = x[keep]
-    for k in data:
-        data[k] = data[k][keep]
-
-    segments = [replace(segments[0], lo=0.0)] + segments[1:]
     tail = extrapolate_tail(x[-1], data["Vp"][-1], segments[-1].regime, params,
                             completion=completion, m=m)
     meta = {

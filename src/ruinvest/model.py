@@ -9,6 +9,7 @@ b times the surplus short.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -64,7 +65,6 @@ class RegimeConstants:
         gamma = -b:  mu_bar = -b*mu + (1 + b)*r,  sigma_bar = b*sigma
     """
 
-    gamma: float
     mu_bar: float
     sigma_bar: float
 
@@ -75,7 +75,7 @@ def regime_constants(params: ModelParams, gamma: float) -> RegimeConstants:
         raise ValueError(f"gamma must be a={params.a} or -b={-params.b}, got {gamma}")
     mu_bar = params.r + gamma * (params.mu - params.r)
     sigma_bar = abs(gamma) * params.sigma
-    return RegimeConstants(gamma=gamma, mu_bar=mu_bar, sigma_bar=sigma_bar)
+    return RegimeConstants(mu_bar=mu_bar, sigma_bar=sigma_bar)
 
 
 class ClaimLaw:
@@ -210,7 +210,6 @@ class ValidationReport:
 
     ok: bool
     violations: list = field(default_factory=list)
-    convex_start: Optional[bool] = None  # exponential law only
 
 
 def validate(params: ModelParams, law: ClaimLaw, oracle_mode: bool = False) -> ValidationReport:
@@ -219,7 +218,9 @@ def validate(params: ModelParams, law: ClaimLaw, oracle_mode: bool = False) -> V
     oracle_mode permits r = 0 so the simulator can be checked against the
     classical no-investment ruin formula; the HJB solvers always require r > 0.
     """
-    v: list = []
+    v: list = [f"{name} must be finite (got {value})"
+               for name, value in {**vars(params), "claim mean": law.mean}.items()
+               if not math.isfinite(value)]
     for name in ("c", "lam", "sigma", "a", "b"):
         if getattr(params, name) <= 0:
             v.append(f"{name} must be strictly positive (got {getattr(params, name)})")
@@ -239,11 +240,7 @@ def validate(params: ModelParams, law: ClaimLaw, oracle_mode: bool = False) -> V
                 v.append(f"claim density integrates to {total:.8f}, not 1 within 1e-6")
         except Exception as exc:  # non-integrable user density
             v.append(f"claim density quadrature failed: {exc}")
-
-    convex = None
-    if isinstance(law, ExponentialClaims) and not v:
-        convex = convex_start_condition(params, law.mean)
-    return ValidationReport(ok=not v, violations=v, convex_start=convex)
+    return ValidationReport(ok=not v, violations=v)
 
 
 def convex_start_condition(params: ModelParams, m: float) -> bool:

@@ -200,6 +200,16 @@ def test_validation_exit_code(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
 
 
+def test_non_finite_parameter_is_a_validation_failure(tmp_path, capsys):
+    # sigma = nan used to pass validation and end as a solver abort (exit 2)
+    # saying the start regime is not optimal at X0
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text((CONFIGS / "example1.cfg").read_text().replace("sigma = 0.1", "sigma = nan"))
+    assert main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    assert "sigma must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "abort.json").exists()
+
+
 def test_solver_abort_exit_code_and_artifact(tmp_path, capsys):
     # x_max below the march's start x_eps = 1e-6: exit 2 with abort.json, no curve
     rc = main(["solve", "--config", str(CONFIGS / "example1.cfg"),

@@ -11,8 +11,8 @@ from ruinvest import curve as curve_module
 from ruinvest import exp_solver
 from ruinvest.curve import SolutionCurve
 from ruinvest.exp_solver import (TOO_SMALL_STEP, VP_FLOOR, X0, SolveOptions, SolverAbort, _brentq,
-                                 _radau_march, _segment_events, _series_w, _start, _w_system,
-                                 extrapolate_tail, solve)
+                                 _dense, _radau_march, _segment_events, _series_w, _start,
+                                 _w_system, extrapolate_tail, solve)
 from ruinvest.model import ExponentialClaims, ModelParams, regime_constants
 from ruinvest.operators import (deficit, indicator, indicator_bands, regime_fraction, slope_fn,
                                 start_regime)
@@ -305,12 +305,20 @@ def test_radau_march_hjb_segments_match_solve_ivp(example1, curve1):
         else:
             assert got.status == 0 and got.t[-1] == hi
         grid = _hjb_step_grid(got.t, rng)
-        assert np.max(np.abs(got.sol(grid) / _w_reference(fun, y0, grid) - 1.0)) <= 1e-10
+        assert np.max(np.abs(_march_states(got, grid) / _w_reference(fun, y0, grid) - 1.0)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
 # the Radau march
 # ---------------------------------------------------------------------------
+
+def _march_states(got, grid):
+    """A march's (w, L, V) at the increasing nodes grid: a step end reads its
+    state, any other node its step's collocation polynomial."""
+    i = np.searchsorted(got.t, grid)
+    return np.array([got.y[:, k] if k < len(got.t) and got.t[k] == x else _dense(got.steps[k - 1], x)
+                     for k, x in zip(i, grid)]).T
+
 
 def _w_reference(fun, y0, t_eval, atol=(1e-20, 1e-14, 1e-14)):
     """solve_ivp's Radau at rtol 1e-13 on a march's (w, L, V) system, fun =
@@ -363,12 +371,12 @@ def test_radau_march_contract(name, levels, directions, t_bound, fired):
     assert got.t[-1] == pytest.approx(end, abs=1e-9)
     # the step ends and the collocation polynomials against the exact solution
     grid = np.sort(np.concatenate([got.t, np.linspace(0.0, got.t[-1], 97)]))
-    w, L, V = got.sol(grid)
+    w, L, V = _march_states(got, grid)
     assert np.max(np.abs(w - np.sin(grid))) <= 1e-8
     assert np.max(np.abs(L - (1.0 - np.cos(grid)))) <= 1e-8
     Vq = [quad(lambda s: math.exp(1.0 - math.cos(s)), 0.0, x, epsabs=1e-13)[0] for x in grid[::8]]
     assert np.max(np.abs(V[::8] - Vq)) <= 1e-8
-    assert np.array_equal(got.y[:, -1], got.sol(got.t[-1:])[:, 0])
+    assert np.array_equal(got.y[:, -1], _march_states(got, got.t[-1:])[:, 0])
     if name == "two-in-one-step":
         # the later level alone ends the march in the same step: both fired there
         alone = _radau_sin(levels[:1], directions[:1], t_bound)

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ def test_example1_validates(example1, exp_law):
     rep = validate(example1, exp_law)
     assert rep.ok
     assert rep.violations == []
-    assert rep.convex_start is True
+    assert convex_start_condition(example1, exp_law.mean) is True
 
 
 def test_b_zero_rejected(exp_law):
@@ -71,7 +74,23 @@ def test_exponential_unit_mass_skip_matches_quad(example1):
 ])
 def test_exponential_outside_skip_range_keeps_quad_report(example1, m, violations, convex):
     rep = validate(example1, ExponentialClaims(m))
-    assert rep == ValidationReport(ok=not violations, violations=violations, convex_start=convex)
+    assert rep == ValidationReport(ok=not violations, violations=violations)
+    assert (convex_start_condition(example1, m) if rep.ok else None) is convex
+
+
+# nan <= 0 is false, so the positivity checks alone let a NaN through, and an
+# inf passes them; the run then failed later with a misleading message
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["c", "lam", "mu", "r", "sigma", "a", "b", "claim mean"],
+                         ids=lambda name: name.replace(" ", "_"))
+def test_non_finite_input_rejected(example1, name, value):
+    if name == "claim mean":
+        rep = validate(example1, ExponentialClaims(value))
+    else:
+        rep = validate(replace(example1, **{name: value}), ExponentialClaims(1.0))
+    assert not rep.ok
+    assert rep.violations[0] == f"{name} must be finite (got {value})"
 
 
 def test_regime_constants_example1(example1):

@@ -42,7 +42,7 @@ def test_tracer_hooks_measure_solve(tracing, example1):
     assert counts["exp_solver.march_steps"] == sum(m["steps"] for m in march)
     assert counts["exp_solver.rhs_evals"] == sum(m["rhs_evals"] for m in march)
     # three switches each end a march on an event; the interior march reaches
-    # x_max (4 events while it ended on the cancellation floor)
+    # x_max
     assert counts["exp_solver.events"] == 3
     # the benchmark's start metric reads the march's start
     assert tracer.minima[None]["series.x_eps_min"] == curve.meta["x_eps"]
