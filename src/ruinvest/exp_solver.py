@@ -171,7 +171,7 @@ def _segment_events(regime: str, params: ModelParams, m: float):
             def lead(x, w):
                 phi = indicator(params, x, 1.0, w)
                 return [phi - level for level in levels]
-    rows.append(("derivative-floor", down, None))
+    rows += [("derivative-floor", down, None)]
 
     def g(x, y):
         return (*lead(x, y[0]), math.exp(y[1]) - VP_FLOOR)
@@ -420,7 +420,7 @@ def _radau_march(fun, t_span, y0, events, directions, rtol, atol, max_step):
         if end is not None:
             (t, y, event), status = end, 1
         g = g_new
-        if t == step[0]:  # a root on the step's start, the last step end
+        if t == step[0]:  # a root on the step's start, already the last node
             y = step[2]
         else:
             steps.append(step)

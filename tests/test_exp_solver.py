@@ -316,8 +316,8 @@ def _march_states(got, grid):
     """A march's (w, L, V) at the increasing nodes grid: a step end reads its
     state, any other node its step's collocation polynomial."""
     i = np.searchsorted(got.t, grid)
-    return np.array([got.y[:, k] if k < len(got.t) and got.t[k] == x else _dense(got.steps[k - 1], x)
-                     for k, x in zip(i, grid)]).T
+    return np.array([got.y[:, k] if k < len(got.t) and got.t[k] == x
+                     else _dense(got.steps[k - 1], x) for k, x in zip(i, grid)]).T
 
 
 def _w_reference(fun, y0, t_eval, atol=(1e-20, 1e-14, 1e-14)):
