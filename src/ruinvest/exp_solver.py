@@ -71,10 +71,6 @@ MAX_STEP = 0.5        # integrator step cap
 _EPS = sys.float_info.epsilon
 RTOL_MIN = 100 * _EPS  # the march's rtol floor
 
-_COMPLETIONS = ("derivative-floor",)
-_ABORTS = ("deficit-zero", "indicator-below-exclusion")
-_COLUMNS = ("V", "Vp", "Vpp", "J", "phi", "theta", "regime")
-
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -131,9 +127,9 @@ def _segment_events(regime: str, params: ModelParams, m: float):
     rows holds one (name, direction, target) per event; g(x, y) returns all
     their values at once, in row order, on the march state y = (w, L, V).  A
     switch event names the regime that follows: for mu != r the one whose
-    band of `indicator_bands` shares the crossed bound.  The events in
-    _COMPLETIONS and _ABORTS have target None; the former end the march, the
-    latter fail it.
+    band of `indicator_bands` shares the crossed bound.  Every other event
+    has target None: "deficit-zero" and "indicator-below-exclusion" fail the
+    march, and "derivative-floor" ends it.
     """
     up, down = 1, -1
     if params.mu == params.r:  # the sign of V'' is that of w, or of u in ZERO
@@ -539,15 +535,12 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
     x = x_eps
     segments: list[RegimeSegment] = []
     march: list[dict] = []
-    xs_all: list[np.ndarray] = []
-    cols: dict[str, list[np.ndarray]] = {k: [] for k in _COLUMNS}
+    parts: list[tuple] = []
     max_step = min(MAX_STEP, (x_max - x_eps) / opts.output_nodes)
     # w's absolute tolerance is below any deficit the march resolves; L's is
     # V''s relative one
     atol = (opts.atol * 1e-2, opts.rtol, opts.atol)
 
-    n_switch = 0
-    completion = "reached-x-max"
     while True:
         rows, g = _segment_events(regime, params, m)
         sol = solve_ivp(_w_system(regime, params, m), (x, x_max), y, g,
@@ -560,18 +553,12 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
                       "rejected": sol.rejected, "newton_iters": sol.newton_iters})
 
         ev_name, _, target = ("reached-x-max", None, None) if sol.event is None else rows[sol.event]
-        switch = sol.status == 1 and ev_name not in _COMPLETIONS + _ABORTS
-        _append_segment(*_segment_nodes(sol, later=bool(segments), hug_hi=switch),
-                        regime, params, m, xs_all, cols)
+        parts.append((regime, *_segment_nodes(sol, later=bool(segments),
+                                              hug_hi=target is not None)))
         x_end, y = sol.t[-1], sol.y[:, -1]  # an event's root, as the march appended it
         segments.append(RegimeSegment(x if segments else 0.0, x_end, regime, ev_name))
         x = x_end
 
-        if sol.status == 0:
-            break
-        if ev_name in _COMPLETIONS:
-            completion = ev_name
-            break
         if ev_name == "deficit-zero":
             raise SolverAbort(
                 f"interior regime lost I > 0 at x={x:.6g} with V'={math.exp(y[1]):.3g}; "
@@ -581,14 +568,14 @@ def solve(params: ModelParams, m: float, options: Optional[SolveOptions] = None)
             raise SolverAbort(
                 f"indicator magnitude fell below the vertex-exclusion cutoff at x={x:.6g}",
                 {"x": x})
-
+        if target is None:
+            break
         regime = target
-        n_switch += 1
-        if n_switch > MAX_SWITCHES:
+        if len(segments) > MAX_SWITCHES:
             raise SolverAbort(f"regime oscillation: more than {MAX_SWITCHES} switches",
                               {"switches": [(s.hi, s.terminal_event) for s in segments]})
 
-    return _assemble(params, m, D, x_eps, xs_all, cols, segments, march, completion, opts)
+    return _assemble(params, m, D, x_eps, parts, segments, march, opts)
 
 
 def _segment_nodes(sol, later, hug_hi):
@@ -610,31 +597,23 @@ def _segment_nodes(sol, later, hug_hi):
     return np.insert(t, i, extra)[first:], np.insert(y, i, states.T, axis=1)[:, first:]
 
 
-def _append_segment(nodes, states, regime, params, m, xs_all, cols):
-    """A segment's columns from its march states (w, L, V) at the nodes:
-    V' = e^L, V - J = (w + c + r x) V'/lambda, V'' = u V', phi = 2w/((mu - r) x)."""
-    w, L, V = states
-    Vp = np.exp(L)
-    phi = indicator(params, nodes, 1.0, w)
-    xs_all.append(nodes)
-    cols["V"].append(V)
-    cols["Vp"].append(Vp)
-    cols["Vpp"].append(slope_fn(regime, params, m)[0](nodes, w) * Vp)
-    cols["J"].append(V - (w + params.c + params.r * nodes) * Vp / params.lam)
-    cols["phi"].append(phi)
-    cols["theta"].append(theta_for(regime, params, phi))
-    cols["regime"].append(np.full(nodes.shape, regime, dtype=object))
-
-
-def _assemble(params, m, D, x_eps, xs_all, cols, segments, march, completion, opts):
+def _assemble(params, m, D, x_eps, parts, segments, march, opts):
+    """The curve from the x = 0 row and each segment's (regime, nodes, states
+    (w, L, V)) in parts: V' = e^L, V - J = (w + c + r x) V'/lambda,
+    V'' = u V', phi = 2w/((mu - r) x)."""
     # the x = 0 row: V(0) = 1, V'(0+) = D1 = lambda/c, V''(0+) = D1 D2, J(0) = 0
     (D1, D2, _), regime0 = D, segments[0].regime
-    row0 = {"V": 1.0, "Vp": D1, "Vpp": D1 * D2, "J": 0.0, "phi": start_indicator(params),
-            "theta": regime_fraction(params, regime0), "regime": regime0}
-    x = np.concatenate([[0.0]] + xs_all)
-    data = {k: np.concatenate([np.array([row0[k]], dtype=cols[k][0].dtype), *cols[k]])
-            for k in cols}
-    tail = extrapolate_tail(x[-1], data["Vp"][-1], segments[-1].regime, params,
+    cols = [([0.0], [1.0], [D1], [D1 * D2], [0.0], [start_indicator(params)],
+             [regime_fraction(params, regime0)], np.array([regime0], dtype=object))]
+    for regime, nodes, (w, L, V) in parts:
+        Vp = np.exp(L)
+        phi = indicator(params, nodes, 1.0, w)
+        cols.append((nodes, V, Vp, slope_fn(regime, params, m)[0](nodes, w) * Vp,
+                     V - (w + params.c + params.r * nodes) * Vp / params.lam, phi,
+                     theta_for(regime, params, phi), np.full(nodes.shape, regime, dtype=object)))
+    x, V, Vp, Vpp, J, phi, theta, regime = map(np.concatenate, zip(*cols))
+    completion = segments[-1].terminal_event
+    tail = extrapolate_tail(x[-1], Vp[-1], segments[-1].regime, params,
                             completion=completion, m=m)
     meta = {
         "x_eps": x_eps,
@@ -646,9 +625,8 @@ def _assemble(params, m, D, x_eps, xs_all, cols, segments, march, completion, op
         "options": {"x_max": opts.resolved_x_max(params), "rtol": opts.rtol,
                     "atol": opts.atol, "vertex_exclusion": vertex_exclusion(params)},
     }
-    return SolutionCurve(x=x, V=data["V"], Vp=data["Vp"], Vpp=data["Vpp"], J=data["J"],
-                         phi=data["phi"], theta_star=data["theta"], regime=data["regime"],
-                         segments=segments, params=params, meta=meta)
+    return SolutionCurve(x=x, V=V, Vp=Vp, Vpp=Vpp, J=J, phi=phi, theta_star=theta,
+                         regime=regime, segments=segments, params=params, meta=meta)
 
 
 # ---------------------------------------------------------------------------

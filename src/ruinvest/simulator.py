@@ -206,7 +206,7 @@ class _ClaimTable:
 
 def _run_chunk(x0, policy, params, horizon, barrier, dt, table, rng_diff):
     """One policy's paths over a claim table; returns outcome counts
-    (ruined, survived, censored, diffusion-ruined) and the work done
+    (survived, censored, diffusion-ruined) and the work done
     (loop iterations, path-steps).
 
     The constant-zero policy has no diffusion and an exact drift, so it steps
@@ -224,7 +224,7 @@ def _run_chunk(x0, policy, params, horizon, barrier, dt, table, rng_diff):
     rows = np.arange(n)
     t_claim = epochs[:, 0].copy()  # epochs[rows, ptr], refreshed as claims land
     t_end = horizon - 1e-12
-    n_ruin = n_surv = n_cens = n_diff_ruin = iterations = path_steps = 0
+    n_surv = n_cens = n_diff_ruin = iterations = path_steps = 0
 
     while X.size:
         iterations += 1
@@ -282,12 +282,11 @@ def _run_chunk(x0, policy, params, horizon, barrier, dt, table, rng_diff):
             censored = (t >= t_end) & ~ruined & ~survived
             if diff_ruin is not None:  # a diffusion-ruined path is ruined
                 n_diff_ruin += int(np.count_nonzero(diff_ruin))
-            n_ruin += int(np.count_nonzero(ruined))
             n_surv += int(np.count_nonzero(survived))
             n_cens += int(np.count_nonzero(censored))
             alive = ~(ruined | survived | censored)
             X, t, ptr, rows, t_claim = X[alive], t[alive], ptr[alive], rows[alive], t_claim[alive]
-    return n_ruin, n_surv, n_cens, n_diff_ruin, iterations, path_steps
+    return n_surv, n_cens, n_diff_ruin, iterations, path_steps
 
 
 @dataclass
@@ -353,10 +352,10 @@ def _simulate(x0_list, policies, params, law, cfg: SimConfig, echo: dict) -> Sim
             results = [work(cid) for cid in chunks]
         totals = np.sum(np.array(results, dtype=np.int64), axis=0)
         for policy, tot in zip(policies, totals):
-            report.add(x0, policy.label, n, int(tot[1]), int(tot[2]), int(tot[3]))
-            report.rows[-1].update(iterations=int(tot[4]), path_steps=int(tot[5]))
-            if tot[2] > 0.05 * n:  # truncation too tight
-                warnings.warn(f"x0 = {x0:g}, policy {policy.label}: {tot[2] / n:.1%} of "
+            report.add(x0, policy.label, n, int(tot[0]), int(tot[1]), int(tot[2]))
+            report.rows[-1].update(iterations=int(tot[3]), path_steps=int(tot[4]))
+            if tot[1] > 0.05 * n:  # truncation too tight
+                warnings.warn(f"x0 = {x0:g}, policy {policy.label}: {tot[1] / n:.1%} of "
                               "paths censored, survival biased upward; lengthen the horizon",
                               RuntimeWarning, stacklevel=3)
     return report

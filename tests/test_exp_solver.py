@@ -763,6 +763,46 @@ def test_switch_cap_aborts_with_the_switches_so_far(monkeypatch, example1, curve
         (s.hi, s.terminal_event) for s in curve1.segments[:2]]
 
 
+
+def _exclusion_cutoff_raised(monkeypatch):
+    monkeypatch.setattr(exp_solver, "vertex_exclusion", lambda params: 0.2)
+
+
+def _deficit_row_shifted(monkeypatch):
+    # INT's deficit-zero row reads w - 0.005, so it fires while w > 0
+    events = exp_solver._segment_events
+
+    def shifted(regime, params, m):
+        rows, g = events(regime, params, m)
+        names = [name for name, _, _ in rows]
+        if "deficit-zero" not in names:
+            return rows, g
+        i = names.index("deficit-zero")
+
+        def g_shifted(x, y):
+            values = list(g(x, y))
+            values[i] -= 0.005
+            return values
+        return rows, g_shifted
+    monkeypatch.setattr(exp_solver, "_segment_events", shifted)
+
+
+@pytest.mark.parametrize("rig, message, keys", [
+    (_exclusion_cutoff_raised,
+     r"indicator magnitude fell below the vertex-exclusion cutoff at x=6\.58125$", {"x"}),
+    (_deficit_row_shifted,
+     r"interior regime lost I > 0 at x=5\.22715 with V'=4\.95; structural failure",
+     {"x", "Vp"}),
+], ids=["indicator-below-exclusion", "deficit-zero"])
+def test_interior_abort_rows_end_solve(monkeypatch, example1, curve1, rig, message, keys):
+    # each abort row of the interior regime fails the march past its last
+    # switch, naming the row's root
+    rig(monkeypatch)
+    with pytest.raises(SolverAbort, match=message) as exc:
+        solve(example1, M)
+    assert set(exc.value.diagnostics) == keys
+    assert exc.value.diagnostics["x"] > curve1.switch_points[-1] == pytest.approx(X3_FIX)
+
 def _switches_follow_bands(p, cur):
     """Every logged switch crosses the one threshold its two regimes' bands share."""
     if p.mu == p.r:

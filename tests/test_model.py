@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -80,7 +81,6 @@ def test_exponential_outside_skip_range_keeps_quad_report(example1, m, violation
 
 # nan <= 0 is false, so the positivity checks alone let a NaN through, and an
 # inf passes them; the run then failed later with a misleading message
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("name", ["c", "lam", "mu", "r", "sigma", "a", "b", "claim mean"],
                          ids=lambda name: name.replace(" ", "_"))
@@ -91,6 +91,17 @@ def test_non_finite_input_rejected(example1, name, value):
         rep = validate(replace(example1, **{name: value}), ExponentialClaims(1.0))
     assert not rep.ok
     assert rep.violations[0] == f"{name} must be finite (got {value})"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_exponential_mean_skips_quad(example1, value):
+    # the density is defined by its mean, so there is no unit mass to check:
+    # quad on it only added a second, wrong violation and a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = validate(example1, ExponentialClaims(value))
+    assert rep.violations == [f"claim mean must be finite (got {value})"]
+    assert caught == []
 
 
 def test_regime_constants_example1(example1):
