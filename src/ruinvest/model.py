@@ -232,7 +232,7 @@ def validate(params: ModelParams, law: ClaimLaw, oracle_mode: bool = False) -> V
 
     # density must integrate to 1 over (0, inf) within quadrature tolerance; quad
     # passes the built-in exponential density for every mean in [1e-3, 1e4], and
-    # one with a non-finite mean is refused above: its density is that mean's
+    # one with a non-finite mean is refused above, so its density is not checked
     if not (type(law) is ExponentialClaims
             and (1e-3 <= law.mean <= 1e4 or not math.isfinite(law.mean))):
         from scipy.integrate import quad
