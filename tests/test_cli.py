@@ -378,12 +378,23 @@ def test_exponential_commands_import_no_scipy(tmp_path):
     assert got["general_ok"] and got["quad"]  # a general law is still integrated by quad
 
 
-@pytest.mark.slow
-def test_compare_bytes_pinned(tmp_path):
+# one 512-path compare run on example 1, shared by the two tests below
+@pytest.fixture(scope="module")
+def compare_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("compare")
     rc = main(["compare", "--config", str(CONFIGS / "example1.cfg"),
-               "--out-dir", str(tmp_path), "--n-paths", "512", "--seed", "5"])
+               "--out-dir", str(out), "--n-paths", "512", "--seed", "5"])
     assert rc == 0
-    assert _sha256(tmp_path / "compare.csv") == MC_SHA256["example1-compare"]
-    assert set(_read_csv_column(tmp_path / "compare.csv", "policy")) == {
+    return out / "compare.csv"
+
+
+@pytest.mark.slow
+def test_compare_emits_all_policies(compare_csv):
+    assert set(_read_csv_column(compare_csv, "policy")) == {
         "feedback-optimal", "const(a)", "const(-b)", "const(0)",
         "noshort-clamped", "noshort-resolved"}
+
+
+@pytest.mark.slow
+def test_compare_bytes_pinned(compare_csv):
+    assert _sha256(compare_csv) == MC_SHA256["example1-compare"]
